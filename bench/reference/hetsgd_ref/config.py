@@ -1,0 +1,303 @@
+"""Experiment configuration: flat ``key = value`` files and validation.
+
+The on-disk format is deliberately primitive — one dotted key per line,
+``#`` comments, comma-separated lists — so configs diff cleanly and parse
+with zero dependencies.  ``resolve()`` applies per-algorithm overrides
+(sync SGD forces tau=1 and balanced averaging, etc.) and ``validate()``
+rejects impossible profiles, including the pool-size check for lam.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass, field, fields, replace
+
+from .aggregation import RULES
+from .core import round_half_up
+from .data import InvalidLambdaError, fast_per_worker, pool_size, slow_share_sizes, slow_total
+from .workers import SAMPLER_MODES, SystemProfile, derive_tau_s
+
+__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "parse_config_file",
+           "render_config", "config_hash", "ALGORITHMS"]
+
+ALGORITHMS = ("sync_sgd", "balanced_local", "unbalanced_unbiased", "biased_local")
+
+
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass
+class ExperimentConfig:
+    # data source: synthetic blobs or a dataset file
+    data_source: str = "synthetic"  # synthetic | file
+    data_path: str = ""
+    data_format: str = ""  # csv | binary | "" (sniff)
+    data_n: int = 1000
+    data_input_dim: int = 2
+    data_classes: int = 2
+    data_separation: float = 6.0
+    data_sigma: float = 1.0
+    data_label_noise: float = 0.0
+
+    model_kind: str = "logistic_regression"
+    model_hidden: int = 8
+
+    algorithm: str = "biased_local"
+    aggregation: str = "tau_weighted"
+
+    alpha: float = 2.0
+    lam: float = 2.0
+    tau_f: int = 32
+    p_s: int = 1
+    p_f: int = 1
+    sampler_mode: str = "separated"
+    fast_draw: str = "fresh"  # fresh | epoch
+    cold_start: str = "unseen-first"  # unseen-first | uniform-first
+
+    schedule_kind: str = "constant"
+    base_lr: float = 0.1
+    milestones: tuple = ()
+    decay: float = 0.1
+
+    batch_size: int = 32
+    rounds: int = 20
+    epochs: int = 0  # alternative to rounds; converted via rounds_per_epoch
+    weight_decay: float = 0.0
+    val_fraction: float = 0.2
+    seeds: tuple = (0,)
+
+    cost_iter_fast: float = 0.1940
+    cost_iter_slow: float = 6.5230
+    cost_agg: float = 0.0
+
+    out: str = ""
+
+    # --- derived views -----------------------------------------------------
+
+    def effective(self) -> "ExperimentConfig":
+        """Apply per-algorithm overrides; returns a new config.
+
+        sync_sgd: one update per round per worker, aggregation every round,
+        uniform sampling, balanced averaging, homogeneous shares.
+        balanced_local: equal update counts, uniform sampling, balanced
+        averaging, homogeneous shares.
+        unbalanced_unbiased: system-aware taus but no bias anywhere.
+        biased_local: system-aware taus, loss-biased sampling, configured rule.
+        """
+        if self.algorithm == "sync_sgd":
+            return replace(self, tau_f=1, sampler_mode="uniform", aggregation="balanced")
+        if self.algorithm == "balanced_local":
+            return replace(self, sampler_mode="uniform", aggregation="balanced")
+        if self.algorithm == "unbalanced_unbiased":
+            return replace(self, sampler_mode="uniform", aggregation="balanced")
+        return self
+
+    def share_alpha(self) -> float:
+        """Ratio used for data shares: 1 for homogeneous-style algorithms."""
+        if self.algorithm in ("sync_sgd", "balanced_local"):
+            return 1.0
+        return self.alpha
+
+    def tau_slow(self) -> int:
+        if self.algorithm == "sync_sgd":
+            return 1
+        if self.algorithm == "balanced_local":
+            return self.tau_f
+        return derive_tau_s(self.tau_f, self.alpha)
+
+    def tau_fast(self) -> int:
+        return 1 if self.algorithm == "sync_sgd" else self.tau_f
+
+    def profile(self) -> SystemProfile:
+        # share_alpha matches the tau derivation for every algorithm, so the
+        # profile's derived tau_s equals tau_slow()
+        eff = self.effective()
+        return SystemProfile(alpha=eff.share_alpha(), p_s=eff.p_s, p_f=eff.p_f,
+                             lam=eff.lam, tau_f=eff.tau_fast(),
+                             sampler_mode=eff.sampler_mode)
+
+    def steps_per_round(self) -> int:
+        return self.p_f * self.tau_fast() + self.p_s * self.tau_slow()
+
+    def rounds_per_epoch(self, n_train: int) -> int:
+        consumed = self.steps_per_round() * self.batch_size
+        return max(1, -(-n_train // consumed))
+
+    def total_rounds(self, n_train: int) -> int:
+        if self.epochs > 0:
+            return self.epochs * self.rounds_per_epoch(n_train)
+        return self.rounds
+
+
+# ---------------------------------------------------------------------------
+# key = value parsing
+# ---------------------------------------------------------------------------
+
+_KEY_MAP = {
+    "data.source": ("data_source", str),
+    "data.path": ("data_path", str),
+    "data.format": ("data_format", str),
+    "data.n": ("data_n", int),
+    "data.input_dim": ("data_input_dim", int),
+    "data.classes": ("data_classes", int),
+    "data.separation": ("data_separation", float),
+    "data.sigma": ("data_sigma", float),
+    "data.label_noise": ("data_label_noise", float),
+    "model.kind": ("model_kind", str),
+    "model.hidden": ("model_hidden", int),
+    "algorithm": ("algorithm", str),
+    "aggregation": ("aggregation", str),
+    "profile.alpha": ("alpha", float),
+    "profile.lambda": ("lam", float),
+    "profile.tau_f": ("tau_f", int),
+    "profile.p_s": ("p_s", int),
+    "profile.p_f": ("p_f", int),
+    "profile.sampler_mode": ("sampler_mode", str),
+    "sampling.fast_draw": ("fast_draw", str),
+    "sampling.cold_start": ("cold_start", str),
+    "schedule.kind": ("schedule_kind", str),
+    "schedule.base_lr": ("base_lr", float),
+    "schedule.milestones": ("milestones", "int_list"),
+    "schedule.decay": ("decay", float),
+    "batch_size": ("batch_size", int),
+    "rounds": ("rounds", int),
+    "epochs": ("epochs", int),
+    "weight_decay": ("weight_decay", float),
+    "val_fraction": ("val_fraction", float),
+    "seeds": ("seeds", "int_list"),
+    "cost.iter_fast": ("cost_iter_fast", float),
+    "cost.iter_slow": ("cost_iter_slow", float),
+    "cost.agg": ("cost_agg", float),
+    "out": ("out", str),
+}
+
+_FIELD_TO_KEY = {attr: key for key, (attr, _) in _KEY_MAP.items()}
+
+
+def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _KEY_MAP:
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        attr, kind = _KEY_MAP[key]
+        try:
+            if kind is int:
+                values[attr] = int(val)
+            elif kind is float:
+                values[attr] = float(val)
+            elif kind == "int_list":
+                values[attr] = tuple(int(v) for v in val.split(",") if v.strip())
+            else:
+                values[attr] = val
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
+    return ExperimentConfig(**values)
+
+
+def parse_config_file(path: str) -> ExperimentConfig:
+    with open(path) as fh:
+        return parse_config(fh.read(), source=path)
+
+
+def render_config(cfg: ExperimentConfig) -> str:
+    """Canonical serialization: every key, sorted, one per line."""
+    lines = []
+    for f in fields(cfg):
+        key = _FIELD_TO_KEY[f.name]
+        val = getattr(cfg, f.name)
+        if isinstance(val, tuple):
+            val = ",".join(str(v) for v in val)
+        lines.append(f"{key} = {val}")
+    return "\n".join(sorted(lines)) + "\n"
+
+
+def config_hash(cfg: ExperimentConfig) -> str:
+    """Experiment identity: hash of the canonical text minus the output path."""
+    lines = [l for l in render_config(cfg).splitlines() if not l.startswith("out =")]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# validation
+# ---------------------------------------------------------------------------
+
+def validate(cfg: ExperimentConfig) -> None:
+    """Raise on any impossible or inconsistent setting.
+
+    ConfigError for general problems; InvalidLambdaError specifically when
+    the candidate pool would exceed the dataset (the sweep's NA condition).
+    """
+    if cfg.algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
+    if cfg.aggregation not in RULES:
+        raise ConfigError(f"unknown aggregation rule {cfg.aggregation!r}")
+    if cfg.sampler_mode not in SAMPLER_MODES:
+        raise ConfigError(f"unknown sampler_mode {cfg.sampler_mode!r}")
+    if cfg.algorithm == "biased_local" and cfg.sampler_mode == "uniform":
+        raise ConfigError("biased_local requires sampler_mode separated or unified")
+    if cfg.fast_draw not in ("fresh", "epoch"):
+        raise ConfigError("sampling.fast_draw must be fresh or epoch")
+    if cfg.fast_draw == "epoch" and cfg.sampler_mode == "unified":
+        raise ConfigError("epoch-wise fast draws are not defined for unified sampling")
+    if cfg.cold_start not in ("unseen-first", "uniform-first"):
+        raise ConfigError("sampling.cold_start must be unseen-first or uniform-first")
+    if cfg.data_source not in ("synthetic", "file"):
+        raise ConfigError("data.source must be synthetic or file")
+    if cfg.data_source == "file" and not cfg.data_path:
+        raise ConfigError("data.path required when data.source = file")
+    if cfg.model_kind not in ("logistic_regression", "mlp2"):
+        raise ConfigError(f"unknown model kind {cfg.model_kind!r}")
+    if not cfg.seeds:
+        raise ConfigError("need at least one seed")
+    if cfg.rounds < 1 and cfg.epochs < 1:
+        raise ConfigError("need rounds >= 1 or epochs >= 1")
+    if cfg.batch_size < 1:
+        raise ConfigError("batch_size must be >= 1")
+    if not 0.0 < cfg.val_fraction < 1.0:
+        raise ConfigError("val_fraction must be in (0, 1)")
+    if cfg.alpha < 1:
+        raise ConfigError("profile.alpha must be >= 1")
+    if cfg.lam < 1:
+        raise ConfigError("profile.lambda must be >= 1")
+    if cfg.tau_f < 1:
+        raise ConfigError("profile.tau_f must be >= 1")
+    if cfg.p_s < 1 or cfg.p_f < 1:
+        raise ConfigError("need profile.p_s >= 1 and profile.p_f >= 1")
+    if cfg.cost_iter_fast <= 0 or cfg.cost_iter_slow <= 0:
+        raise ConfigError("iteration costs must be positive")
+    if cfg.cost_iter_slow < cfg.cost_iter_fast:
+        raise ConfigError("cost.iter_slow must be >= cost.iter_fast")
+
+    # dataset large enough for the profile once the validation split is held out
+    n = cfg.data_n if cfg.data_source == "synthetic" else None
+    if n is not None:
+        n_train = n - max(1, round_half_up(n * cfg.val_fraction))
+        _validate_shares(cfg, n_train)
+
+
+def _validate_shares(cfg: ExperimentConfig, n_train: int) -> None:
+    eff = cfg.effective()
+    if n_train < eff.p_s + eff.p_f:
+        raise ConfigError(
+            f"training split of {n_train} cannot cover {eff.p_s + eff.p_f} workers"
+        )
+    a = eff.share_alpha()
+    if eff.sampler_mode in ("separated", "unified"):
+        # InvalidLambdaError propagates untouched so sweeps can mark NA cells
+        pool_size(n_train, eff.p_s, eff.p_f, a, eff.lam)
+    k_slow = slow_total(n_train, eff.p_s, eff.p_f, a)
+    k_fast = fast_per_worker(n_train, eff.p_s, eff.p_f, a)
+    if min(slow_share_sizes(k_slow, eff.p_s), default=0) < 1:
+        raise ConfigError("profile leaves a slow worker without samples")
+    if k_fast < 1:
+        raise ConfigError("profile leaves fast workers without samples")
+    if eff.sampler_mode == "unified" and (n_train - k_slow) // eff.p_f < 1:
+        raise ConfigError("unified sampling remainder cannot feed fast workers")

@@ -1,0 +1,164 @@
+"""Deterministic numeric primitives shared by every other module.
+
+Model parameters and gradients live in flat 1-D float64 arrays ("param
+vectors").  All randomness flows through :class:`RngStream`, a counter-based
+generator keyed by ``(seed, stream_id)`` so that per-worker streams are
+reproducible regardless of scheduling order.  Accumulation is done in 64-bit
+floats throughout.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = [
+    "ParamVector",
+    "RngStream",
+    "as_param_vector",
+    "axpy",
+    "weighted_sum",
+    "cross_entropy_loss",
+    "log_softmax",
+    "rng_shuffle",
+    "rng_choose_without_replacement",
+    "round_half_up",
+]
+
+# A param vector is a plain 1-D float64 ndarray; functions below validate
+# length agreement and finiteness instead of wrapping it in a class.
+ParamVector = np.ndarray
+
+_MASK64 = (1 << 64) - 1
+
+
+class RngStream:
+    """A named, independent random stream.
+
+    Two streams with the same ``(seed, stream_id)`` produce identical call
+    sequences; distinct ``stream_id`` values give statistically independent
+    streams.  Backed by the counter-based Philox generator, so stream
+    identity does not depend on creation or scheduling order.
+    """
+
+    def __init__(self, seed: int, stream_id: int = 0):
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
+        key = (self.stream_id & _MASK64) << 64 | (self.seed & _MASK64)
+        self.gen = np.random.Generator(np.random.Philox(key=key))
+
+    def child(self, offset: int) -> "RngStream":
+        """Fresh independent stream at ``stream_id + offset`` (same seed)."""
+        return RngStream(self.seed, self.stream_id + offset)
+
+    def permutation(self, n: int) -> np.ndarray:
+        return self.gen.permutation(n)
+
+    def choose(self, n: int, k: int) -> np.ndarray:
+        return rng_choose_without_replacement(self, n, k)
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        return self.gen.uniform(low, high, size)
+
+    def normal(self, loc: float, scale: float, size) -> np.ndarray:
+        return self.gen.normal(loc, scale, size)
+
+    def integers(self, low: int, high: int, size=None):
+        return self.gen.integers(low, high, size=size)
+
+    def __repr__(self) -> str:
+        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def round_half_up(x: float) -> int:
+    """Round to nearest integer, halves away from zero (x >= 0 here)."""
+    return int(np.floor(x + 0.5))
+
+
+def as_param_vector(values) -> ParamVector:
+    """Coerce to a 1-D float64 array and check finiteness."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"param vector must be 1-D, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("param vector contains non-finite entries")
+    return v
+
+
+def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
+
+
+def axpy(a: float, x: ParamVector, y: ParamVector) -> ParamVector:
+    """Return ``a*x + y`` as a new vector.
+
+    Raises ValueError on length mismatch or a non-finite result.
+    """
+    if not np.isfinite(a):
+        raise ValueError("scale factor must be finite")
+    _check_same_length(x, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a * x + y
+    if not np.all(np.isfinite(out)):
+        raise ValueError("axpy produced non-finite entries")
+    return out
+
+
+def weighted_sum(models: list, weights) -> ParamVector:
+    """Convex combination ``sum_i weights[i] * models[i]``.
+
+    Weights must be nonnegative and sum to 1 within 1e-12.
+    """
+    if len(models) == 0:
+        raise ValueError("no vectors to combine")
+    w = np.asarray(weights, dtype=np.float64)
+    if len(models) != w.shape[0]:
+        raise ValueError(f"{len(models)} vectors but {w.shape[0]} weights")
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    if abs(float(w.sum()) - 1.0) > 1e-12:
+        raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
+    length = models[0].shape
+    out = np.zeros(length, dtype=np.float64)
+    for wi, m in zip(w, models):
+        if m.shape != length:
+            raise ValueError(f"length mismatch: {m.shape} vs {length}")
+        out += wi * m
+    if not np.all(np.isfinite(out)):
+        raise ValueError("weighted_sum produced non-finite entries")
+    return out
+
+
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax with max-subtraction for stability."""
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def cross_entropy_loss(logits: ParamVector, label: int) -> float:
+    """Negative log softmax probability of ``label`` for one logit vector."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError("logits must be 1-D")
+    if not 0 <= label < z.shape[0]:
+        raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
+    loss = -log_softmax(z)[label]
+    # exact ties can round to -0.0
+    return float(loss) + 0.0
+
+
+def rng_shuffle(stream: RngStream, n: int) -> np.ndarray:
+    """Random permutation of 0..n-1 drawn from the stream."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return stream.gen.permutation(n)
+
+
+def rng_choose_without_replacement(stream: RngStream, n: int, k: int) -> np.ndarray:
+    """k distinct indices drawn uniformly from [0, n)."""
+    if k > n:
+        raise ValueError(f"cannot choose {k} from {n} without replacement")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return stream.gen.choice(n, size=k, replace=False)

@@ -1,0 +1,500 @@
+"""Datasets, the per-sample loss ledger, and the round samplers.
+
+The sampling pipeline runs in three steps each communication round:
+
+1. draw a candidate pool of ``lam * P_S * N / (P_S + alpha * P_F)`` indices
+   uniformly without replacement;
+2. keep the ``P_S * N / (P_S + alpha * P_F)`` pool members with the highest
+   last-observed loss and split them evenly across the slow workers;
+3. let each fast worker draw ``alpha * N / (P_S + alpha * P_F)`` indices.
+
+In *separated* mode (the default) fast workers draw from the whole dataset,
+so fast and slow assignments may overlap.  In *unified* mode fast workers
+draw from the complement of the slow selection, giving a globally
+duplicate-free assignment.  *uniform* mode drops step 2 entirely and is the
+unbiased baseline.
+
+Loss values come from a :class:`LossLedger` holding each sample's loss as
+last observed during local training; never-seen samples carry a +inf
+sentinel so they are selected first (switchable to a uniform cold start).
+"""
+
+from __future__ import annotations
+
+import csv
+import struct
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .core import RngStream, rng_choose_without_replacement, round_half_up
+
+__all__ = [
+    "Dataset",
+    "LossLedger",
+    "RoundAssignment",
+    "InvalidLambdaError",
+    "NEVER_SEEN",
+    "pool_size",
+    "pool_size_exact",
+    "slow_total",
+    "slow_total_exact",
+    "fast_per_worker",
+    "fast_per_worker_exact",
+    "slow_share_sizes",
+    "sample_separated",
+    "sample_unified",
+    "sample_uniform",
+    "record_losses",
+    "EpochCursor",
+    "SyntheticSpec",
+    "make_synthetic",
+    "load_dataset",
+    "save_csv",
+    "save_binary",
+    "train_val_split",
+]
+
+NEVER_SEEN = np.inf  # ledger sentinel: unseen samples sort ahead of any real loss
+
+_BINARY_MAGIC = b"HSGD"
+
+
+class InvalidLambdaError(ValueError):
+    """Pool-size scale too large: the candidate pool would exceed the dataset."""
+
+
+@dataclass
+class Dataset:
+    features: np.ndarray  # (N, input_dim) float64
+    labels: np.ndarray  # (N,) int64
+    num_classes: int
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.features.ndim != 2:
+            raise ValueError("features must be a 2-D matrix")
+        if self.features.shape[0] != self.labels.shape[0]:
+            raise ValueError("features and labels disagree on sample count")
+        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
+            raise ValueError("labels out of range for num_classes")
+
+    @property
+    def n(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.features.shape[1]
+
+
+class LossLedger:
+    """Last-observed training loss per sample, plus the round it was seen."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("ledger needs at least one sample")
+        self.last_loss = np.full(n, NEVER_SEEN, dtype=np.float64)
+        self.last_round = np.full(n, -1, dtype=np.int64)
+
+    @property
+    def n(self) -> int:
+        return self.last_loss.shape[0]
+
+    def seen_mask(self) -> np.ndarray:
+        return self.last_round >= 0
+
+    def mean_seen(self) -> float:
+        mask = self.seen_mask()
+        if not mask.any():
+            return float("nan")
+        return float(self.last_loss[mask].mean())
+
+
+@dataclass
+class RoundAssignment:
+    """Sample indices handed to each worker for one round (keyed by worker id)."""
+
+    per_worker: dict = field(default_factory=dict)
+
+    def __getitem__(self, worker_id: int) -> np.ndarray:
+        return self.per_worker[worker_id]
+
+
+# ---------------------------------------------------------------------------
+# Share formulas
+# ---------------------------------------------------------------------------
+
+def pool_size_exact(n: int, p_s: int, p_f: int, alpha: float, lam: float) -> float:
+    return lam * p_s * n / (p_s + alpha * p_f)
+
+
+def slow_total_exact(n: int, p_s: int, p_f: int, alpha: float) -> float:
+    return p_s * n / (p_s + alpha * p_f)
+
+
+def fast_per_worker_exact(n: int, p_s: int, p_f: int, alpha: float) -> float:
+    return alpha * n / (p_s + alpha * p_f)
+
+
+def pool_size(n: int, p_s: int, p_f: int, alpha: float, lam: float) -> int:
+    """Candidate-pool size; raises InvalidLambdaError when it would exceed N.
+
+    Validity is decided on the unrounded value, via the equivalent exact
+    comparison lam * P_S > P_S + alpha * P_F (no float-division slop).
+    """
+    _check_profile_args(p_s, p_f, alpha)
+    if lam < 1:
+        raise ValueError("lam must be >= 1")
+    if lam * p_s > p_s + alpha * p_f:
+        raise InvalidLambdaError(
+            f"candidate pool {pool_size_exact(n, p_s, p_f, alpha, lam):.1f} "
+            f"exceeds dataset size {n} (lam={lam})"
+        )
+    return min(n, round_half_up(pool_size_exact(n, p_s, p_f, alpha, lam)))
+
+
+def slow_total(n: int, p_s: int, p_f: int, alpha: float) -> int:
+    """Total high-loss samples kept for the slow workers each round."""
+    _check_profile_args(p_s, p_f, alpha)
+    return round_half_up(slow_total_exact(n, p_s, p_f, alpha))
+
+
+def fast_per_worker(n: int, p_s: int, p_f: int, alpha: float) -> int:
+    """Samples drawn by each fast worker each round."""
+    _check_profile_args(p_s, p_f, alpha)
+    return round_half_up(fast_per_worker_exact(n, p_s, p_f, alpha))
+
+
+def _check_profile_args(p_s: int, p_f: int, alpha: float) -> None:
+    if p_s < 1 or p_f < 0:
+        raise ValueError("need P_S >= 1 and P_F >= 0")
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1 (slow/fast cost ratio)")
+
+
+def slow_share_sizes(total: int, p_s: int) -> list:
+    """Even split of `total` across slow workers; earlier workers get the extra."""
+    base, extra = divmod(total, p_s)
+    return [base + 1 if i < extra else base for i in range(p_s)]
+
+
+# ---------------------------------------------------------------------------
+# Samplers
+# ---------------------------------------------------------------------------
+
+def _top_loss_selection(ledger: LossLedger, pool: np.ndarray, k: int,
+                        stream: RngStream, cold_start: str) -> np.ndarray:
+    """Top-k pool members by (loss desc, index asc); sentinel sorts first."""
+    losses = ledger.last_loss[pool]
+    if cold_start == "uniform-first" and not ledger.seen_mask().any():
+        picked = rng_choose_without_replacement(stream, pool.shape[0], k)
+        return pool[np.sort(picked)]
+    # lexsort: primary key last -> -loss ascending (loss desc), ties by index asc
+    order = np.lexsort((pool, -losses))
+    return pool[order[:k]]
+
+
+def _partition_round_robin(selected: np.ndarray, p_s: int) -> list:
+    return [selected[i::p_s] for i in range(p_s)]
+
+
+def sample_separated(ledger: LossLedger, profile, stream: RngStream,
+                     cold_start: str = "unseen-first",
+                     epoch_cursors: list | None = None) -> RoundAssignment:
+    """Slow workers split the top-loss pool members; fast workers draw freely.
+
+    Fast draws cover the whole index range and may overlap the slow set and
+    each other across workers.  Stream consumption order: pool draw, then
+    fast workers in ascending id (or their epoch cursors, if provided).
+    """
+    n = ledger.n
+    pool_k = pool_size(n, profile.p_s, profile.p_f, profile.alpha, profile.lam)
+    k_slow = slow_total(n, profile.p_s, profile.p_f, profile.alpha)
+    k_fast = fast_per_worker(n, profile.p_s, profile.p_f, profile.alpha)
+
+    pool = rng_choose_without_replacement(stream, n, pool_k)
+    selected = _top_loss_selection(ledger, pool, k_slow, stream, cold_start)
+    shares = _partition_round_robin(selected, profile.p_s)
+
+    per_worker = {i: shares[i] for i in range(profile.p_s)}
+    for j in range(profile.p_f):
+        wid = profile.p_s + j
+        if epoch_cursors is not None:
+            per_worker[wid] = epoch_cursors[j].take(k_fast)
+        else:
+            per_worker[wid] = rng_choose_without_replacement(stream, n, k_fast)
+    return RoundAssignment(per_worker)
+
+
+def sample_unified(ledger: LossLedger, profile, stream: RngStream,
+                   cold_start: str = "unseen-first") -> RoundAssignment:
+    """Same slow-side selection, but fast workers draw from the remainder.
+
+    The union of all assignments is duplicate-free.  The fast share is
+    repaired downward when rounding would push the total past N.
+    """
+    n = ledger.n
+    pool_k = pool_size(n, profile.p_s, profile.p_f, profile.alpha, profile.lam)
+    k_slow = slow_total(n, profile.p_s, profile.p_f, profile.alpha)
+    k_fast = fast_per_worker(n, profile.p_s, profile.p_f, profile.alpha)
+
+    remainder_size = n - k_slow
+    if k_fast * profile.p_f > remainder_size:
+        k_fast = remainder_size // profile.p_f
+    if k_fast < 1:
+        raise ValueError(
+            f"remainder of {remainder_size} samples cannot feed "
+            f"{profile.p_f} fast workers"
+        )
+
+    pool = rng_choose_without_replacement(stream, n, pool_k)
+    selected = _top_loss_selection(ledger, pool, k_slow, stream, cold_start)
+    shares = _partition_round_robin(selected, profile.p_s)
+
+    in_slow = np.zeros(n, dtype=bool)
+    in_slow[selected] = True
+    remainder = np.flatnonzero(~in_slow)
+    picked = rng_choose_without_replacement(stream, remainder.shape[0],
+                                            k_fast * profile.p_f)
+    fast_indices = remainder[picked]
+
+    per_worker = {i: shares[i] for i in range(profile.p_s)}
+    for j in range(profile.p_f):
+        per_worker[profile.p_s + j] = fast_indices[j * k_fast:(j + 1) * k_fast]
+    return RoundAssignment(per_worker)
+
+
+def sample_uniform(ledger: LossLedger, profile, stream: RngStream,
+                   epoch_cursors: list | None = None) -> RoundAssignment:
+    """Unbiased baseline: every worker draws its share uniformly.
+
+    Share sizes follow the same count formulas, so data volume stays
+    proportional to compute; only the loss-based selection is dropped.
+    """
+    n = ledger.n
+    k_slow = slow_total(n, profile.p_s, profile.p_f, profile.alpha)
+    k_fast = fast_per_worker(n, profile.p_s, profile.p_f, profile.alpha)
+    shares = slow_share_sizes(k_slow, profile.p_s)
+
+    per_worker = {}
+    for i in range(profile.p_s):
+        per_worker[i] = rng_choose_without_replacement(stream, n, shares[i])
+    for j in range(profile.p_f):
+        wid = profile.p_s + j
+        if epoch_cursors is not None:
+            per_worker[wid] = epoch_cursors[j].take(k_fast)
+        else:
+            per_worker[wid] = rng_choose_without_replacement(stream, n, k_fast)
+    return RoundAssignment(per_worker)
+
+
+class EpochCursor:
+    """Epoch-wise consumption of one worker's index permutation.
+
+    Alternative to a fresh uniform draw each round: the worker walks a
+    shuffled permutation of [0, N) and reshuffles when it runs out.
+    """
+
+    def __init__(self, n: int, stream: RngStream):
+        self.n = n
+        self.stream = stream
+        self._perm = stream.permutation(n)
+        self._pos = 0
+
+    def take(self, k: int) -> np.ndarray:
+        if k > self.n:
+            raise ValueError(f"cannot take {k} distinct indices from {self.n}")
+        avail = self.n - self._pos
+        if k <= avail:
+            out = self._perm[self._pos:self._pos + k]
+            self._pos += k
+            return out
+        # cross an epoch boundary: finish this permutation, reshuffle, and
+        # fill from the fresh one, skipping indices already taken this call
+        head = self._perm[self._pos:]
+        self._perm = self.stream.permutation(self.n)
+        self._pos = 0
+        taken = np.zeros(self.n, dtype=bool)
+        taken[head] = True
+        rest = []
+        need = k - head.shape[0]
+        while need > 0:
+            idx = self._perm[self._pos]
+            self._pos += 1
+            if not taken[idx]:
+                rest.append(idx)
+                need -= 1
+        return np.concatenate([head, np.asarray(rest, dtype=self._perm.dtype)])
+
+
+# ---------------------------------------------------------------------------
+# Ledger updates
+# ---------------------------------------------------------------------------
+
+def record_losses(ledger: LossLedger, sample_ids, losses, round_idx: int) -> LossLedger:
+    """Overwrite ledger entries with the newest observed losses.
+
+    Duplicate ids within one call resolve to the *last* occurrence; callers
+    merging multiple workers apply them in ascending worker-id order.
+    """
+    ids = np.asarray(sample_ids, dtype=np.int64)
+    vals = np.asarray(losses, dtype=np.float64)
+    if ids.shape != vals.shape:
+        raise ValueError("sample_ids and losses disagree on length")
+    if ids.size == 0:
+        return ledger
+    if ids.min() < 0 or ids.max() >= ledger.n:
+        raise ValueError("sample id out of range")
+    if not np.all(np.isfinite(vals)) or np.any(vals < 0):
+        raise ValueError("losses must be finite and nonnegative")
+    # keep the last write per id
+    rev_uniq, rev_pos = np.unique(ids[::-1], return_index=True)
+    last_vals = vals[::-1][rev_pos]
+    ledger.last_loss[rev_uniq] = last_vals
+    ledger.last_round[rev_uniq] = round_idx
+    return ledger
+
+
+# ---------------------------------------------------------------------------
+# Dataset construction and I/O
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SyntheticSpec:
+    """Class-conditional Gaussian blobs with optional label noise.
+
+    Class means sit on a circle of radius ``separation / 2`` in the first two
+    feature dimensions (on a line for 1-D inputs); ``sigma`` scales an
+    isotropic covariance unless an explicit matrix is given.
+    """
+
+    n: int
+    input_dim: int
+    num_classes: int
+    separation: float = 6.0
+    sigma: float = 1.0
+    label_noise: float = 0.0
+    means: np.ndarray | None = None
+    cov: np.ndarray | None = None
+
+    def class_means(self) -> np.ndarray:
+        if self.means is not None:
+            m = np.asarray(self.means, dtype=np.float64)
+            if m.shape != (self.num_classes, self.input_dim):
+                raise ValueError("means must be (num_classes, input_dim)")
+            return m
+        m = np.zeros((self.num_classes, self.input_dim))
+        r = self.separation / 2.0
+        angles = 2.0 * np.pi * np.arange(self.num_classes) / self.num_classes
+        m[:, 0] = r * np.cos(angles)
+        if self.input_dim > 1:
+            m[:, 1] = r * np.sin(angles)
+        return m
+
+
+def make_synthetic(spec: SyntheticSpec, stream: RngStream) -> Dataset:
+    if spec.n < spec.num_classes:
+        raise ValueError("need at least one sample per class")
+    means = spec.class_means()
+    labels = np.arange(spec.n) % spec.num_classes
+    if spec.cov is not None:
+        cov = np.asarray(spec.cov, dtype=np.float64)
+        chol = np.linalg.cholesky(cov)
+        noise = stream.normal(0.0, 1.0, (spec.n, spec.input_dim)) @ chol.T
+    else:
+        noise = stream.normal(0.0, spec.sigma, (spec.n, spec.input_dim))
+    features = means[labels] + noise
+    if spec.label_noise > 0:
+        flip = stream.uniform(0.0, 1.0, spec.n) < spec.label_noise
+        shift = stream.integers(1, spec.num_classes, size=spec.n)
+        labels = np.where(flip, (labels + shift) % spec.num_classes, labels)
+    return Dataset(features, labels, spec.num_classes)
+
+
+def save_csv(dataset: Dataset, path: str) -> None:
+    """Header ``label,f0,f1,...``; float features written in repr precision."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label"] + [f"f{i}" for i in range(dataset.input_dim)])
+        for y, row in zip(dataset.labels, dataset.features):
+            writer.writerow([int(y)] + [repr(float(v)) for v in row])
+
+
+def _load_csv(path: str) -> Dataset:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty dataset file")
+        if not header or header[0] != "label":
+            raise ValueError(f"{path}: expected header starting with 'label'")
+        dim = len(header) - 1
+        labels, rows = [], []
+        for lineno, rec in enumerate(reader, start=2):
+            if len(rec) != dim + 1:
+                raise ValueError(f"{path}:{lineno}: expected {dim + 1} fields")
+            labels.append(int(rec[0]))
+            rows.append([float(v) for v in rec[1:]])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    labels = np.asarray(labels, dtype=np.int64)
+    return Dataset(np.asarray(rows), labels, int(labels.max()) + 1)
+
+
+def save_binary(dataset: Dataset, path: str) -> None:
+    """Raw binary layout: magic, u32 N / dim / classes, f32 features, u32 labels."""
+    with open(path, "wb") as fh:
+        fh.write(_BINARY_MAGIC)
+        fh.write(struct.pack("<III", dataset.n, dataset.input_dim, dataset.num_classes))
+        fh.write(dataset.features.astype("<f4").tobytes())
+        fh.write(dataset.labels.astype("<u4").tobytes())
+
+
+def _load_binary(path: str) -> Dataset:
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic != _BINARY_MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
+        header = fh.read(12)
+        if len(header) != 12:
+            raise ValueError(f"{path}: truncated header")
+        n, dim, classes = struct.unpack("<III", header)
+        feat_bytes = fh.read(4 * n * dim)
+        if len(feat_bytes) != 4 * n * dim:
+            raise ValueError(f"{path}: truncated feature block")
+        label_bytes = fh.read(4 * n)
+        if len(label_bytes) != 4 * n:
+            raise ValueError(f"{path}: truncated label block")
+        feats = np.frombuffer(feat_bytes, dtype="<f4")
+        labels = np.frombuffer(label_bytes, dtype="<u4")
+    return Dataset(feats.astype(np.float64).reshape(n, dim),
+                   labels.astype(np.int64), int(classes))
+
+
+def load_dataset(path: str, format: str | None = None) -> Dataset:
+    """Load a dataset file; format 'csv' or 'binary', sniffed when omitted."""
+    if format is None:
+        with open(path, "rb") as fh:
+            format = "binary" if fh.read(4) == _BINARY_MAGIC else "csv"
+    if format == "csv":
+        return _load_csv(path)
+    if format == "binary":
+        return _load_binary(path)
+    raise ValueError(f"unknown dataset format {format!r}")
+
+
+def train_val_split(dataset: Dataset, val_fraction: float, stream: RngStream):
+    """Random held-out split; returns (train, val) datasets."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ValueError("val_fraction must be in (0, 1)")
+    n_val = max(1, round_half_up(dataset.n * val_fraction))
+    if n_val >= dataset.n:
+        raise ValueError("validation split leaves no training data")
+    perm = stream.permutation(dataset.n)
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    train = Dataset(dataset.features[train_idx], dataset.labels[train_idx], dataset.num_classes)
+    val = Dataset(dataset.features[val_idx], dataset.labels[val_idx], dataset.num_classes)
+    return train, val

@@ -1,0 +1,233 @@
+"""Small differentiable classifiers with analytic gradients.
+
+Two model kinds are enough for the optimizer mechanics studied here:
+multinomial logistic regression and a 2-layer ReLU MLP.  Parameters are kept
+in one flat float64 vector (see :mod:`hetsgd.core`) so that every optimizer
+and aggregation rule works on plain arrays.  A central finite-difference
+gradient is provided as an independent oracle for the analytic backward pass.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .core import ParamVector, RngStream, log_softmax
+
+__all__ = [
+    "ModelSpec",
+    "Batch",
+    "param_count",
+    "init_params",
+    "forward_logits",
+    "forward_loss",
+    "backward",
+    "loss_and_grad",
+    "finite_diff_grad",
+    "relu_crossing_mask",
+    "accuracy",
+]
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Architecture description: ``logistic_regression`` or ``mlp2``."""
+
+    kind: str
+    input_dim: int
+    num_classes: int
+    hidden_dim: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("logistic_regression", "mlp2"):
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.input_dim < 1 or self.num_classes < 2:
+            raise ValueError("need input_dim >= 1 and num_classes >= 2")
+        if self.kind == "mlp2" and self.hidden_dim < 1:
+            raise ValueError("mlp2 requires hidden_dim >= 1")
+
+
+@dataclass
+class Batch:
+    """A mini-batch: feature rows, class labels, and global sample ids."""
+
+    features: np.ndarray  # (B, input_dim) float64
+    labels: np.ndarray  # (B,) int
+    sample_ids: np.ndarray  # (B,) int, distinct within the batch
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.sample_ids = np.asarray(self.sample_ids, dtype=np.int64)
+        b = self.features.shape[0]
+        if self.labels.shape[0] != b or self.sample_ids.shape[0] != b:
+            raise ValueError("features, labels, sample_ids disagree on batch size")
+        if len(np.unique(self.sample_ids)) != b:
+            raise ValueError("sample_ids must be distinct within a batch")
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+
+def param_count(spec: ModelSpec) -> int:
+    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    if spec.kind == "logistic_regression":
+        return d * c + c
+    return d * h + h + h * c + c
+
+
+def _unpack(spec: ModelSpec, params: ParamVector):
+    """Split the flat vector into layer views (no copies)."""
+    if params.shape[0] != param_count(spec):
+        raise ValueError(
+            f"expected {param_count(spec)} params for {spec.kind}, got {params.shape[0]}"
+        )
+    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    if spec.kind == "logistic_regression":
+        w = params[: d * c].reshape(d, c)
+        b = params[d * c :]
+        return w, b
+    i = 0
+    w1 = params[i : i + d * h].reshape(d, h); i += d * h
+    b1 = params[i : i + h]; i += h
+    w2 = params[i : i + h * c].reshape(h, c); i += h * c
+    b2 = params[i:]
+    return w1, b1, w2, b2
+
+
+def init_params(spec: ModelSpec, stream: RngStream) -> ParamVector:
+    """Scaled-uniform weight init (±1/sqrt(fan_in)), zero biases."""
+    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    if spec.kind == "logistic_regression":
+        scale = 1.0 / np.sqrt(d)
+        w = stream.uniform(-scale, scale, (d, c))
+        return np.concatenate([w.ravel(), np.zeros(c)])
+    s1 = 1.0 / np.sqrt(d)
+    s2 = 1.0 / np.sqrt(h)
+    w1 = stream.uniform(-s1, s1, (d, h))
+    w2 = stream.uniform(-s2, s2, (h, c))
+    return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(c)])
+
+
+def forward_logits(spec: ModelSpec, params: ParamVector, features: np.ndarray) -> np.ndarray:
+    x = np.asarray(features, dtype=np.float64)
+    if spec.kind == "logistic_regression":
+        w, b = _unpack(spec, params)
+        return x @ w + b
+    w1, b1, w2, b2 = _unpack(spec, params)
+    hidden = np.maximum(x @ w1 + b1, 0.0)
+    return hidden @ w2 + b2
+
+
+def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch):
+    """Mean cross-entropy over the batch plus the per-sample losses."""
+    logits = forward_logits(spec, params, batch.features)
+    logp = log_softmax(logits)
+    per_sample = -logp[np.arange(len(batch)), batch.labels]
+    if not np.all(np.isfinite(per_sample)):
+        raise ValueError("non-finite loss encountered")
+    return float(per_sample.mean()), per_sample
+
+
+def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch):
+    """Single fused pass: (mean_loss, per_sample_losses, gradient)."""
+    x = batch.features
+    n = len(batch)
+    rows = np.arange(n)
+    if spec.kind == "logistic_regression":
+        w, b = _unpack(spec, params)
+        logits = x @ w + b
+        logp = log_softmax(logits)
+        per_sample = -logp[rows, batch.labels]
+        dlogits = np.exp(logp)
+        dlogits[rows, batch.labels] -= 1.0
+        dlogits /= n
+        grad = np.concatenate([(x.T @ dlogits).ravel(), dlogits.sum(axis=0)])
+    else:
+        w1, b1, w2, b2 = _unpack(spec, params)
+        z1 = x @ w1 + b1
+        a1 = np.maximum(z1, 0.0)
+        logits = a1 @ w2 + b2
+        logp = log_softmax(logits)
+        per_sample = -logp[rows, batch.labels]
+        dlogits = np.exp(logp)
+        dlogits[rows, batch.labels] -= 1.0
+        dlogits /= n
+        dw2 = a1.T @ dlogits
+        db2 = dlogits.sum(axis=0)
+        da1 = dlogits @ w2.T
+        dz1 = da1 * (z1 > 0.0)
+        dw1 = x.T @ dz1
+        db1 = dz1.sum(axis=0)
+        grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+    if not np.all(np.isfinite(per_sample)) or not np.all(np.isfinite(grad)):
+        raise ValueError("non-finite loss or gradient encountered")
+    return float(per_sample.mean()), per_sample, grad
+
+
+def backward(spec: ModelSpec, params: ParamVector, batch: Batch) -> ParamVector:
+    """Gradient of the mean batch loss w.r.t. the flat parameter vector."""
+    return loss_and_grad(spec, params, batch)[2]
+
+
+def finite_diff_grad(spec: ModelSpec, params: ParamVector, batch: Batch, h: float) -> ParamVector:
+    """Central-difference gradient oracle, one coordinate at a time."""
+    if h <= 0:
+        raise ValueError("step size h must be positive")
+    p = params.copy()
+    grad = np.empty_like(p)
+    for k in range(p.shape[0]):
+        orig = p[k]
+        p[k] = orig + h
+        up, _ = forward_loss(spec, p, batch)
+        p[k] = orig - h
+        down, _ = forward_loss(spec, p, batch)
+        p[k] = orig
+        grad[k] = (up - down) / (2.0 * h)
+    return grad
+
+
+def relu_crossing_mask(spec: ModelSpec, params: ParamVector, batch: Batch, h: float) -> np.ndarray:
+    """Coordinates whose ±h perturbation flips a hidden ReLU pre-activation.
+
+    Central differences are unreliable at such coordinates; gradient checks
+    exclude them.  Always all-False for logistic regression.
+    """
+    mask = np.zeros(params.shape[0], dtype=bool)
+    if spec.kind != "mlp2":
+        return mask
+    w1, b1, _, _ = _unpack(spec, params)
+    n_hidden_params = w1.size + b1.size
+
+    def preact_sign(p):
+        w1p, b1p, _, _ = _unpack(spec, p)
+        return (batch.features @ w1p + b1p) > 0.0
+
+    p = params.copy()
+    for k in range(n_hidden_params):
+        orig = p[k]
+        p[k] = orig + h
+        s_up = preact_sign(p)
+        p[k] = orig - h
+        s_down = preact_sign(p)
+        p[k] = orig
+        mask[k] = bool(np.any(s_up != s_down))
+    return mask
+
+
+def accuracy(spec: ModelSpec, params: ParamVector, batches) -> float:
+    """Fraction of samples whose argmax logit matches the label.
+
+    Ties break toward the lowest class index (np.argmax convention).
+    """
+    correct = 0
+    total = 0
+    for batch in batches:
+        logits = forward_logits(spec, params, batch.features)
+        pred = np.argmax(logits, axis=1)
+        correct += int((pred == batch.labels).sum())
+        total += len(batch)
+    if total == 0:
+        raise ValueError("empty evaluation set")
+    return correct / total
