@@ -19,13 +19,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, parse_config_file, validate
+from .config import ConfigError, parse_config_file, plan, validate
 from .core import RngStream
 from .data import InvalidLambdaError
 from .harness import run, write_outputs
 from .models import Batch, ModelSpec, backward, finite_diff_grad, param_count, relu_crossing_mask
-from .simclock import CostModel, round_timing
-from .harness import _build_workers  # shared worker-fleet construction
+from .simclock import round_timing
 
 
 def _fail(code: str, detail: str) -> int:
@@ -85,13 +84,12 @@ def _cmd_sweep_lambda(args) -> int:
 def _cmd_timing(args) -> int:
     cfg = _load(args.config, args)
     validate(cfg)
-    cost = CostModel(cfg.cost_iter_fast, cfg.cost_iter_slow, cfg.cost_agg)
-    workers = _build_workers(cfg, cost)
-    timing = round_timing(workers, cost)
+    run_plan = plan(cfg)
+    timing = round_timing(run_plan.workers, run_plan.cost)
     rows = ["worker,role,tau,iter_cost_s,compute_s,block_s,round_wall_s,agg_cost_s"]
-    for w, comp, block in zip(workers, timing.compute_time, timing.blocking_time):
-        rows.append(f"{w.id},{w.role},{w.tau},{w.iter_cost:g},"
-                    f"{comp:.6f},{block:.6f},{timing.round_wall:.6f},{cost.agg_cost:g}")
+    for w, comp, block in zip(run_plan.workers, timing.compute_time, timing.blocking_time):
+        rows.append(f"{w.id},{w.role},{w.tau},{w.iter_cost:g},{comp:.6f},{block:.6f},"
+                    f"{timing.round_wall:.6f},{run_plan.cost.agg_cost:g}")
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

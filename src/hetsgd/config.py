@@ -2,23 +2,25 @@
 
 The on-disk format is deliberately primitive — one dotted key per line,
 ``#`` comments, comma-separated lists — so configs diff cleanly and parse
-with zero dependencies.  ``resolve()`` applies per-algorithm overrides
-(sync SGD forces tau=1 and balanced averaging, etc.) and ``validate()``
-rejects impossible profiles, including the pool-size check for lam.
+with zero dependencies.  ``plan()`` resolves the algorithm preset (sync SGD
+forces tau=1 and balanced averaging, etc.) into a :class:`RunPlan`, the one
+place the four algorithms differ; ``validate()`` rejects impossible profiles,
+including the pool-size check for lam.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .aggregation import RULES
 from .core import round_half_up
-from .data import InvalidLambdaError, fast_per_worker, pool_size, slow_share_sizes, slow_total
-from .workers import SAMPLER_MODES, SystemProfile, derive_tau_s
+from .data import fast_per_worker, pool_size, slow_share_sizes, slow_total
+from .simclock import CostModel
+from .workers import SAMPLER_MODES, SystemProfile, WorkerSpec
 
-__all__ = ["ExperimentConfig", "ConfigError", "parse_config", "parse_config_file",
-           "render_config", "config_hash", "ALGORITHMS"]
+__all__ = ["ExperimentConfig", "ConfigError", "RunPlan", "plan", "check_shares",
+           "parse_config", "parse_config_file", "render_config", "config_hash", "ALGORITHMS"]
 
 ALGORITHMS = ("sync_sgd", "balanced_local", "unbalanced_unbiased", "biased_local")
 
@@ -62,7 +64,7 @@ class ExperimentConfig:
 
     batch_size: int = 32
     rounds: int = 20
-    epochs: int = 0  # alternative to rounds; converted via rounds_per_epoch
+    epochs: int = 0  # alternative to rounds; converted via RunPlan.rounds_per_epoch
     weight_decay: float = 0.0
     val_fraction: float = 0.2
     seeds: tuple = (0,)
@@ -73,61 +75,67 @@ class ExperimentConfig:
 
     out: str = ""
 
-    # --- derived views -----------------------------------------------------
 
-    def effective(self) -> "ExperimentConfig":
-        """Apply per-algorithm overrides; returns a new config.
+# ---------------------------------------------------------------------------
+# algorithm presets and the resolved run plan
+# ---------------------------------------------------------------------------
 
-        sync_sgd: one update per round per worker, aggregation every round,
-        uniform sampling, balanced averaging, homogeneous shares.
-        balanced_local: equal update counts, uniform sampling, balanced
-        averaging, homogeneous shares.
-        unbalanced_unbiased: system-aware taus but no bias anywhere.
-        biased_local: system-aware taus, loss-biased sampling, configured rule.
-        """
-        if self.algorithm == "sync_sgd":
-            return replace(self, tau_f=1, sampler_mode="uniform", aggregation="balanced")
-        if self.algorithm == "balanced_local":
-            return replace(self, sampler_mode="uniform", aggregation="balanced")
-        if self.algorithm == "unbalanced_unbiased":
-            return replace(self, sampler_mode="uniform", aggregation="balanced")
-        return self
+# Settings each algorithm overrides; everything else comes from the config.
+# ``alpha`` here is the share ratio, and tau_S is derived from it and tau_F.
+#   sync_sgd: one update per round per worker, aggregation every round,
+#     uniform sampling, balanced averaging, homogeneous shares.
+#   balanced_local: equal update counts, uniform sampling, balanced
+#     averaging, homogeneous shares.
+#   unbalanced_unbiased: system-aware taus but no bias anywhere.
+#   biased_local: system-aware taus, loss-biased sampling, configured rule.
+_PRESETS = {
+    "sync_sgd": dict(alpha=1.0, tau_f=1, sampler_mode="uniform", aggregation="balanced"),
+    "balanced_local": dict(alpha=1.0, sampler_mode="uniform", aggregation="balanced"),
+    "unbalanced_unbiased": dict(sampler_mode="uniform", aggregation="balanced"),
+    "biased_local": dict(),
+}
 
-    def share_alpha(self) -> float:
-        """Ratio used for data shares: 1 for homogeneous-style algorithms."""
-        if self.algorithm in ("sync_sgd", "balanced_local"):
-            return 1.0
-        return self.alpha
 
-    def tau_slow(self) -> int:
-        if self.algorithm == "sync_sgd":
-            return 1
-        if self.algorithm == "balanced_local":
-            return self.tau_f
-        return derive_tau_s(self.tau_f, self.alpha)
+@dataclass(frozen=True)
+class RunPlan:
+    """What one run executes, with the algorithm preset already applied."""
 
-    def tau_fast(self) -> int:
-        return 1 if self.algorithm == "sync_sgd" else self.tau_f
+    profile: SystemProfile  # share alpha, tau_f / tau_s, lam, sampler mode
+    aggregation: str
+    cold_start: str
+    fast_draw: str
+    cost: CostModel
+    workers: tuple  # WorkerSpec: slow then fast, in ascending id
+    batch_size: int
+    rounds: int
+    epochs: int
 
-    def profile(self) -> SystemProfile:
-        # share_alpha matches the tau derivation for every algorithm, so the
-        # profile's derived tau_s equals tau_slow()
-        eff = self.effective()
-        return SystemProfile(alpha=eff.share_alpha(), p_s=eff.p_s, p_f=eff.p_f,
-                             lam=eff.lam, tau_f=eff.tau_fast(),
-                             sampler_mode=eff.sampler_mode)
-
+    @property
     def steps_per_round(self) -> int:
-        return self.p_f * self.tau_fast() + self.p_s * self.tau_slow()
+        return sum(w.tau for w in self.workers)
 
     def rounds_per_epoch(self, n_train: int) -> int:
-        consumed = self.steps_per_round() * self.batch_size
+        consumed = self.steps_per_round * self.batch_size
         return max(1, -(-n_train // consumed))
 
     def total_rounds(self, n_train: int) -> int:
         if self.epochs > 0:
             return self.epochs * self.rounds_per_epoch(n_train)
         return self.rounds
+
+
+def plan(cfg: ExperimentConfig) -> RunPlan:
+    """Resolve the config's algorithm preset; expects a config ``validate`` accepts."""
+    eff = replace(cfg, **_PRESETS[cfg.algorithm])
+    profile = SystemProfile(alpha=eff.alpha, p_s=eff.p_s, p_f=eff.p_f, lam=eff.lam,
+                            tau_f=eff.tau_f, sampler_mode=eff.sampler_mode)
+    cost = CostModel(eff.cost_iter_fast, eff.cost_iter_slow, eff.cost_agg)
+    slow = [WorkerSpec(i, "slow", profile.tau_s, cost.iter_cost_slow, eff.batch_size)
+            for i in range(eff.p_s)]
+    fast = [WorkerSpec(eff.p_s + j, "fast", profile.tau_f, cost.iter_cost_fast, eff.batch_size)
+            for j in range(eff.p_f)]
+    return RunPlan(profile, eff.aggregation, eff.cold_start, eff.fast_draw, cost,
+                   tuple(slow + fast), eff.batch_size, eff.rounds, eff.epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +196,8 @@ def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
         if key not in _KEY_MAP:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         attr, kind = _KEY_MAP[key]
+        if attr in values:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
             if kind is int:
                 values[attr] = int(val)
@@ -275,29 +285,33 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("iteration costs must be positive")
     if cfg.cost_iter_slow < cfg.cost_iter_fast:
         raise ConfigError("cost.iter_slow must be >= cost.iter_fast")
+    if cfg.cost_agg < 0:
+        raise ConfigError("cost.agg must be >= 0")
 
-    # dataset large enough for the profile once the validation split is held out
-    n = cfg.data_n if cfg.data_source == "synthetic" else None
-    if n is not None:
-        n_train = n - max(1, round_half_up(n * cfg.val_fraction))
-        _validate_shares(cfg, n_train)
+    run_plan = plan(cfg)
+    # a file-backed dataset is checked by run() once it is loaded
+    if cfg.data_source == "synthetic":
+        n_train = cfg.data_n - max(1, round_half_up(cfg.data_n * cfg.val_fraction))
+        check_shares(run_plan, n_train)
 
 
-def _validate_shares(cfg: ExperimentConfig, n_train: int) -> None:
-    eff = cfg.effective()
-    if n_train < eff.p_s + eff.p_f:
+def check_shares(run_plan: RunPlan, n_train: int) -> None:
+    """Raise unless a training split of ``n_train`` feeds every worker each round.
+
+    InvalidLambdaError propagates untouched so sweeps can mark NA cells.
+    """
+    prof = run_plan.profile
+    if n_train < prof.num_workers:
         raise ConfigError(
-            f"training split of {n_train} cannot cover {eff.p_s + eff.p_f} workers"
+            f"training split of {n_train} cannot cover {prof.num_workers} workers"
         )
-    a = eff.share_alpha()
-    if eff.sampler_mode in ("separated", "unified"):
-        # InvalidLambdaError propagates untouched so sweeps can mark NA cells
-        pool_size(n_train, eff.p_s, eff.p_f, a, eff.lam)
-    k_slow = slow_total(n_train, eff.p_s, eff.p_f, a)
-    k_fast = fast_per_worker(n_train, eff.p_s, eff.p_f, a)
-    if min(slow_share_sizes(k_slow, eff.p_s), default=0) < 1:
+    if prof.sampler_mode in ("separated", "unified"):
+        pool_size(n_train, prof.p_s, prof.p_f, prof.alpha, prof.lam)
+    k_slow = slow_total(n_train, prof.p_s, prof.p_f, prof.alpha)
+    k_fast = fast_per_worker(n_train, prof.p_s, prof.p_f, prof.alpha)
+    if min(slow_share_sizes(k_slow, prof.p_s), default=0) < 1:
         raise ConfigError("profile leaves a slow worker without samples")
     if k_fast < 1:
         raise ConfigError("profile leaves fast workers without samples")
-    if eff.sampler_mode == "unified" and (n_train - k_slow) // eff.p_f < 1:
+    if prof.sampler_mode == "unified" and (n_train - k_slow) // prof.p_f < 1:
         raise ConfigError("unified sampling remainder cannot feed fast workers")

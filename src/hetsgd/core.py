@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "ParamVector",
     "RngStream",
-    "as_param_vector",
     "axpy",
     "weighted_sum",
     "cross_entropy_loss",
@@ -46,10 +45,6 @@ class RngStream:
         key = (self.stream_id & _MASK64) << 64 | (self.seed & _MASK64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, offset: int) -> "RngStream":
-        """Fresh independent stream at ``stream_id + offset`` (same seed)."""
-        return RngStream(self.seed, self.stream_id + offset)
-
     def permutation(self, n: int) -> np.ndarray:
         return self.gen.permutation(n)
 
@@ -72,16 +67,6 @@ class RngStream:
 def round_half_up(x: float) -> int:
     """Round to nearest integer, halves away from zero (x >= 0 here)."""
     return int(np.floor(x + 0.5))
-
-
-def as_param_vector(values) -> ParamVector:
-    """Coerce to a 1-D float64 array and check finiteness."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"param vector must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("param vector contains non-finite entries")
-    return v
 
 
 def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:

@@ -12,7 +12,9 @@ In *separated* mode (the default) fast workers draw from the whole dataset,
 so fast and slow assignments may overlap.  In *unified* mode fast workers
 draw from the complement of the slow selection, giving a globally
 duplicate-free assignment.  *uniform* mode drops step 2 entirely and is the
-unbiased baseline.
+unbiased baseline.  :func:`assign` implements all three modes, switching on
+the profile's ``sampler_mode``; ``sample_separated``, ``sample_unified`` and
+``sample_uniform`` call it with the mode pinned.
 
 Loss values come from a :class:`LossLedger` holding each sample's loss as
 last observed during local training; never-seen samples carry a +inf
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "fast_per_worker",
     "fast_per_worker_exact",
     "slow_share_sizes",
+    "assign",
     "sample_separated",
     "sample_unified",
     "sample_uniform",
@@ -196,98 +199,80 @@ def _top_loss_selection(ledger: LossLedger, pool: np.ndarray, k: int,
     return pool[order[:k]]
 
 
-def _partition_round_robin(selected: np.ndarray, p_s: int) -> list:
-    return [selected[i::p_s] for i in range(p_s)]
+def assign(ledger: LossLedger, profile, stream: RngStream,
+           cold_start: str = "unseen-first",
+           epoch_cursors: list | None = None) -> RoundAssignment:
+    """One round's assignment, in the profile's ``sampler_mode``.
+
+    Biased modes (separated, unified) give the slow workers the top-loss pool
+    members, round-robin; uniform mode gives each slow worker a uniform draw
+    of its share size.  Fast workers then draw freely (separated, uniform; or
+    from their epoch cursors, if provided) or from the complement of the slow
+    selection (unified, where the fast share is repaired downward when
+    rounding would push the total past N).  Stream consumption order: pool
+    draw, then top-loss selection, then fast workers in ascending id.
+    """
+    n, p_s, p_f, alpha = ledger.n, profile.p_s, profile.p_f, profile.alpha
+    mode = profile.sampler_mode
+    if mode == "unified" and epoch_cursors is not None:
+        raise ValueError("epoch-wise fast draws are not defined for unified sampling")
+    k_slow = slow_total(n, p_s, p_f, alpha)
+    k_fast = fast_per_worker(n, p_s, p_f, alpha)
+
+    if mode == "uniform":
+        shares = [rng_choose_without_replacement(stream, n, k)
+                  for k in slow_share_sizes(k_slow, p_s)]
+    else:
+        pool_k = pool_size(n, p_s, p_f, alpha, profile.lam)
+        if mode == "unified":
+            remainder_size = n - k_slow
+            k_fast = min(k_fast, remainder_size // p_f)
+            if k_fast < 1:
+                raise ValueError(
+                    f"remainder of {remainder_size} samples cannot feed "
+                    f"{p_f} fast workers"
+                )
+        pool = rng_choose_without_replacement(stream, n, pool_k)
+        selected = _top_loss_selection(ledger, pool, k_slow, stream, cold_start)
+        shares = [selected[i::p_s] for i in range(p_s)]
+
+    per_worker = dict(enumerate(shares))
+    if mode == "unified":
+        in_slow = np.zeros(n, dtype=bool)
+        in_slow[selected] = True
+        remainder = np.flatnonzero(~in_slow)
+        picked = rng_choose_without_replacement(stream, remainder.shape[0], k_fast * p_f)
+        fast_indices = remainder[picked]
+        for j in range(p_f):
+            per_worker[p_s + j] = fast_indices[j * k_fast:(j + 1) * k_fast]
+    else:
+        for j in range(p_f):
+            if epoch_cursors is not None:
+                per_worker[p_s + j] = epoch_cursors[j].take(k_fast)
+            else:
+                per_worker[p_s + j] = rng_choose_without_replacement(stream, n, k_fast)
+    return RoundAssignment(per_worker)
 
 
 def sample_separated(ledger: LossLedger, profile, stream: RngStream,
                      cold_start: str = "unseen-first",
                      epoch_cursors: list | None = None) -> RoundAssignment:
-    """Slow workers split the top-loss pool members; fast workers draw freely.
-
-    Fast draws cover the whole index range and may overlap the slow set and
-    each other across workers.  Stream consumption order: pool draw, then
-    fast workers in ascending id (or their epoch cursors, if provided).
-    """
-    n = ledger.n
-    pool_k = pool_size(n, profile.p_s, profile.p_f, profile.alpha, profile.lam)
-    k_slow = slow_total(n, profile.p_s, profile.p_f, profile.alpha)
-    k_fast = fast_per_worker(n, profile.p_s, profile.p_f, profile.alpha)
-
-    pool = rng_choose_without_replacement(stream, n, pool_k)
-    selected = _top_loss_selection(ledger, pool, k_slow, stream, cold_start)
-    shares = _partition_round_robin(selected, profile.p_s)
-
-    per_worker = {i: shares[i] for i in range(profile.p_s)}
-    for j in range(profile.p_f):
-        wid = profile.p_s + j
-        if epoch_cursors is not None:
-            per_worker[wid] = epoch_cursors[j].take(k_fast)
-        else:
-            per_worker[wid] = rng_choose_without_replacement(stream, n, k_fast)
-    return RoundAssignment(per_worker)
+    """Slow workers split the top-loss pool members; fast workers draw freely."""
+    return assign(ledger, replace(profile, sampler_mode="separated"), stream,
+                  cold_start, epoch_cursors)
 
 
 def sample_unified(ledger: LossLedger, profile, stream: RngStream,
                    cold_start: str = "unseen-first") -> RoundAssignment:
-    """Same slow-side selection, but fast workers draw from the remainder.
-
-    The union of all assignments is duplicate-free.  The fast share is
-    repaired downward when rounding would push the total past N.
-    """
-    n = ledger.n
-    pool_k = pool_size(n, profile.p_s, profile.p_f, profile.alpha, profile.lam)
-    k_slow = slow_total(n, profile.p_s, profile.p_f, profile.alpha)
-    k_fast = fast_per_worker(n, profile.p_s, profile.p_f, profile.alpha)
-
-    remainder_size = n - k_slow
-    if k_fast * profile.p_f > remainder_size:
-        k_fast = remainder_size // profile.p_f
-    if k_fast < 1:
-        raise ValueError(
-            f"remainder of {remainder_size} samples cannot feed "
-            f"{profile.p_f} fast workers"
-        )
-
-    pool = rng_choose_without_replacement(stream, n, pool_k)
-    selected = _top_loss_selection(ledger, pool, k_slow, stream, cold_start)
-    shares = _partition_round_robin(selected, profile.p_s)
-
-    in_slow = np.zeros(n, dtype=bool)
-    in_slow[selected] = True
-    remainder = np.flatnonzero(~in_slow)
-    picked = rng_choose_without_replacement(stream, remainder.shape[0],
-                                            k_fast * profile.p_f)
-    fast_indices = remainder[picked]
-
-    per_worker = {i: shares[i] for i in range(profile.p_s)}
-    for j in range(profile.p_f):
-        per_worker[profile.p_s + j] = fast_indices[j * k_fast:(j + 1) * k_fast]
-    return RoundAssignment(per_worker)
+    """Same slow-side selection; fast workers draw from the remainder, duplicate-free."""
+    return assign(ledger, replace(profile, sampler_mode="unified"), stream, cold_start)
 
 
 def sample_uniform(ledger: LossLedger, profile, stream: RngStream,
                    epoch_cursors: list | None = None) -> RoundAssignment:
-    """Unbiased baseline: every worker draws its share uniformly.
-
-    Share sizes follow the same count formulas, so data volume stays
-    proportional to compute; only the loss-based selection is dropped.
-    """
-    n = ledger.n
-    k_slow = slow_total(n, profile.p_s, profile.p_f, profile.alpha)
-    k_fast = fast_per_worker(n, profile.p_s, profile.p_f, profile.alpha)
-    shares = slow_share_sizes(k_slow, profile.p_s)
-
-    per_worker = {}
-    for i in range(profile.p_s):
-        per_worker[i] = rng_choose_without_replacement(stream, n, shares[i])
-    for j in range(profile.p_f):
-        wid = profile.p_s + j
-        if epoch_cursors is not None:
-            per_worker[wid] = epoch_cursors[j].take(k_fast)
-        else:
-            per_worker[wid] = rng_choose_without_replacement(stream, n, k_fast)
-    return RoundAssignment(per_worker)
+    """Unbiased baseline: every worker draws its share uniformly."""
+    return assign(ledger, replace(profile, sampler_mode="uniform"), stream,
+                  epoch_cursors=epoch_cursors)
 
 
 class EpochCursor:

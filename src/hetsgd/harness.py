@@ -1,12 +1,11 @@
 """Experiment orchestration: the communication-round driver and metrics.
 
-One round: snapshot the global model, draw each worker's sample assignment
-(loss-biased or uniform), run every worker's local updates, merge observed
-losses into the ledger in ascending worker-id order, aggregate the local
-models, and advance the simulated clock.  Workers may execute on a thread
-pool (capped by the ``HSGD_THREADS`` environment variable; 0 or unset means
-serial) — results are merged in worker-id order either way, so serial and
-parallel runs produce byte-identical metrics.
+The run plan (``config.plan``) fixes the algorithm's workers, sampler mode
+and aggregation rule once.  One round: snapshot the global model, draw each
+worker's sample assignment (loss-biased or uniform), run the workers' local
+updates one after another in ascending worker id, merging each worker's
+observed losses into the ledger as it finishes, aggregate the local models,
+and advance the simulated clock.
 
 Stream-id allotment per seed: 11 data synthesis, 12 validation split,
 13 model init, 20 sampler, 40+j fast-worker epoch cursors, 1000+id workers.
@@ -16,21 +15,19 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .aggregation import aggregate
-from .config import ExperimentConfig, config_hash, validate
+from .config import ExperimentConfig, RunPlan, check_shares, config_hash, plan, validate
 from .core import RngStream
-from .data import (Dataset, EpochCursor, LossLedger, make_synthetic, load_dataset,
-                   record_losses, sample_separated, sample_unified, sample_uniform,
-                   SyntheticSpec, train_val_split)
+from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, load_dataset,
+                   record_losses, SyntheticSpec, train_val_split)
 from .models import Batch, ModelSpec, accuracy, init_params
-from .simclock import CostModel, round_timing
-from .workers import WorkerSpec, local_train, LrSchedule, lr_at
+from .simclock import round_timing
+from .workers import local_train, LrSchedule, lr_at
 
 __all__ = ["RoundRecord", "SeedResult", "RunResult", "run", "render_csv",
            "write_outputs", "bundled_config_path", "CSV_HEADER"]
@@ -91,57 +88,35 @@ def _load_data(cfg: ExperimentConfig, seed: int) -> Dataset:
     return make_synthetic(spec, RngStream(seed, STREAM_DATA))
 
 
-def _build_workers(cfg: ExperimentConfig, cost: CostModel) -> list:
-    eff = cfg.effective()
-    tau_s, tau_f = cfg.tau_slow(), cfg.tau_fast()
-    workers = []
-    for i in range(eff.p_s):
-        workers.append(WorkerSpec(i, "slow", tau_s, cost.iter_cost_slow, cfg.batch_size))
-    for j in range(eff.p_f):
-        workers.append(WorkerSpec(eff.p_s + j, "fast", tau_f, cost.iter_cost_fast,
-                                  cfg.batch_size))
-    return workers
-
-
 def _schedule(cfg: ExperimentConfig, total_rounds: int) -> LrSchedule:
     return LrSchedule(kind=cfg.schedule_kind, base_lr=cfg.base_lr,
                       milestones=cfg.milestones, decay=cfg.decay,
                       total_rounds=total_rounds)
 
 
-def _executor_threads() -> int:
-    raw = os.environ.get("HSGD_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
-    eff = cfg.effective()
+def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int) -> SeedResult:
     dataset = _load_data(cfg, seed)
     train, val = train_val_split(dataset, cfg.val_fraction, RngStream(seed, STREAM_SPLIT))
+    # validate() could only check synthetic shares; a loaded file is checked here
+    check_shares(run_plan, train.n)
     spec = _model_spec(cfg, train.input_dim, train.num_classes)
     params = init_params(spec, RngStream(seed, STREAM_INIT))
     val_batch = Batch(val.features, val.labels, np.arange(val.n))
 
-    cost = CostModel(cfg.cost_iter_fast, cfg.cost_iter_slow, cfg.cost_agg)
-    workers = _build_workers(cfg, cost)
-    profile = cfg.profile()
+    workers = run_plan.workers
+    taus = [w.tau for w in workers]
     ledger = LossLedger(train.n)
     sampler_stream = RngStream(seed, STREAM_SAMPLER)
-    worker_streams = {w.id: RngStream(seed, STREAM_WORKER_BASE + w.id) for w in workers}
+    worker_streams = [RngStream(seed, STREAM_WORKER_BASE + w.id) for w in workers]
     cursors = None
-    if eff.fast_draw == "epoch":
+    if run_plan.fast_draw == "epoch":
         cursors = [EpochCursor(train.n, RngStream(seed, STREAM_CURSOR_BASE + j))
-                   for j in range(eff.p_f)]
+                   for j in range(run_plan.profile.p_f)]
 
-    total_rounds = cfg.total_rounds(train.n)
+    total_rounds = run_plan.total_rounds(train.n)
     schedule = _schedule(cfg, total_rounds)
-    rounds_per_epoch = cfg.rounds_per_epoch(train.n)
-    steps_per_round = cfg.steps_per_round()
-    timing = round_timing(workers, cost)  # identical every round
-    threads = _executor_threads()
+    rounds_per_epoch = run_plan.rounds_per_epoch(train.n)
+    timing = round_timing(workers, run_plan.cost)  # identical every round
 
     records = []
     wall = 0.0
@@ -149,39 +124,22 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
     steps_done = 0
     for r in range(total_rounds):
         lr = lr_at(schedule, r)
-        if eff.sampler_mode == "separated":
-            assignment = sample_separated(ledger, profile, sampler_stream,
-                                          cold_start=eff.cold_start,
-                                          epoch_cursors=cursors)
-        elif eff.sampler_mode == "unified":
-            assignment = sample_unified(ledger, profile, sampler_stream,
-                                        cold_start=eff.cold_start)
-        else:
-            assignment = sample_uniform(ledger, profile, sampler_stream,
-                                        epoch_cursors=cursors)
-
-        def train_one(w):
-            return local_train(spec, params, train, assignment[w.id], w.tau, lr,
-                               w.batch_size, worker_streams[w.id], cfg.weight_decay)
-
-        if threads > 0:
-            with ThreadPoolExecutor(max_workers=min(threads, len(workers))) as pool:
-                results = list(pool.map(train_one, workers))
-        else:
-            results = [train_one(w) for w in workers]
-
-        # merge in ascending worker id: workers list is already id-ordered
+        assignment = assign(ledger, run_plan.profile, sampler_stream,
+                            run_plan.cold_start, cursors)
+        # workers is id-ordered, so the ledger merges in ascending worker id
+        models = []
         loss_sum = 0.0
         loss_count = 0
-        for w, (_, ids, losses, steps) in zip(workers, results):
+        for w, stream in zip(workers, worker_streams):
+            end, ids, losses, steps = local_train(spec, params, train, assignment[w.id],
+                                                  w.tau, lr, w.batch_size, stream,
+                                                  cfg.weight_decay)
             record_losses(ledger, ids, losses, r)
+            models.append(end)
             loss_sum += float(losses.sum())
             loss_count += losses.shape[0]
             steps_done += steps
-
-        models = [res[0] for res in results]
-        taus = [w.tau for w in workers]
-        params = aggregate(eff.aggregation, models, taus, round_start=params)
+        params = aggregate(run_plan.aggregation, models, taus, round_start=params)
 
         wall += timing.round_wall
         blocked += float(timing.blocking_time.sum())
@@ -197,14 +155,18 @@ def _run_seed(cfg: ExperimentConfig, seed: int) -> SeedResult:
             agg_count=r + 1,
             grad_steps=steps_done,
         ))
-    assert steps_done == total_rounds * steps_per_round  # update-count accounting
+    expected = total_rounds * run_plan.steps_per_round
+    if steps_done != expected:
+        raise RuntimeError(f"seed {seed}: expected {expected} gradient steps, "
+                           f"counted {steps_done}")
     return SeedResult(seed=seed, records=records, final_params=params)
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute the experiment for every configured seed."""
     validate(cfg)
-    per_seed = [_run_seed(cfg, s) for s in cfg.seeds]
+    run_plan = plan(cfg)
+    per_seed = [_run_seed(cfg, run_plan, s) for s in cfg.seeds]
     finals = [sr.final_acc for sr in per_seed]
     summary = {
         "config_hash": config_hash(cfg),

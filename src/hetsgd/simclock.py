@@ -39,7 +39,6 @@ class RoundTiming:
     compute_time: np.ndarray  # per worker, seconds
     blocking_time: np.ndarray  # per worker, seconds
     round_wall: float
-    agg_count: int = 1
 
 
 @dataclass

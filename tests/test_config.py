@@ -2,8 +2,8 @@
 
 import pytest
 
-from hetsgd.config import (ConfigError, ExperimentConfig, config_hash, parse_config,
-                           render_config, validate)
+from hetsgd.config import (ALGORITHMS, ConfigError, ExperimentConfig, config_hash,
+                           parse_config, plan, render_config, validate)
 from hetsgd.data import InvalidLambdaError
 
 
@@ -36,6 +36,10 @@ rounds = 3
         with pytest.raises(ConfigError, match=":2:"):
             parse_config("rounds = 5\nprofile.tau_f = eight")
 
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"^<string>:2: duplicate key 'rounds'$"):
+            parse_config("rounds = 2\nrounds = 3")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("just some words")
@@ -49,40 +53,47 @@ class TestAlgorithmOverrides:
     def test_sync_forces_single_step_balanced(self):
         cfg = minimal(algorithm="sync_sgd", tau_f=32, aggregation="fednova",
                       sampler_mode="separated")
-        eff = cfg.effective()
-        assert eff.tau_f == 1 and cfg.tau_fast() == 1 and cfg.tau_slow() == 1
-        assert eff.aggregation == "balanced"
-        assert eff.sampler_mode == "uniform"
+        p = plan(cfg)
+        assert p.profile.tau_f == 1 and p.profile.tau_s == 1
+        assert [w.tau for w in p.workers] == [1, 1]
+        assert p.aggregation == "balanced"
+        assert p.profile.sampler_mode == "uniform"
 
     def test_balanced_local_equal_taus(self):
-        cfg = minimal(algorithm="balanced_local", tau_f=32, alpha=8.0)
-        assert cfg.tau_fast() == cfg.tau_slow() == 32
-        assert cfg.share_alpha() == 1.0
+        p = plan(minimal(algorithm="balanced_local", tau_f=32, alpha=8.0))
+        assert p.profile.tau_f == p.profile.tau_s == 32
+        assert p.profile.alpha == 1.0
 
     def test_unbalanced_derives_tau_s(self):
-        cfg = minimal(algorithm="unbalanced_unbiased", tau_f=32, alpha=8.0)
-        assert cfg.tau_slow() == 4
-        assert cfg.effective().aggregation == "balanced"
+        p = plan(minimal(algorithm="unbalanced_unbiased", tau_f=32, alpha=8.0))
+        assert p.profile.tau_s == 4
+        assert p.aggregation == "balanced"
 
     def test_biased_keeps_settings(self):
-        cfg = minimal(algorithm="biased_local", tau_f=32, alpha=32.0,
-                      sampler_mode="separated", aggregation="tau_weighted")
-        eff = cfg.effective()
-        assert eff.sampler_mode == "separated"
-        assert eff.aggregation == "tau_weighted"
-        assert cfg.tau_slow() == 1
+        p = plan(minimal(algorithm="biased_local", tau_f=32, alpha=32.0,
+                         sampler_mode="separated", aggregation="tau_weighted"))
+        assert p.profile.sampler_mode == "separated"
+        assert p.aggregation == "tau_weighted"
+        assert p.profile.tau_s == 1
 
     def test_steps_per_round(self):
         cfg = minimal(algorithm="biased_local", tau_f=32, alpha=32.0, p_s=1, p_f=1)
-        assert cfg.steps_per_round() == 33
+        assert plan(cfg).steps_per_round == 33
         sync = minimal(algorithm="sync_sgd", p_s=2, p_f=8)
-        assert sync.steps_per_round() == 10
+        assert plan(sync).steps_per_round == 10
 
     def test_epoch_conversion(self):
-        cfg = minimal(tau_f=32, alpha=32.0, batch_size=32, epochs=2)
+        p = plan(minimal(tau_f=32, alpha=32.0, batch_size=32, epochs=2))
         # 33 steps/round * 32 batch = 1056 consumed per round
-        assert cfg.rounds_per_epoch(1600) == 2
-        assert cfg.total_rounds(1600) == 4
+        assert p.rounds_per_epoch(1600) == 2
+        assert p.total_rounds(1600) == 4
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_worker_taus_match_profile(self, algorithm):
+        p = plan(minimal(algorithm=algorithm, tau_f=16, alpha=3.0, p_s=2, p_f=3))
+        assert [w.id for w in p.workers] == list(range(5))
+        assert [w.role for w in p.workers] == ["slow"] * 2 + ["fast"] * 3
+        assert [w.tau for w in p.workers] == [p.profile.tau_s] * 2 + [p.profile.tau_f] * 3
 
 
 class TestValidation:
@@ -114,6 +125,10 @@ class TestValidation:
     def test_epoch_mode_with_unified_rejected(self):
         with pytest.raises(ConfigError, match="epoch"):
             validate(minimal(fast_draw="epoch", sampler_mode="unified"))
+
+    def test_negative_agg_cost_rejected(self):
+        with pytest.raises(ConfigError, match="cost.agg"):
+            validate(minimal(cost_agg=-1.0))
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError, match="algorithm"):

@@ -65,14 +65,6 @@ class TestDeterminism:
         csv2 = render_csv(run(cfg))
         assert csv1 == csv2
 
-    def test_serial_parallel_byte_identical(self, monkeypatch):
-        cfg = small_cfg(seeds=(0,), p_s=2, p_f=2, data_n=400)
-        monkeypatch.setenv("HSGD_THREADS", "0")
-        serial = render_csv(run(cfg))
-        monkeypatch.setenv("HSGD_THREADS", "4")
-        parallel = render_csv(run(cfg))
-        assert serial == parallel
-
     def test_all_sampler_modes_deterministic(self):
         for mode in ("separated", "unified"):
             cfg = small_cfg(sampler_mode=mode)
@@ -252,6 +244,20 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[1].startswith("2,ok")
         assert lines[2] == "8,NA,NA,NA,NA"  # bound is 1 + alpha = 5
+
+    def test_run_file_data_too_small_fails_before_training(self, tmp_path, capsys):
+        # validate cannot see a file's size; run checks the shares once loaded
+        data_path = tmp_path / "tiny.csv"
+        data_path.write_text("label,f0\n0,0.5\n1,1.5\n0,-0.5\n")
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(f"data.source = file\ndata.path = {data_path}\n"
+                            "profile.p_s = 3\nprofile.p_f = 3\nrounds = 1\n")
+        assert cli_main(["validate", str(cfg_path), "--quiet"]) == 0
+        rc = cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc != 0
+        assert capsys.readouterr().err == (
+            "error: invalid-config: training split of 2 cannot cover 6 workers\n")
+        assert not os.path.exists(tmp_path / "o")
 
     def test_timing_rows(self, capsys):
         rc = cli_main(["timing", bundled_config_path("demo")])
