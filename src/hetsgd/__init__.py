@@ -19,6 +19,6 @@ from .models import (Batch, ModelSpec, accuracy, backward, finite_diff_grad, for
                      init_params, param_count)
 from .simclock import CostModel, RoundTiming, round_timing, run_timeline
 from .workers import (LrSchedule, SystemProfile, WorkerSpec, derive_tau_s, local_train,
-                      lr_at, measure_alpha)
+                      lr_at, measure_alpha, train_round)
 
 __version__ = "0.1.0"

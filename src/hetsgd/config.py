@@ -255,8 +255,6 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("biased_local requires sampler_mode separated or unified")
     if cfg.fast_draw not in ("fresh", "epoch"):
         raise ConfigError("sampling.fast_draw must be fresh or epoch")
-    if cfg.fast_draw == "epoch" and cfg.sampler_mode == "unified":
-        raise ConfigError("epoch-wise fast draws are not defined for unified sampling")
     if cfg.cold_start not in ("unseen-first", "uniform-first"):
         raise ConfigError("sampling.cold_start must be unseen-first or uniform-first")
     if cfg.data_source not in ("synthetic", "file"):
@@ -289,6 +287,9 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("cost.agg must be >= 0")
 
     run_plan = plan(cfg)
+    # the preset's sampler, not the configured one: sync_sgd always samples uniformly
+    if run_plan.fast_draw == "epoch" and run_plan.profile.sampler_mode == "unified":
+        raise ConfigError("epoch-wise fast draws are not defined for unified sampling")
     # a file-backed dataset is checked by run() once it is loaded
     if cfg.data_source == "synthetic":
         n_train = cfg.data_n - max(1, round_half_up(cfg.data_n * cfg.val_fraction))

@@ -425,8 +425,13 @@ def _load_csv(path: str) -> Dataset:
             rows.append([float(v) for v in rec[1:]])
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    features = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        # one record per line: a blank or short line was rejected above
+        raise ValueError(f"{path}:{int(bad[0]) + 2}: non-finite feature")
     labels = np.asarray(labels, dtype=np.int64)
-    return Dataset(np.asarray(rows), labels, int(labels.max()) + 1)
+    return Dataset(features, labels, int(labels.max()) + 1)
 
 
 def save_binary(dataset: Dataset, path: str) -> None:
@@ -455,6 +460,8 @@ def _load_binary(path: str) -> Dataset:
             raise ValueError(f"{path}: truncated label block")
         feats = np.frombuffer(feat_bytes, dtype="<f4")
         labels = np.frombuffer(label_bytes, dtype="<u4")
+    if not np.isfinite(feats).all():
+        raise ValueError(f"{path}: non-finite feature")
     return Dataset(feats.astype(np.float64).reshape(n, dim),
                    labels.astype(np.int64), int(classes))
 

@@ -2,10 +2,11 @@
 
 The run plan (``config.plan``) fixes the algorithm's workers, sampler mode
 and aggregation rule once.  One round: snapshot the global model, draw each
-worker's sample assignment (loss-biased or uniform), run the workers' local
-updates one after another in ascending worker id, merging each worker's
-observed losses into the ledger as it finishes, aggregate the local models,
-and advance the simulated clock.
+worker's sample assignment (loss-biased or uniform), run every worker's
+local updates in one lockstep ``workers.train_round`` call, merge the
+workers' observed losses into the ledger in ascending worker id, aggregate
+the local models, and advance the simulated clock.  A training error is
+re-raised with its seed and round in front of the worker and step.
 
 Stream-id allotment per seed: 11 data synthesis, 12 validation split,
 13 model init, 20 sampler, 40+j fast-worker epoch cursors, 1000+id workers.
@@ -27,7 +28,7 @@ from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, loa
                    record_losses, SyntheticSpec, train_val_split)
 from .models import Batch, ModelSpec, accuracy, init_params
 from .simclock import round_timing
-from .workers import local_train, LrSchedule, lr_at
+from .workers import LrSchedule, lr_at, train_round
 
 __all__ = ["RoundRecord", "SeedResult", "RunResult", "run", "render_csv",
            "write_outputs", "bundled_config_path", "CSV_HEADER"]
@@ -126,19 +127,20 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int) -> SeedResult
         lr = lr_at(schedule, r)
         assignment = assign(ledger, run_plan.profile, sampler_stream,
                             run_plan.cold_start, cursors)
+        try:
+            models, seen_ids, seen_losses, steps = train_round(
+                spec, params, train, assignment, taus, lr, run_plan.batch_size,
+                worker_streams, cfg.weight_decay)
+        except ValueError as exc:
+            raise ValueError(f"seed {seed} round {r} {exc}") from None
         # workers is id-ordered, so the ledger merges in ascending worker id
-        models = []
         loss_sum = 0.0
         loss_count = 0
-        for w, stream in zip(workers, worker_streams):
-            end, ids, losses, steps = local_train(spec, params, train, assignment[w.id],
-                                                  w.tau, lr, w.batch_size, stream,
-                                                  cfg.weight_decay)
+        for ids, losses in zip(seen_ids, seen_losses):
             record_losses(ledger, ids, losses, r)
-            models.append(end)
             loss_sum += float(losses.sum())
             loss_count += losses.shape[0]
-            steps_done += steps
+        steps_done += steps
         params = aggregate(run_plan.aggregation, models, taus, round_start=params)
 
         wall += timing.round_wall

@@ -24,6 +24,7 @@ __all__ = [
     "forward_loss",
     "backward",
     "loss_and_grad",
+    "stacked_loss_and_grad",
     "finite_diff_grad",
     "relu_crossing_mask",
     "accuracy",
@@ -77,22 +78,23 @@ def param_count(spec: ModelSpec) -> int:
     return d * h + h + h * c + c
 
 
-def _unpack(spec: ModelSpec, params: ParamVector):
-    """Split the flat vector into layer views (no copies)."""
-    if params.shape[0] != param_count(spec):
+def _unpack(spec: ModelSpec, params: np.ndarray):
+    """Split flat params, one vector or a ``(G, n_params)`` stack, into layer views."""
+    if params.shape[-1] != param_count(spec):
         raise ValueError(
-            f"expected {param_count(spec)} params for {spec.kind}, got {params.shape[0]}"
+            f"expected {param_count(spec)} params for {spec.kind}, got {params.shape[-1]}"
         )
+    lead = params.shape[:-1]
     d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
     if spec.kind == "logistic_regression":
-        w = params[: d * c].reshape(d, c)
-        b = params[d * c :]
+        w = params[..., : d * c].reshape(*lead, d, c)
+        b = params[..., d * c :]
         return w, b
     i = 0
-    w1 = params[i : i + d * h].reshape(d, h); i += d * h
-    b1 = params[i : i + h]; i += h
-    w2 = params[i : i + h * c].reshape(h, c); i += h * c
-    b2 = params[i:]
+    w1 = params[..., i : i + d * h].reshape(*lead, d, h); i += d * h
+    b1 = params[..., i : i + h]; i += h
+    w2 = params[..., i : i + h * c].reshape(*lead, h, c); i += h * c
+    b2 = params[..., i:]
     return w1, b1, w2, b2
 
 
@@ -114,10 +116,16 @@ def forward_logits(spec: ModelSpec, params: ParamVector, features: np.ndarray) -
     x = np.asarray(features, dtype=np.float64)
     if spec.kind == "logistic_regression":
         w, b = _unpack(spec, params)
-        return x @ w + b
+        out = x @ w
+        out += b
+        return out
     w1, b1, w2, b2 = _unpack(spec, params)
-    hidden = np.maximum(x @ w1 + b1, 0.0)
-    return hidden @ w2 + b2
+    hidden = x @ w1
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w2
+    out += b2
+    return out
 
 
 def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch):
@@ -130,37 +138,65 @@ def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch):
     return float(per_sample.mean()), per_sample
 
 
-def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch):
-    """Single fused pass: (mean_loss, per_sample_losses, gradient)."""
-    x = batch.features
-    n = len(batch)
-    rows = np.arange(n)
+def _xent_and_dlogits(logits: np.ndarray, labels: np.ndarray):
+    """Per-sample cross-entropy and its gradient w.r.t. the logits of the mean loss."""
+    logp = log_softmax(logits)
+    picks = labels.ravel() + logp.shape[-1] * np.arange(labels.size)
+    per_sample = -logp.ravel()[picks].reshape(labels.shape)
+    dlogits = np.exp(logp)
+    dlogits.ravel()[picks] -= 1.0
+    dlogits /= labels.shape[-1]
+    return per_sample, dlogits
+
+
+def stacked_loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
+                          labels: np.ndarray):
+    """Per-sample losses and mean-loss gradients of G models on G batches at once.
+
+    ``params`` is ``(G, n_params)``, ``x`` is ``(G, b, input_dim)`` and
+    ``labels`` is ``(G, b)``; returns ``per_sample`` ``(G, b)`` and ``grad``
+    ``(G, n_params)``.  Row g depends only on ``params[g]``, ``x[g]`` and
+    ``labels[g]``, and every row runs the same BLAS calls and reductions in
+    the same order, so a one-row call gives the same bits as row g of a
+    stacked one.  Finiteness is left to the caller, which knows the row's
+    worker and step.
+    """
+    grad = np.empty_like(params)
+    xt = x.transpose(0, 2, 1)
     if spec.kind == "logistic_regression":
         w, b = _unpack(spec, params)
-        logits = x @ w + b
-        logp = log_softmax(logits)
-        per_sample = -logp[rows, batch.labels]
-        dlogits = np.exp(logp)
-        dlogits[rows, batch.labels] -= 1.0
-        dlogits /= n
-        grad = np.concatenate([(x.T @ dlogits).ravel(), dlogits.sum(axis=0)])
-    else:
-        w1, b1, w2, b2 = _unpack(spec, params)
-        z1 = x @ w1 + b1
-        a1 = np.maximum(z1, 0.0)
-        logits = a1 @ w2 + b2
-        logp = log_softmax(logits)
-        per_sample = -logp[rows, batch.labels]
-        dlogits = np.exp(logp)
-        dlogits[rows, batch.labels] -= 1.0
-        dlogits /= n
-        dw2 = a1.T @ dlogits
-        db2 = dlogits.sum(axis=0)
-        da1 = dlogits @ w2.T
-        dz1 = da1 * (z1 > 0.0)
-        dw1 = x.T @ dz1
-        db1 = dz1.sum(axis=0)
-        grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        gw, gb = _unpack(spec, grad)
+        logits = x @ w
+        logits += b[:, None, :]
+        per_sample, dlogits = _xent_and_dlogits(logits, labels)
+        np.matmul(xt, dlogits, out=gw)
+        dlogits.sum(axis=1, out=gb)
+        return per_sample, grad
+    w1, b1, w2, b2 = _unpack(spec, params)
+    gw1, gb1, gw2, gb2 = _unpack(spec, grad)
+    a1 = x @ w1
+    a1 += b1[:, None, :]
+    np.maximum(a1, 0.0, out=a1)
+    logits = a1 @ w2
+    logits += b2[:, None, :]
+    per_sample, dlogits = _xent_and_dlogits(logits, labels)
+    np.matmul(a1.transpose(0, 2, 1), dlogits, out=gw2)
+    dlogits.sum(axis=1, out=gb2)
+    dz1 = dlogits @ w2.transpose(0, 2, 1)
+    dz1 *= a1 > 0.0
+    np.matmul(xt, dz1, out=gw1)
+    dz1.sum(axis=1, out=gb1)
+    return per_sample, grad
+
+
+def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch):
+    """Single fused pass: (mean_loss, per_sample_losses, gradient).
+
+    The one-row call of :func:`stacked_loss_and_grad`.
+    """
+    per_sample, grad = stacked_loss_and_grad(spec, params[None], batch.features[None],
+                                             batch.labels[None])
+    per_sample, grad = per_sample[0], grad[0]
     if not np.all(np.isfinite(per_sample)) or not np.all(np.isfinite(grad)):
         raise ValueError("non-finite loss or gradient encountered")
     return float(per_sample.mean()), per_sample, grad

@@ -1,11 +1,19 @@
-"""Per-worker local training loops and learning-rate schedules.
+"""Local training rounds, update-count derivation and learning-rate schedules.
 
-Each communication round, a worker clones the global model and runs ``tau``
-plain-SGD steps on mini-batches drawn from a stream-shuffled permutation of
-its assigned sample indices (reshuffling and cycling when it runs out; a
-short batch at the epoch boundary is used as-is).  Fast workers run
-``tau_F`` steps; slow workers run ``tau_S = max(1, round(tau_F / alpha))``
-where ``alpha`` is the slow/fast per-iteration cost ratio.
+Each communication round, every worker starts from the global model and
+runs ``tau`` plain-SGD steps on mini-batches drawn from a stream-shuffled
+permutation of its assigned sample indices (reshuffling and cycling when it
+runs out; a short batch at the permutation boundary is used as-is).  Fast
+workers run ``tau_F`` steps; slow workers run ``tau_S = max(1, round(tau_F /
+alpha))`` where ``alpha`` is the slow/fast per-iteration cost ratio.
+
+:func:`train_round` is the one training kernel.  It steps all of a round's
+workers in lockstep: parameters stacked as ``(P, n_params)``, the step-t
+batches gathered as ``(G, b, input_dim)``, one stacked gradient call per
+distinct batch length.  All P workers step for the first ``tau_S`` steps,
+then only the fast ones.  Each worker's stream still drives only its own
+permutations, so the bits match stepping the workers one by one.
+:func:`local_train` is its one-worker call.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 
 from .core import ParamVector, RngStream, round_half_up
 from .data import Dataset
-from .models import Batch, ModelSpec, loss_and_grad
+from .models import ModelSpec, stacked_loss_and_grad
 
 __all__ = [
     "WorkerSpec",
@@ -25,6 +33,7 @@ __all__ = [
     "derive_tau_s",
     "measure_alpha",
     "local_train",
+    "train_round",
     "lr_at",
 ]
 
@@ -139,10 +148,133 @@ def lr_at(schedule: LrSchedule, round_idx: int) -> float:
     return 0.5 * schedule.base_lr * (1.0 + np.cos(np.pi * round_idx / schedule.total_rounds))
 
 
+def _batch_schedule(assigned: np.ndarray, tau: int, batch_size: int, stream: RngStream,
+                    ids: np.ndarray, lens: np.ndarray) -> None:
+    """Write one worker's ``tau`` batches into ``ids[:tau]`` and ``lens[:tau]``.
+
+    Batches walk a stream-shuffled permutation of ``assigned``; the last
+    batch of a permutation is short when ``batch_size`` does not divide it,
+    and the next step draws a fresh permutation.  Draws happen exactly where
+    a step-by-step walk would make them.
+    """
+    n = assigned.shape[0]
+    per_perm = -(-n // batch_size)
+    full_per_perm = n // batch_size
+    t = 0
+    while t < tau:
+        order = assigned[stream.permutation(n)]
+        k = min(per_perm, tau - t)
+        full = min(k, full_per_perm)
+        ids[t:t + full] = order[:full * batch_size].reshape(full, batch_size)
+        lens[t:t + full] = batch_size
+        if k > full:
+            rest = n - full * batch_size
+            ids[t + full, :rest] = order[full * batch_size:]
+            lens[t + full] = rest
+        t += k
+
+
+def _step_groups(lens: np.ndarray, first: int):
+    """(rows, batch length) for each length among slots ``first:`` of one step.
+
+    One length gives a slice, so the caller updates a view of the stack.
+    """
+    active = lens[first:]
+    sizes = np.unique(active)
+    if sizes.shape[0] == 1:
+        return [(slice(first, None), int(sizes[0]))]
+    return [(first + np.flatnonzero(active == size), int(size)) for size in sizes]
+
+
+def train_round(spec: ModelSpec, start_params: ParamVector, dataset: Dataset,
+                assignments, taus, lr: float, batch_size: int, streams,
+                weight_decay: float = 0.0):
+    """Run one communication round of local SGD for every worker at once.
+
+    Worker i (named by its position in ``assignments``, ``taus`` and
+    ``streams``) takes ``taus[i]`` plain-SGD steps from ``start_params`` on
+    mini-batches of ``assignments[i]``, shuffled by ``streams[i]`` alone (see
+    :func:`_batch_schedule`).  The workers' parameters are stacked as
+    ``(P, n_params)`` in ascending-tau order, so the workers still stepping
+    at step t are always a suffix of the stack; each step makes one
+    :func:`~hetsgd.models.stacked_loss_and_grad` call per batch length
+    among them.  Every row does the arithmetic a lone worker would, so the
+    result is bit-identical to running the workers one after another.
+
+    Returns ``(end_params, observed_ids, observed_losses, steps)``:
+    ``end_params`` is ``(P, n_params)`` in worker order, the observed arrays
+    are per-worker lists of every sample id and loss seen (at the pre-step
+    parameters, newest last) and ``steps`` counts the gradient steps taken.
+    Errors name the worker and its 0-based local step.
+    """
+    p = len(taus)
+    if p == 0:
+        raise ValueError("need at least one worker")
+    if min(taus) < 1:
+        raise ValueError("tau must be >= 1")
+    slots = sorted(range(p), key=taus.__getitem__)
+    tau_max = taus[slots[-1]]
+    # negative padding keeps unused entries distinct from real ids and each other
+    ids = np.broadcast_to(-1 - np.arange(batch_size), (p, tau_max, batch_size)).copy()
+    lens = np.zeros((p, tau_max), dtype=np.int64)
+    for s, i in enumerate(slots):
+        assigned = np.asarray(assignments[i], dtype=np.int64)
+        if assigned.size == 0:
+            raise ValueError(f"worker {i}: received an empty assignment")
+        _batch_schedule(assigned, taus[i], batch_size, streams[i], ids[s], lens[s])
+    ragged = ((lens > 0) & (lens < batch_size)).any(axis=1).tolist()
+    ordered = np.sort(ids, axis=-1)
+    repeats = np.flatnonzero((ordered[..., 1:] == ordered[..., :-1]).any(axis=-1))
+    if repeats.size:
+        s, t = divmod(int(repeats[0]), tau_max)
+        raise ValueError(f"worker {slots[s]} step {t}: sample ids must be distinct "
+                         "within a batch")
+
+    params = np.repeat(start_params[None, :], p, axis=0)
+    losses = np.empty(ids.shape)
+    features, labels = dataset.features, dataset.labels
+    first, steps = 0, 0
+    for t in range(tau_max):
+        while taus[slots[first]] <= t:
+            first += 1
+        steps += p - first
+        groups = (_step_groups(lens[:, t], first) if any(ragged[first:])
+                  else [(slice(first, None), batch_size)])
+        for rows, size in groups:
+            batch_ids = ids[rows, t, :size]
+            current = params[rows]
+            per_sample, grad = stacked_loss_and_grad(spec, current, features[batch_ids],
+                                                     labels[batch_ids])
+            if not (np.isfinite(per_sample).all() and np.isfinite(grad).all()):
+                bad = ~(np.isfinite(per_sample).all(axis=1) & np.isfinite(grad).all(axis=1))
+                worker = min(slots[s] for s in np.arange(p)[rows][bad])
+                raise ValueError(f"worker {worker} step {t}: non-finite loss or gradient")
+            losses[rows, t, :size] = per_sample
+            if weight_decay:
+                grad += weight_decay * current
+            grad *= lr
+            if isinstance(rows, slice):
+                current -= grad  # a view: updates the stack in place
+            else:
+                params[rows] = current - grad
+    diverged = ~np.isfinite(params).all(axis=1)
+    if diverged.any():
+        worker = min(slots[s] for s in np.flatnonzero(diverged))
+        raise ValueError(f"worker {worker}: local training diverged to non-finite parameters")
+
+    observed_ids, observed_losses = [None] * p, [None] * p
+    seen = np.arange(batch_size) < lens[..., None]
+    for s, i in enumerate(slots):
+        observed_ids[i], observed_losses[i] = ids[s][seen[s]], losses[s][seen[s]]
+    if slots != list(range(p)):
+        params = params[np.argsort(slots)]
+    return params, observed_ids, observed_losses, steps
+
+
 def local_train(spec: ModelSpec, start_params: ParamVector, dataset: Dataset,
                 assigned: np.ndarray, tau: int, lr: float, batch_size: int,
                 stream: RngStream, weight_decay: float = 0.0):
-    """Run ``tau`` SGD steps over the assigned samples.
+    """Run ``tau`` SGD steps over the assigned samples: one worker's round.
 
     Mini-batches walk a stream-shuffled permutation of ``assigned``; a short
     batch is used at the boundary, then the permutation is reshuffled.  Every
@@ -151,29 +283,6 @@ def local_train(spec: ModelSpec, start_params: ParamVector, dataset: Dataset,
 
     Returns (end_params, observed_ids, observed_losses, steps_done).
     """
-    assigned = np.asarray(assigned, dtype=np.int64)
-    if assigned.size == 0:
-        raise ValueError("worker received an empty assignment")
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-
-    params = start_params.copy()
-    order = assigned[stream.permutation(assigned.shape[0])]
-    pos = 0
-    seen_ids, seen_losses = [], []
-    for _ in range(tau):
-        if pos >= order.shape[0]:
-            order = assigned[stream.permutation(assigned.shape[0])]
-            pos = 0
-        ids = order[pos:pos + batch_size]
-        pos += ids.shape[0]
-        batch = Batch(dataset.features[ids], dataset.labels[ids], ids)
-        _, per_sample, grad = loss_and_grad(spec, params, batch)
-        if weight_decay:
-            grad = grad + weight_decay * params
-        params -= lr * grad
-        seen_ids.append(ids)
-        seen_losses.append(per_sample)
-    if not np.all(np.isfinite(params)):
-        raise ValueError("local training diverged to non-finite parameters")
-    return params, np.concatenate(seen_ids), np.concatenate(seen_losses), tau
+    end, ids, losses, steps = train_round(spec, start_params, dataset, [assigned], [tau],
+                                          lr, batch_size, [stream], weight_decay)
+    return end[0], ids[0], losses[0], steps

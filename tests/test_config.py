@@ -126,6 +126,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="epoch"):
             validate(minimal(fast_draw="epoch", sampler_mode="unified"))
 
+    @pytest.mark.parametrize("algorithm", ["sync_sgd", "balanced_local",
+                                           "unbalanced_unbiased"])
+    def test_epoch_mode_with_configured_unified_ok_for_uniform_presets(self, algorithm):
+        # these presets sample uniformly whatever profile.sampler_mode says
+        validate(minimal(algorithm=algorithm, fast_draw="epoch", sampler_mode="unified"))
+
     def test_negative_agg_cost_rejected(self):
         with pytest.raises(ConfigError, match="cost.agg"):
             validate(minimal(cost_agg=-1.0))

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -374,6 +375,21 @@ class TestDatasetIO:
             fh.write("x,y\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             load_dataset(path, "csv")
+
+    def test_non_finite_csv_feature_located(self, tmp_path):
+        path = str(tmp_path / "nan.csv")
+        with open(path, "w") as fh:
+            fh.write("label,f0,f1\n0,0.5,1.0\n1,1.5,2.0\n0,nan,0.0\n1,0.1,0.2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:4: non-finite feature$"):
+            load_dataset(path, "csv")
+
+    def test_non_finite_binary_feature_rejected(self, tmp_path):
+        ds = make_synthetic(SyntheticSpec(n=25, input_dim=2, num_classes=2), RngStream(1, 0))
+        ds.features[7, 1] = np.inf
+        path = str(tmp_path / "d.bin")
+        save_binary(ds, path)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: non-finite feature$"):
+            load_dataset(path)
 
     def test_truncated_binary_rejected(self, tmp_path):
         ds = make_synthetic(SyntheticSpec(n=25, input_dim=2, num_classes=2), RngStream(1, 0))

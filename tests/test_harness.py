@@ -132,6 +132,14 @@ class TestLedgerTrend:
         assert means[-1] < means[0]
 
 
+class TestDivergence:
+    def test_error_names_seed_round_worker_and_step(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as err:
+                run(small_cfg(model_kind="mlp2", base_lr=1e3))
+        assert str(err.value) == "seed 0 round 5 worker 1 step 5: non-finite loss or gradient"
+
+
 class TestBudgetAccounting:
     def test_local_budget(self):
         cfg = small_cfg(rounds=5, p_s=2, p_f=3, alpha=4.0, tau_f=8, data_n=600)
@@ -257,6 +265,19 @@ class TestCli:
         assert rc != 0
         assert capsys.readouterr().err == (
             "error: invalid-config: training split of 2 cannot cover 6 workers\n")
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_run_file_data_non_finite_fails_at_load(self, tmp_path, capsys):
+        data_path = tmp_path / "nan.csv"
+        rows = [f"{i % 2},{'nan' if i == 2 else i * 0.5}" for i in range(10)]
+        data_path.write_text("label,f0\n" + "\n".join(rows) + "\n")
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text(f"data.source = file\ndata.path = {data_path}\nrounds = 1\n")
+        assert cli_main(["validate", str(cfg_path), "--quiet"]) == 0
+        rc = cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc != 0
+        assert capsys.readouterr().err == (
+            f"error: invalid-value: {data_path}:4: non-finite feature\n")
         assert not os.path.exists(tmp_path / "o")
 
     def test_timing_rows(self, capsys):

@@ -2,12 +2,78 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hetsgd.core import RngStream
+from hetsgd.core import RngStream, log_softmax
 from hetsgd.data import make_synthetic, SyntheticSpec
 from hetsgd.models import Batch, ModelSpec, backward, init_params
 from hetsgd.workers import (LrSchedule, SystemProfile, WorkerSpec, derive_tau_s,
-                            local_train, lr_at, measure_alpha)
+                            local_train, lr_at, measure_alpha, train_round)
+
+
+def reference_loss_and_grad(spec, params, batch):
+    """One batch's per-sample losses and gradient, written for a single model.
+
+    The reference the stacked kernel is held to: plain 2-D arrays and one
+    ``np.concatenate``, as the per-worker loop computed them.
+    """
+    x = batch.features
+    n = len(batch)
+    rows = np.arange(n)
+    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    if spec.kind == "logistic_regression":
+        w, b = params[:d * c].reshape(d, c), params[d * c:]
+        logp = log_softmax(x @ w + b)
+        per_sample = -logp[rows, batch.labels]
+        dlogits = np.exp(logp)
+        dlogits[rows, batch.labels] -= 1.0
+        dlogits /= n
+        return per_sample, np.concatenate([(x.T @ dlogits).ravel(), dlogits.sum(axis=0)])
+    w1 = params[:d * h].reshape(d, h)
+    b1 = params[d * h:d * h + h]
+    w2 = params[d * h + h:d * h + h + h * c].reshape(h, c)
+    b2 = params[d * h + h + h * c:]
+    z1 = x @ w1 + b1
+    a1 = np.maximum(z1, 0.0)
+    logp = log_softmax(a1 @ w2 + b2)
+    per_sample = -logp[rows, batch.labels]
+    dlogits = np.exp(logp)
+    dlogits[rows, batch.labels] -= 1.0
+    dlogits /= n
+    dz1 = (dlogits @ w2.T) * (z1 > 0.0)
+    grad = np.concatenate([(x.T @ dz1).ravel(), dz1.sum(axis=0),
+                           (a1.T @ dlogits).ravel(), dlogits.sum(axis=0)])
+    return per_sample, grad
+
+
+def reference_local_train(spec, start_params, dataset, assigned, tau, lr, batch_size,
+                          stream, weight_decay=0.0):
+    """One worker's round, one step at a time: the oracle for ``train_round``."""
+    assigned = np.asarray(assigned, dtype=np.int64)
+    params = start_params.copy()
+    order = assigned[stream.permutation(assigned.shape[0])]
+    pos = 0
+    seen_ids, seen_losses = [], []
+    for _ in range(tau):
+        if pos >= order.shape[0]:
+            order = assigned[stream.permutation(assigned.shape[0])]
+            pos = 0
+        ids = order[pos:pos + batch_size]
+        pos += ids.shape[0]
+        batch = Batch(dataset.features[ids], dataset.labels[ids], ids)
+        per_sample, grad = reference_loss_and_grad(spec, params, batch)
+        if weight_decay:
+            grad = grad + weight_decay * params
+        params -= lr * grad
+        seen_ids.append(ids)
+        seen_losses.append(per_sample)
+    return params, np.concatenate(seen_ids), np.concatenate(seen_losses), tau
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.fixture
@@ -156,6 +222,49 @@ class TestLocalTrain:
         seen_order = list(zip(ids.tolist(), losses.tolist()))
         for i, l in last.items():
             assert (i, l) in seen_order[-16:]  # within the last two batches
+
+
+class TestTrainRound:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_worker_oracle(self, data):
+        # assignments as short as one sample and up to three batches and a
+        # bit: short batches, reshuffles, and steps where workers of one
+        # round take batches of different lengths
+        kind = data.draw(st.sampled_from(["logistic_regression", "mlp2"]))
+        p = data.draw(st.integers(1, 8))
+        taus = data.draw(st.lists(st.integers(1, 6), min_size=p, max_size=p))
+        batch_size = data.draw(st.integers(1, 6))
+        sizes = data.draw(st.lists(st.integers(1, 3 * batch_size + 2), min_size=p,
+                                   max_size=p))
+        weight_decay = data.draw(st.sampled_from([0.0, 0.01]))
+        seed = data.draw(st.integers(0, 2**16))
+        ds = make_synthetic(SyntheticSpec(n=40, input_dim=3, num_classes=3),
+                            RngStream(seed, 0))
+        spec = ModelSpec(kind, 3, 3, hidden_dim=5 if kind == "mlp2" else 0)
+        params = init_params(spec, RngStream(seed, 1))
+        assignments = [RngStream(seed, 2 + i).choose(ds.n, k) for i, k in enumerate(sizes)]
+        streams = [RngStream(seed, 100 + i) for i in range(p)]
+        end, ids, losses, steps = train_round(spec, params, ds, assignments, taus, 0.3,
+                                              batch_size, streams, weight_decay)
+        assert end.shape == (p, params.shape[0])
+        assert steps == sum(taus)
+        for i in range(p):
+            oracle_stream = RngStream(seed, 100 + i)
+            want = reference_local_train(spec, params, ds, assignments[i], taus[i], 0.3,
+                                         batch_size, oracle_stream, weight_decay)
+            assert_same_bits(end[i], want[0])
+            assert_same_bits(ids[i], want[1])
+            assert_same_bits(losses[i], want[2])
+            # both consumed the worker's stream to the same point
+            assert_same_bits(streams[i].permutation(8), oracle_stream.permutation(8))
+
+    def test_duplicate_id_in_a_batch_rejected(self, tiny_task):
+        spec, params, ds = tiny_task
+        assignments = [np.arange(4), np.array([5, 5, 6, 7])]
+        with pytest.raises(ValueError, match="worker 1 step 0: sample ids must be distinct"):
+            train_round(spec, params, ds, assignments, [1, 1], 0.1, 4,
+                        [RngStream(0, 0), RngStream(0, 1)])
 
 
 class TestWorkerSpec:
