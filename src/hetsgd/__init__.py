@@ -9,16 +9,16 @@ prices compute, communication, and barrier blocking.
 
 from .aggregation import aggregate, aggregation_weights
 from .config import ExperimentConfig, ConfigError, parse_config, parse_config_file, validate
-from .core import RngStream, axpy, cross_entropy_loss, weighted_sum
-from .data import (Dataset, EpochCursor, InvalidLambdaError, LossLedger, RoundAssignment,
-                   SyntheticSpec, fast_per_worker, load_dataset, make_synthetic, pool_size,
-                   record_losses, sample_separated, sample_unified, sample_uniform,
-                   save_binary, save_csv, slow_total, train_val_split)
+from .core import RngStream, axpy, weighted_sum
+from .data import (Dataset, EpochCursor, InvalidLambdaError, LossLedger, SyntheticSpec,
+                   fast_per_worker, load_dataset, make_synthetic, pool_size, record_losses,
+                   sample_separated, sample_unified, sample_uniform, save_binary, save_csv,
+                   share_sizes, slow_total, train_val_split)
 from .harness import RoundRecord, RunResult, bundled_config_path, render_csv, run, write_outputs
 from .models import (Batch, ModelSpec, accuracy, backward, finite_diff_grad, forward_loss,
                      init_params, param_count)
 from .simclock import CostModel, RoundTiming, round_timing, run_timeline
-from .workers import (LrSchedule, SystemProfile, WorkerSpec, derive_tau_s, local_train,
-                      lr_at, measure_alpha, train_round)
+from .workers import (DivergenceError, LrSchedule, SystemProfile, WorkerSpec, derive_tau_s,
+                      local_train, lr_at, measure_alpha, train_round)
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Subcommands:
   run <config>           train per the config, write metrics.csv + summary.json
-  sweep-lambda <config>  rerun across pool-scale values; oversize cells -> NA
+  sweep-lambda <config>  rerun across pool-scale values; oversize cells -> NA,
+                         diverged cells -> diverged
   timing <config>        per-worker compute/blocking breakdown for one round
   validate <config>      check a config and exit
   gradcheck              analytic-vs-finite-difference gradient audit
@@ -25,6 +26,7 @@ from .data import InvalidLambdaError
 from .harness import run, write_outputs
 from .models import Batch, ModelSpec, backward, finite_diff_grad, param_count, relu_crossing_mask
 from .simclock import round_timing
+from .workers import DivergenceError
 
 
 def _fail(code: str, detail: str) -> int:
@@ -66,6 +68,9 @@ def _cmd_sweep_lambda(args) -> int:
         except InvalidLambdaError:
             # file-backed datasets reveal their size only at run time
             rows.append(f"{lam:g},NA,NA,NA,NA")
+            continue
+        except DivergenceError:
+            rows.append(f"{lam:g},diverged,NA,NA,NA")
             continue
         s = result.summary
         rows.append(f"{lam:g},ok,{s['final_acc_mean']:.6f},"

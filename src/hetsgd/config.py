@@ -14,8 +14,7 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 
 from .aggregation import RULES
-from .core import round_half_up
-from .data import fast_per_worker, pool_size, slow_share_sizes, slow_total
+from .data import InvalidLambdaError, share_sizes, val_size
 from .simclock import CostModel
 from .workers import SAMPLER_MODES, SystemProfile, WorkerSpec
 
@@ -292,27 +291,19 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("epoch-wise fast draws are not defined for unified sampling")
     # a file-backed dataset is checked by run() once it is loaded
     if cfg.data_source == "synthetic":
-        n_train = cfg.data_n - max(1, round_half_up(cfg.data_n * cfg.val_fraction))
-        check_shares(run_plan, n_train)
+        check_shares(run_plan, cfg.data_n - val_size(cfg.data_n, cfg.val_fraction))
 
 
 def check_shares(run_plan: RunPlan, n_train: int) -> None:
     """Raise unless a training split of ``n_train`` feeds every worker each round.
 
-    InvalidLambdaError propagates untouched so sweeps can mark NA cells.
+    The rule is ``data.share_sizes``, the one the sampler applies; its
+    errors become ConfigErrors, except that InvalidLambdaError propagates
+    untouched so sweeps can mark NA cells.
     """
-    prof = run_plan.profile
-    if n_train < prof.num_workers:
-        raise ConfigError(
-            f"training split of {n_train} cannot cover {prof.num_workers} workers"
-        )
-    if prof.sampler_mode in ("separated", "unified"):
-        pool_size(n_train, prof.p_s, prof.p_f, prof.alpha, prof.lam)
-    k_slow = slow_total(n_train, prof.p_s, prof.p_f, prof.alpha)
-    k_fast = fast_per_worker(n_train, prof.p_s, prof.p_f, prof.alpha)
-    if min(slow_share_sizes(k_slow, prof.p_s), default=0) < 1:
-        raise ConfigError("profile leaves a slow worker without samples")
-    if k_fast < 1:
-        raise ConfigError("profile leaves fast workers without samples")
-    if prof.sampler_mode == "unified" and (n_train - k_slow) // prof.p_f < 1:
-        raise ConfigError("unified sampling remainder cannot feed fast workers")
+    try:
+        share_sizes(n_train, run_plan.profile)
+    except InvalidLambdaError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

@@ -16,9 +16,7 @@ __all__ = [
     "RngStream",
     "axpy",
     "weighted_sum",
-    "cross_entropy_loss",
     "log_softmax",
-    "rng_shuffle",
     "rng_choose_without_replacement",
     "round_half_up",
 ]
@@ -119,25 +117,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def cross_entropy_loss(logits: ParamVector, label: int) -> float:
-    """Negative log softmax probability of ``label`` for one logit vector."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("logits must be 1-D")
-    if not 0 <= label < z.shape[0]:
-        raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
-    loss = -log_softmax(z)[label]
-    # exact ties can round to -0.0
-    return float(loss) + 0.0
-
-
-def rng_shuffle(stream: RngStream, n: int) -> np.ndarray:
-    """Random permutation of 0..n-1 drawn from the stream."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return stream.gen.permutation(n)
 
 
 def rng_choose_without_replacement(stream: RngStream, n: int, k: int) -> np.ndarray:

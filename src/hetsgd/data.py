@@ -12,8 +12,12 @@ In *separated* mode (the default) fast workers draw from the whole dataset,
 so fast and slow assignments may overlap.  In *unified* mode fast workers
 draw from the complement of the slow selection, giving a globally
 duplicate-free assignment.  *uniform* mode drops step 2 entirely and is the
-unbiased baseline.  :func:`assign` implements all three modes, switching on
-the profile's ``sampler_mode``; ``sample_separated``, ``sample_unified`` and
+unbiased baseline.  :func:`share_sizes` is the one share rule: the pool,
+slow and fast sizes for a dataset of N, and the errors for a profile that
+leaves a worker without samples; ``config.check_shares`` and :func:`assign`
+both call it.  :func:`assign` implements all three modes, switching on the
+profile's ``sampler_mode``, and returns one index array per worker in
+worker-id order (slow first); ``sample_separated``, ``sample_unified`` and
 ``sample_uniform`` call it with the mode pinned.
 
 Loss values come from a :class:`LossLedger` holding each sample's loss as
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +38,6 @@ from .core import RngStream, rng_choose_without_replacement, round_half_up
 __all__ = [
     "Dataset",
     "LossLedger",
-    "RoundAssignment",
     "InvalidLambdaError",
     "NEVER_SEEN",
     "pool_size",
@@ -44,6 +47,7 @@ __all__ = [
     "fast_per_worker",
     "fast_per_worker_exact",
     "slow_share_sizes",
+    "share_sizes",
     "assign",
     "sample_separated",
     "sample_unified",
@@ -55,6 +59,7 @@ __all__ = [
     "load_dataset",
     "save_csv",
     "save_binary",
+    "val_size",
     "train_val_split",
 ]
 
@@ -115,16 +120,6 @@ class LossLedger:
         return float(self.last_loss[mask].mean())
 
 
-@dataclass
-class RoundAssignment:
-    """Sample indices handed to each worker for one round (keyed by worker id)."""
-
-    per_worker: dict = field(default_factory=dict)
-
-    def __getitem__(self, worker_id: int) -> np.ndarray:
-        return self.per_worker[worker_id]
-
-
 # ---------------------------------------------------------------------------
 # Share formulas
 # ---------------------------------------------------------------------------
@@ -183,6 +178,32 @@ def slow_share_sizes(total: int, p_s: int) -> list:
     return [base + 1 if i < extra else base for i in range(p_s)]
 
 
+def share_sizes(n: int, profile) -> tuple:
+    """The round's share rule for a dataset of ``n``: ``(pool, slow, fast)``.
+
+    ``pool`` is the candidate-pool size (0 in uniform mode), ``slow`` the
+    list of per-slow-worker sizes and ``fast`` the per-fast-worker size; in
+    unified mode it is repaired downward so the fast draws fit in the
+    complement of the slow selection.  Raises InvalidLambdaError when the
+    pool would exceed ``n`` and ValueError when a worker would get nothing.
+    """
+    p_s, p_f, alpha = profile.p_s, profile.p_f, profile.alpha
+    if n < p_s + p_f:
+        raise ValueError(f"training split of {n} cannot cover {p_s + p_f} workers")
+    biased = profile.sampler_mode != "uniform"
+    pool = pool_size(n, p_s, p_f, alpha, profile.lam) if biased else 0
+    k_slow = slow_total(n, p_s, p_f, alpha)
+    slow = slow_share_sizes(k_slow, p_s)
+    if min(slow) < 1:
+        raise ValueError("profile leaves a slow worker without samples")
+    # n >= P_S + P_F and alpha >= 1 make the exact fast share >= 1, so the
+    # fast size and the unified remainder per fast worker are >= 1 as well
+    fast = fast_per_worker(n, p_s, p_f, alpha)
+    if profile.sampler_mode == "unified":
+        fast = min(fast, (n - k_slow) // p_f)
+    return pool, slow, fast
+
+
 # ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
@@ -201,75 +222,61 @@ def _top_loss_selection(ledger: LossLedger, pool: np.ndarray, k: int,
 
 def assign(ledger: LossLedger, profile, stream: RngStream,
            cold_start: str = "unseen-first",
-           epoch_cursors: list | None = None) -> RoundAssignment:
-    """One round's assignment, in the profile's ``sampler_mode``.
+           epoch_cursors: list | None = None) -> list:
+    """One round's assignment in the profile's ``sampler_mode``, by worker id.
 
-    Biased modes (separated, unified) give the slow workers the top-loss pool
-    members, round-robin; uniform mode gives each slow worker a uniform draw
-    of its share size.  Fast workers then draw freely (separated, uniform; or
-    from their epoch cursors, if provided) or from the complement of the slow
-    selection (unified, where the fast share is repaired downward when
-    rounding would push the total past N).  Stream consumption order: pool
-    draw, then top-loss selection, then fast workers in ascending id.
+    Returns ``P_S + P_F`` index arrays, slow workers first, sized by
+    :func:`share_sizes`.  Biased modes (separated, unified) give the slow
+    workers the top-loss pool members, round-robin; uniform mode gives each
+    slow worker a uniform draw of its share size.  Fast workers then draw
+    freely (separated, uniform; or from their epoch cursors, if provided) or
+    from the complement of the slow selection (unified).  Stream consumption
+    order: pool draw, then top-loss selection, then fast workers in
+    ascending id.
     """
-    n, p_s, p_f, alpha = ledger.n, profile.p_s, profile.p_f, profile.alpha
+    n, p_s, p_f = ledger.n, profile.p_s, profile.p_f
     mode = profile.sampler_mode
     if mode == "unified" and epoch_cursors is not None:
         raise ValueError("epoch-wise fast draws are not defined for unified sampling")
-    k_slow = slow_total(n, p_s, p_f, alpha)
-    k_fast = fast_per_worker(n, p_s, p_f, alpha)
+    pool_k, slow_sizes, k_fast = share_sizes(n, profile)
 
     if mode == "uniform":
-        shares = [rng_choose_without_replacement(stream, n, k)
-                  for k in slow_share_sizes(k_slow, p_s)]
+        shares = [rng_choose_without_replacement(stream, n, k) for k in slow_sizes]
     else:
-        pool_k = pool_size(n, p_s, p_f, alpha, profile.lam)
-        if mode == "unified":
-            remainder_size = n - k_slow
-            k_fast = min(k_fast, remainder_size // p_f)
-            if k_fast < 1:
-                raise ValueError(
-                    f"remainder of {remainder_size} samples cannot feed "
-                    f"{p_f} fast workers"
-                )
         pool = rng_choose_without_replacement(stream, n, pool_k)
-        selected = _top_loss_selection(ledger, pool, k_slow, stream, cold_start)
+        selected = _top_loss_selection(ledger, pool, sum(slow_sizes), stream, cold_start)
         shares = [selected[i::p_s] for i in range(p_s)]
 
-    per_worker = dict(enumerate(shares))
     if mode == "unified":
         in_slow = np.zeros(n, dtype=bool)
         in_slow[selected] = True
         remainder = np.flatnonzero(~in_slow)
         picked = rng_choose_without_replacement(stream, remainder.shape[0], k_fast * p_f)
         fast_indices = remainder[picked]
-        for j in range(p_f):
-            per_worker[p_s + j] = fast_indices[j * k_fast:(j + 1) * k_fast]
+        shares += [fast_indices[j * k_fast:(j + 1) * k_fast] for j in range(p_f)]
+    elif epoch_cursors is not None:
+        shares += [epoch_cursors[j].take(k_fast) for j in range(p_f)]
     else:
-        for j in range(p_f):
-            if epoch_cursors is not None:
-                per_worker[p_s + j] = epoch_cursors[j].take(k_fast)
-            else:
-                per_worker[p_s + j] = rng_choose_without_replacement(stream, n, k_fast)
-    return RoundAssignment(per_worker)
+        shares += [rng_choose_without_replacement(stream, n, k_fast) for _ in range(p_f)]
+    return shares
 
 
 def sample_separated(ledger: LossLedger, profile, stream: RngStream,
                      cold_start: str = "unseen-first",
-                     epoch_cursors: list | None = None) -> RoundAssignment:
+                     epoch_cursors: list | None = None) -> list:
     """Slow workers split the top-loss pool members; fast workers draw freely."""
     return assign(ledger, replace(profile, sampler_mode="separated"), stream,
                   cold_start, epoch_cursors)
 
 
 def sample_unified(ledger: LossLedger, profile, stream: RngStream,
-                   cold_start: str = "unseen-first") -> RoundAssignment:
+                   cold_start: str = "unseen-first") -> list:
     """Same slow-side selection; fast workers draw from the remainder, duplicate-free."""
     return assign(ledger, replace(profile, sampler_mode="unified"), stream, cold_start)
 
 
 def sample_uniform(ledger: LossLedger, profile, stream: RngStream,
-                   epoch_cursors: list | None = None) -> RoundAssignment:
+                   epoch_cursors: list | None = None) -> list:
     """Unbiased baseline: every worker draws its share uniformly."""
     return assign(ledger, replace(profile, sampler_mode="uniform"), stream,
                   epoch_cursors=epoch_cursors)
@@ -297,21 +304,14 @@ class EpochCursor:
             self._pos += k
             return out
         # cross an epoch boundary: finish this permutation, reshuffle, and
-        # fill from the fresh one, skipping indices already taken this call
+        # fill from the first entries of the fresh one not already taken
         head = self._perm[self._pos:]
         self._perm = self.stream.permutation(self.n)
-        self._pos = 0
         taken = np.zeros(self.n, dtype=bool)
         taken[head] = True
-        rest = []
-        need = k - head.shape[0]
-        while need > 0:
-            idx = self._perm[self._pos]
-            self._pos += 1
-            if not taken[idx]:
-                rest.append(idx)
-                need -= 1
-        return np.concatenate([head, np.asarray(rest, dtype=self._perm.dtype)])
+        picks = np.flatnonzero(~taken[self._perm])[:k - avail]
+        self._pos = int(picks[-1]) + 1
+        return np.concatenate([head, self._perm[picks]])
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +321,9 @@ class EpochCursor:
 def record_losses(ledger: LossLedger, sample_ids, losses, round_idx: int) -> LossLedger:
     """Overwrite ledger entries with the newest observed losses.
 
-    Duplicate ids within one call resolve to the *last* occurrence; callers
-    merging multiple workers apply them in ascending worker-id order.
+    Duplicate ids within one call resolve to the *last* occurrence, so one
+    call over several workers' observations concatenated in ascending
+    worker id equals merging them one worker at a time in that order.
     """
     ids = np.asarray(sample_ids, dtype=np.int64)
     vals = np.asarray(losses, dtype=np.float64)
@@ -478,11 +479,16 @@ def load_dataset(path: str, format: str | None = None) -> Dataset:
     raise ValueError(f"unknown dataset format {format!r}")
 
 
+def val_size(n: int, val_fraction: float) -> int:
+    """Held-out rows of a dataset of ``n``: at least one, rounded half up."""
+    return max(1, round_half_up(n * val_fraction))
+
+
 def train_val_split(dataset: Dataset, val_fraction: float, stream: RngStream):
     """Random held-out split; returns (train, val) datasets."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must be in (0, 1)")
-    n_val = max(1, round_half_up(dataset.n * val_fraction))
+    n_val = val_size(dataset.n, val_fraction)
     if n_val >= dataset.n:
         raise ValueError("validation split leaves no training data")
     perm = stream.permutation(dataset.n)

@@ -1,12 +1,14 @@
 """Experiment orchestration: the communication-round driver and metrics.
 
 The run plan (``config.plan``) fixes the algorithm's workers, sampler mode
-and aggregation rule once.  One round: snapshot the global model, draw each
-worker's sample assignment (loss-biased or uniform), run every worker's
-local updates in one lockstep ``workers.train_round`` call, merge the
-workers' observed losses into the ledger in ascending worker id, aggregate
-the local models, and advance the simulated clock.  A training error is
-re-raised with its seed and round in front of the worker and step.
+and aggregation rule once, and its worker-id order (slow first) is the one
+order of a round from sampler to ledger.  One round: snapshot the global
+model, draw each worker's sample assignment (loss-biased or uniform), run
+every worker's local updates in one lockstep ``workers.train_round`` call,
+merge all observed losses into the ledger with one ``record_losses`` call
+over them concatenated in worker-id order, aggregate the local models, and
+advance the simulated clock.  A training error is re-raised, with its type,
+with the seed and round in front of the worker and step.
 
 Stream-id allotment per seed: 11 data synthesis, 12 validation split,
 13 model init, 20 sampler, 40+j fast-worker epoch cursors, 1000+id workers.
@@ -132,14 +134,12 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int) -> SeedResult
                 spec, params, train, assignment, taus, lr, run_plan.batch_size,
                 worker_streams, cfg.weight_decay)
         except ValueError as exc:
-            raise ValueError(f"seed {seed} round {r} {exc}") from None
-        # workers is id-ordered, so the ledger merges in ascending worker id
-        loss_sum = 0.0
-        loss_count = 0
-        for ids, losses in zip(seen_ids, seen_losses):
-            record_losses(ledger, ids, losses, r)
-            loss_sum += float(losses.sum())
-            loss_count += losses.shape[0]
+            raise type(exc)(f"seed {seed} round {r} {exc}") from None
+        # concatenated in worker-id order, the last write per sample is the
+        # highest id's, as when merging the workers one at a time
+        losses = np.concatenate(seen_losses)
+        record_losses(ledger, np.concatenate(seen_ids), losses, r)
+        train_loss = sum(float(w.sum()) for w in seen_losses) / losses.shape[0]
         steps_done += steps
         params = aggregate(run_plan.aggregation, models, taus, round_start=params)
 
@@ -150,7 +150,7 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int) -> SeedResult
             round=r,
             epoch=r // rounds_per_epoch,
             lr=lr,
-            train_loss=loss_sum / loss_count,
+            train_loss=train_loss,
             val_acc=accuracy(spec, params, [val_batch]),
             sim_wall_s=wall,
             sim_block_s=blocked,

@@ -30,9 +30,6 @@ class CostModel:
         if self.iter_cost_slow < self.iter_cost_fast:
             raise ValueError("slow iter cost must be >= fast iter cost")
 
-    def iter_cost(self, role: str) -> float:
-        return self.iter_cost_slow if role == "slow" else self.iter_cost_fast
-
 
 @dataclass
 class RoundTiming:

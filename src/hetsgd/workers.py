@@ -8,12 +8,14 @@ workers run ``tau_F`` steps; slow workers run ``tau_S = max(1, round(tau_F /
 alpha))`` where ``alpha`` is the slow/fast per-iteration cost ratio.
 
 :func:`train_round` is the one training kernel.  It steps all of a round's
-workers in lockstep: parameters stacked as ``(P, n_params)``, the step-t
+workers in lockstep, in the run plan's worker-id order (slow first, so taus
+never decrease): parameters stacked as ``(P, n_params)``, the step-t
 batches gathered as ``(G, b, input_dim)``, one stacked gradient call per
 distinct batch length.  All P workers step for the first ``tau_S`` steps,
-then only the fast ones.  Each worker's stream still drives only its own
-permutations, so the bits match stepping the workers one by one.
-:func:`local_train` is its one-worker call.
+then only the fast ones, a suffix of the stack.  Each worker's stream
+still drives only its own permutations, so the bits match stepping the
+workers one by one.  :func:`local_train` is its one-worker call.  A
+non-finite loss, gradient or parameter raises :class:`DivergenceError`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .data import Dataset
 from .models import ModelSpec, stacked_loss_and_grad
 
 __all__ = [
+    "DivergenceError",
     "WorkerSpec",
     "SystemProfile",
     "LrSchedule",
@@ -38,6 +41,10 @@ __all__ = [
 ]
 
 SAMPLER_MODES = ("separated", "unified", "uniform")
+
+
+class DivergenceError(ValueError):
+    """Local training produced a non-finite loss, gradient or parameter."""
 
 
 @dataclass(frozen=True)
@@ -194,80 +201,81 @@ def train_round(spec: ModelSpec, start_params: ParamVector, dataset: Dataset,
     Worker i (named by its position in ``assignments``, ``taus`` and
     ``streams``) takes ``taus[i]`` plain-SGD steps from ``start_params`` on
     mini-batches of ``assignments[i]``, shuffled by ``streams[i]`` alone (see
-    :func:`_batch_schedule`).  The workers' parameters are stacked as
-    ``(P, n_params)`` in ascending-tau order, so the workers still stepping
-    at step t are always a suffix of the stack; each step makes one
+    :func:`_batch_schedule`).  ``taus`` must not decrease, as in a run
+    plan's worker order, so the workers still stepping at step t are always
+    a suffix of the ``(P, n_params)`` stack; each step makes one
     :func:`~hetsgd.models.stacked_loss_and_grad` call per batch length
     among them.  Every row does the arithmetic a lone worker would, so the
     result is bit-identical to running the workers one after another.
 
     Returns ``(end_params, observed_ids, observed_losses, steps)``:
-    ``end_params`` is ``(P, n_params)`` in worker order, the observed arrays
-    are per-worker lists of every sample id and loss seen (at the pre-step
-    parameters, newest last) and ``steps`` counts the gradient steps taken.
-    Errors name the worker and its 0-based local step.
+    ``end_params`` is ``(P, n_params)``, the observed arrays are per-worker
+    lists of every sample id and loss seen (at the pre-step parameters,
+    newest last) and ``steps`` counts the gradient steps taken.  Errors
+    name the worker and its 0-based local step; a non-finite loss, gradient
+    or parameter raises :class:`DivergenceError`.
     """
     p = len(taus)
     if p == 0:
         raise ValueError("need at least one worker")
     if min(taus) < 1:
         raise ValueError("tau must be >= 1")
-    slots = sorted(range(p), key=taus.__getitem__)
-    tau_max = taus[slots[-1]]
+    if any(b < a for a, b in zip(taus, taus[1:])):
+        raise ValueError("taus must not decrease: order the workers slow first")
+    tau_max = taus[-1]
     # negative padding keeps unused entries distinct from real ids and each other
     ids = np.broadcast_to(-1 - np.arange(batch_size), (p, tau_max, batch_size)).copy()
     lens = np.zeros((p, tau_max), dtype=np.int64)
-    for s, i in enumerate(slots):
+    for i in range(p):
         assigned = np.asarray(assignments[i], dtype=np.int64)
         if assigned.size == 0:
             raise ValueError(f"worker {i}: received an empty assignment")
-        _batch_schedule(assigned, taus[i], batch_size, streams[i], ids[s], lens[s])
+        _batch_schedule(assigned, taus[i], batch_size, streams[i], ids[i], lens[i])
     ragged = ((lens > 0) & (lens < batch_size)).any(axis=1).tolist()
     ordered = np.sort(ids, axis=-1)
     repeats = np.flatnonzero((ordered[..., 1:] == ordered[..., :-1]).any(axis=-1))
     if repeats.size:
-        s, t = divmod(int(repeats[0]), tau_max)
-        raise ValueError(f"worker {slots[s]} step {t}: sample ids must be distinct "
-                         "within a batch")
+        i, t = divmod(int(repeats[0]), tau_max)
+        raise ValueError(f"worker {i} step {t}: sample ids must be distinct within a batch")
 
     params = np.repeat(start_params[None, :], p, axis=0)
     losses = np.empty(ids.shape)
     features, labels = dataset.features, dataset.labels
     first, steps = 0, 0
-    for t in range(tau_max):
-        while taus[slots[first]] <= t:
-            first += 1
-        steps += p - first
-        groups = (_step_groups(lens[:, t], first) if any(ragged[first:])
-                  else [(slice(first, None), batch_size)])
-        for rows, size in groups:
-            batch_ids = ids[rows, t, :size]
-            current = params[rows]
-            per_sample, grad = stacked_loss_and_grad(spec, current, features[batch_ids],
-                                                     labels[batch_ids])
-            if not (np.isfinite(per_sample).all() and np.isfinite(grad).all()):
-                bad = ~(np.isfinite(per_sample).all(axis=1) & np.isfinite(grad).all(axis=1))
-                worker = min(slots[s] for s in np.arange(p)[rows][bad])
-                raise ValueError(f"worker {worker} step {t}: non-finite loss or gradient")
-            losses[rows, t, :size] = per_sample
-            if weight_decay:
-                grad += weight_decay * current
-            grad *= lr
-            if isinstance(rows, slice):
-                current -= grad  # a view: updates the stack in place
-            else:
-                params[rows] = current - grad
-    diverged = ~np.isfinite(params).all(axis=1)
-    if diverged.any():
-        worker = min(slots[s] for s in np.flatnonzero(diverged))
-        raise ValueError(f"worker {worker}: local training diverged to non-finite parameters")
+    # overflow is caught by the finiteness checks below, not reported by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(tau_max):
+            while taus[first] <= t:
+                first += 1
+            steps += p - first
+            groups = (_step_groups(lens[:, t], first) if any(ragged[first:])
+                      else [(slice(first, None), batch_size)])
+            for rows, size in groups:
+                batch_ids = ids[rows, t, :size]
+                current = params[rows]
+                per_sample, grad = stacked_loss_and_grad(spec, current, features[batch_ids],
+                                                         labels[batch_ids])
+                if not (np.isfinite(per_sample).all() and np.isfinite(grad).all()):
+                    bad = ~(np.isfinite(per_sample).all(axis=1) & np.isfinite(grad).all(axis=1))
+                    worker = int(np.arange(p)[rows][bad][0])
+                    raise DivergenceError(f"worker {worker} step {t}: "
+                                          "non-finite loss or gradient")
+                losses[rows, t, :size] = per_sample
+                if weight_decay:
+                    grad += weight_decay * current
+                grad *= lr
+                if isinstance(rows, slice):
+                    current -= grad  # a view: updates the stack in place
+                else:
+                    params[rows] = current - grad
+    diverged = np.flatnonzero(~np.isfinite(params).all(axis=1))
+    if diverged.size:
+        raise DivergenceError(f"worker {int(diverged[0])}: local training diverged to "
+                              "non-finite parameters")
 
-    observed_ids, observed_losses = [None] * p, [None] * p
     seen = np.arange(batch_size) < lens[..., None]
-    for s, i in enumerate(slots):
-        observed_ids[i], observed_losses[i] = ids[s][seen[s]], losses[s][seen[s]]
-    if slots != list(range(p)):
-        params = params[np.argsort(slots)]
+    observed_ids = [ids[i][seen[i]] for i in range(p)]
+    observed_losses = [losses[i][seen[i]] for i in range(p)]
     return params, observed_ids, observed_losses, steps
 
 

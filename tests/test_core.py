@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetsgd.core import (RngStream, axpy, cross_entropy_loss, rng_choose_without_replacement,
-                         rng_shuffle, round_half_up, weighted_sum)
+from hetsgd.core import (RngStream, axpy, log_softmax, rng_choose_without_replacement,
+                         round_half_up, weighted_sum)
 
 
 def _softmax_ce_decimal(logits, label, digits=50):
@@ -18,6 +18,11 @@ def _softmax_ce_decimal(logits, label, digits=50):
     exps = [Decimal(str(v)).exp() for v in logits]
     total = sum(exps)
     return float(-(exps[label] / total).ln())
+
+
+def _xent(logits, label):
+    """Cross-entropy of one logit vector, as every model takes it from log_softmax."""
+    return float(-log_softmax(np.asarray(logits, dtype=np.float64))[label])
 
 
 class TestAxpy:
@@ -94,32 +99,37 @@ class TestCrossEntropy:
         for c in (2, 3, 10):
             logits = np.full(c, 0.7)
             for label in range(c):
-                assert cross_entropy_loss(logits, label) == pytest.approx(math.log(c), abs=1e-12)
+                assert _xent(logits, label) == pytest.approx(math.log(c), abs=1e-12)
 
     def test_saturated_logit_near_zero_loss(self):
-        assert cross_entropy_loss(np.array([1000.0, 0.0]), 0) == pytest.approx(0.0, abs=1e-9)
+        assert _xent([1000.0, 0.0], 0) == pytest.approx(0.0, abs=1e-9)
+
+    def test_saturated_logits_stay_finite(self):
+        # max-subtraction: exp never sees 1000, so no overflow and no nan
+        for logits in ([1000.0, 0.0], [-1000.0, 0.0], [1000.0, 1000.0]):
+            got = log_softmax(np.array(logits))
+            assert np.all(np.isfinite(got))
+        assert log_softmax(np.array([1000.0, 0.0]))[1] == pytest.approx(-1000.0)
+        rows = log_softmax(np.array([[1000.0, 0.0], [0.0, 1000.0]]))
+        np.testing.assert_allclose(rows, [[0.0, -1000.0], [-1000.0, 0.0]], atol=1e-9)
 
     def test_matches_high_precision_oracle(self):
         logits = [0.2, -0.3, 1.1]
         expected = _softmax_ce_decimal(logits, 2)
-        assert cross_entropy_loss(np.array(logits), 2) == pytest.approx(expected, abs=1e-12)
+        assert _xent(logits, 2) == pytest.approx(expected, abs=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(11)
         logits = rng.normal(size=6)
-        base = cross_entropy_loss(logits, 4)
+        base = _xent(logits, 4)
         for c in (-1e3, -1.0, 1.0, 1e3):
-            assert cross_entropy_loss(logits + c, 4) == pytest.approx(base, abs=1e-9)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            cross_entropy_loss(np.zeros(3), 3)
+            assert _xent(logits + c, 4) == pytest.approx(base, abs=1e-9)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             logits = rng.normal(scale=5.0, size=4)
-            assert cross_entropy_loss(logits, int(rng.integers(4))) >= 0.0
+            assert _xent(logits, int(rng.integers(4))) >= 0.0
 
 
 class TestRngStream:
@@ -178,12 +188,12 @@ class TestChooseWithoutReplacement:
 
 class TestShuffle:
     def test_is_permutation(self):
-        got = rng_shuffle(RngStream(4, 4), 20)
+        got = RngStream(4, 4).permutation(20)
         assert sorted(got.tolist()) == list(range(20))
 
     def test_deterministic(self):
-        np.testing.assert_array_equal(rng_shuffle(RngStream(6, 1), 16),
-                                      rng_shuffle(RngStream(6, 1), 16))
+        np.testing.assert_array_equal(RngStream(6, 1).permutation(16),
+                                      RngStream(6, 1).permutation(16))
 
 
 def test_round_half_up():

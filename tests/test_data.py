@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from hetsgd.core import RngStream
 from hetsgd.data import (Dataset, EpochCursor, InvalidLambdaError, LossLedger,
-                         SyntheticSpec, fast_per_worker, load_dataset, make_synthetic,
+                         SyntheticSpec, assign, fast_per_worker, load_dataset, make_synthetic,
                          pool_size, pool_size_exact, record_losses, sample_separated,
                          sample_unified, sample_uniform, save_binary, save_csv,
-                         slow_share_sizes, slow_total, train_val_split)
+                         share_sizes, slow_share_sizes, slow_total, train_val_split, val_size)
 from hetsgd.workers import SystemProfile
 
 
@@ -180,8 +180,9 @@ class TestSeparatedSampler:
         ledger = LossLedger(n)
         a = sample_separated(ledger, prof, RngStream(9, 2))
         b = sample_separated(ledger, prof, RngStream(9, 2))
-        for wid in a.per_worker:
-            np.testing.assert_array_equal(a[wid], b[wid])
+        assert len(a) == len(b) == prof.num_workers
+        for got, want in zip(a, b):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestUnifiedSampler:
@@ -210,7 +211,7 @@ class TestUnifiedSampler:
         prof = profile(alpha=4.0, p_s=2, p_f=3, lam=1.5, mode="unified")
         ledger = LossLedger(n)
         asn = sample_unified(ledger, prof, RngStream(5, 0))
-        allv = np.concatenate([asn[w] for w in sorted(asn.per_worker)])
+        allv = np.concatenate(asn)
         assert len(np.unique(allv)) == allv.size
 
     def test_fast_share_repaired_when_rounding_overshoots(self):
@@ -220,9 +221,62 @@ class TestUnifiedSampler:
         prof = profile(alpha=alpha, p_s=p_s, p_f=p_f, lam=1.0, mode="unified")
         ledger = LossLedger(n)
         asn = sample_unified(ledger, prof, RngStream(6, 0))
-        allv = np.concatenate([asn[w] for w in sorted(asn.per_worker)])
+        allv = np.concatenate(asn)
         assert len(np.unique(allv)) == allv.size
         assert allv.size <= n
+        _, _, k_fast = share_sizes(n, prof)
+        assert k_fast == (n - slow_total(n, p_s, p_f, alpha)) // p_f
+        assert [a.size for a in asn[p_s:]] == [k_fast] * p_f
+
+
+class TestShareSizes:
+    @pytest.mark.parametrize("mode", ["separated", "unified", "uniform"])
+    def test_assign_hands_out_the_rule_sizes_in_worker_order(self, mode):
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            n = int(rng.integers(8, 400))
+            prof = profile(alpha=float(rng.choice([1.0, 2.0, 4.0])),
+                           p_s=int(rng.integers(1, 4)), p_f=int(rng.integers(1, 4)),
+                           lam=1.0, mode=mode)
+            try:
+                pool, slow, fast = share_sizes(n, prof)
+            except ValueError:
+                continue
+            assert pool == (0 if mode == "uniform" else
+                            pool_size(n, prof.p_s, prof.p_f, prof.alpha, prof.lam))
+            asn = assign(LossLedger(n), prof, RngStream(trial, 0))
+            assert [a.size for a in asn] == slow + [fast] * prof.p_f
+
+    def test_infeasible_shares_rejected(self):
+        with pytest.raises(ValueError, match="^training split of 3 cannot cover 4 workers$"):
+            share_sizes(3, profile(p_s=2, p_f=2))
+        with pytest.raises(InvalidLambdaError):
+            share_sizes(100, profile(alpha=2.0, lam=4.0))
+        share_sizes(100, profile(alpha=2.0, lam=4.0, mode="uniform"))  # no pool
+        with pytest.raises(ValueError, match="slow worker without samples"):
+            share_sizes(16, profile(alpha=32.0, lam=1.0))
+
+    @given(n=st.integers(2, 2000), p_s=st.integers(1, 6), p_f=st.integers(1, 6),
+           alpha=st.floats(1.0, 64.0), mode=st.sampled_from(["separated", "unified",
+                                                              "uniform"]))
+    @settings(max_examples=300, deadline=None)
+    def test_every_fast_worker_gets_a_sample_once_n_covers_the_workers(
+            self, n, p_s, p_f, alpha, mode):
+        prof = profile(alpha=alpha, p_s=p_s, p_f=p_f, lam=1.0, mode=mode)
+        if n < prof.num_workers or slow_total(n, p_s, p_f, alpha) < p_s:
+            return
+        _, slow, fast = share_sizes(n, prof)
+        assert fast >= 1
+        assert sum(slow) + (p_f * fast if mode == "unified" else 0) <= n
+
+    def test_val_size(self):
+        assert val_size(20, 0.2) == 4
+        assert val_size(5, 0.1) == 1  # never empty
+        assert val_size(10, 0.25) == 3  # 2.5 rounds half up
+        train, val = train_val_split(
+            make_synthetic(SyntheticSpec(n=10, input_dim=1, num_classes=2), RngStream(0, 0)),
+            0.25, RngStream(0, 1))
+        assert (train.n, val.n) == (7, 3)
 
 
 class TestUniformSampler:
@@ -270,6 +324,18 @@ class TestLossLedger:
         record_losses(ledger, [1], [7.0], 0)
         assert ledger.last_loss[1] == 7.0
 
+    def test_one_concatenated_merge_equals_per_worker_merges(self):
+        rng = np.random.default_rng(4)
+        n = 50
+        ids = [rng.integers(0, n, int(rng.integers(1, 40))) for _ in range(5)]
+        losses = [rng.uniform(0, 3, i.size) for i in ids]
+        one, many = LossLedger(n), LossLedger(n)
+        record_losses(one, np.concatenate(ids), np.concatenate(losses), 2)
+        for i, l in zip(ids, losses):
+            record_losses(many, i, l, 2)
+        assert one.last_loss.tobytes() == many.last_loss.tobytes()
+        np.testing.assert_array_equal(one.last_round, many.last_round)
+
     def test_out_of_range_id_rejected(self):
         with pytest.raises(ValueError, match="range"):
             record_losses(LossLedger(3), [3], [1.0], 0)
@@ -300,6 +366,37 @@ class TestEpochCursor:
     def test_oversize_take_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             EpochCursor(5, RngStream(0, 0)).take(6)
+
+    def test_matches_one_at_a_time_walk_across_many_epochs(self):
+        def reference_take(state, k):
+            # the element-by-element walk: finish the permutation, reshuffle,
+            # then skip entries of the fresh one already taken this call
+            perm, pos, stream, n = state["perm"], state["pos"], state["stream"], state["n"]
+            if k <= n - pos:
+                state["pos"] = pos + k
+                return perm[pos:pos + k]
+            head = perm[pos:]
+            perm, pos = stream.permutation(n), 0
+            rest = []
+            while len(rest) < k - head.shape[0]:
+                if perm[pos] not in head:
+                    rest.append(perm[pos])
+                pos += 1
+            state["perm"], state["pos"] = perm, pos
+            return np.concatenate([head, np.asarray(rest, dtype=perm.dtype)])
+
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 7, 13):
+            cursor = EpochCursor(n, RngStream(n, 3))
+            stream = RngStream(n, 3)
+            state = {"perm": stream.permutation(n), "pos": 0, "stream": stream, "n": n}
+            for _ in range(300):
+                k = int(rng.integers(0, n + 1))
+                got, want = cursor.take(k), reference_take(state, k)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+                assert cursor._pos == state["pos"]
+                assert len(set(got.tolist())) == k
 
 
 class TestSyntheticData:

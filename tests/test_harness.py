@@ -5,9 +5,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import hetsgd.harness
 from hetsgd.cli import main as cli_main
-from hetsgd.config import ExperimentConfig, parse_config_file
+from hetsgd.config import ALGORITHMS, ConfigError, ExperimentConfig, parse_config_file, validate
+from hetsgd.data import InvalidLambdaError
+from hetsgd.workers import DivergenceError
 from hetsgd.harness import (CSV_HEADER, bundled_config_path, render_csv, run,
                             write_outputs)
 
@@ -138,6 +143,59 @@ class TestDivergence:
             with pytest.raises(ValueError) as err:
                 run(small_cfg(model_kind="mlp2", base_lr=1e3))
         assert str(err.value) == "seed 0 round 5 worker 1 step 5: non-finite loss or gradient"
+
+    def test_run_keeps_the_divergence_type(self):
+        with pytest.raises(DivergenceError, match="^seed 0 round 5 worker 1 step 5: "):
+            run(small_cfg(model_kind="mlp2", base_lr=1e3))
+
+
+class TestRoundLayout:
+    def test_one_ledger_merge_per_round(self, monkeypatch):
+        calls = []
+        merge = hetsgd.harness.record_losses
+
+        def counted(ledger, ids, losses, round_idx):
+            calls.append(round_idx)
+            return merge(ledger, ids, losses, round_idx)
+
+        monkeypatch.setattr(hetsgd.harness, "record_losses", counted)
+        run(small_cfg(p_s=2, p_f=3, rounds=4))
+        assert calls == [0, 1, 2, 3]
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_validate_passing_implies_run_completes(self, data):
+        draw = data.draw
+        algorithm = draw(st.sampled_from(ALGORITHMS))
+        # biased_local rejects the uniform sampler; the others override it
+        modes = ["separated", "unified"] + (["uniform"] if algorithm != "biased_local" else [])
+        cfg = small_cfg(
+            algorithm=algorithm,
+            sampler_mode=draw(st.sampled_from(modes)),
+            fast_draw=draw(st.sampled_from(["fresh", "epoch"])),
+            cold_start=draw(st.sampled_from(["unseen-first", "uniform-first"])),
+            aggregation=draw(st.sampled_from(["tau_weighted", "balanced"])),
+            model_kind=draw(st.sampled_from(["logistic_regression", "mlp2"])),
+            model_hidden=3,
+            p_s=draw(st.integers(1, 4)), p_f=draw(st.integers(1, 4)),
+            # tiny datasets half the time: share rounding bites there
+            data_n=draw(st.one_of(st.integers(2, 24), st.integers(25, 160))),
+            val_fraction=draw(st.sampled_from([0.1, 0.2, 0.5])),
+            alpha=draw(st.sampled_from([1.0, 1.5, 2.0, 4.0, 8.0])),
+            lam=draw(st.sampled_from([1.0, 1.25, 2.0, 3.0])),
+            tau_f=draw(st.integers(1, 4)), batch_size=draw(st.integers(1, 8)),
+            rounds=draw(st.integers(1, 2)), epochs=draw(st.sampled_from([0, 1])),
+            base_lr=0.1, seeds=(draw(st.integers(0, 3)),))
+        try:
+            validate(cfg)
+        except (ConfigError, InvalidLambdaError):
+            return
+        try:
+            result = run(cfg)
+        except DivergenceError:
+            return
+        assert result.per_seed[0].records
 
 
 class TestBudgetAccounting:
@@ -279,6 +337,28 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: invalid-value: {data_path}:4: non-finite feature\n")
         assert not os.path.exists(tmp_path / "o")
+
+    def test_divergence_prints_one_stderr_line(self, tmp_path, capfd):
+        # capfd, not capsys: numpy warnings would reach the process's stderr
+        cfg_path = tmp_path / "div.cfg"
+        cfg_path.write_text("model.kind = mlp2\nschedule.base_lr = 1e8\nrounds = 4\n")
+        rc = cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: invalid-value: seed 0 round 0 worker 1 step ")
+        assert err.endswith(": non-finite loss or gradient\n")
+
+    def test_sweep_lambda_marks_diverged_cells(self, tmp_path, capfd):
+        cfg_path = tmp_path / "div.cfg"
+        cfg_path.write_text("model.kind = mlp2\nschedule.base_lr = 1e8\nrounds = 4\n")
+        rc = cli_main(["sweep-lambda", str(cfg_path), "--lambdas", "1", "2"])
+        assert rc == 0
+        out = capfd.readouterr()
+        assert out.err == ""
+        assert out.out.splitlines() == ["lambda,status,final_acc_mean,final_acc_spread,"
+                                        "total_sim_wall_s", "1,diverged,NA,NA,NA",
+                                        "2,diverged,NA,NA,NA"]
 
     def test_timing_rows(self, capsys):
         rc = cli_main(["timing", bundled_config_path("demo")])

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hetsgd.core import RngStream, log_softmax
 from hetsgd.data import make_synthetic, SyntheticSpec
 from hetsgd.models import Batch, ModelSpec, backward, init_params
-from hetsgd.workers import (LrSchedule, SystemProfile, WorkerSpec, derive_tau_s,
-                            local_train, lr_at, measure_alpha, train_round)
+from hetsgd.workers import (DivergenceError, LrSchedule, SystemProfile, WorkerSpec,
+                            derive_tau_s, local_train, lr_at, measure_alpha, train_round)
 
 
 def reference_loss_and_grad(spec, params, batch):
@@ -233,7 +233,8 @@ class TestTrainRound:
         # round take batches of different lengths
         kind = data.draw(st.sampled_from(["logistic_regression", "mlp2"]))
         p = data.draw(st.integers(1, 8))
-        taus = data.draw(st.lists(st.integers(1, 6), min_size=p, max_size=p))
+        # sorted: the kernel takes workers in plan order, slow (small tau) first
+        taus = sorted(data.draw(st.lists(st.integers(1, 6), min_size=p, max_size=p)))
         batch_size = data.draw(st.integers(1, 6))
         sizes = data.draw(st.lists(st.integers(1, 3 * batch_size + 2), min_size=p,
                                    max_size=p))
@@ -264,6 +265,19 @@ class TestTrainRound:
         assignments = [np.arange(4), np.array([5, 5, 6, 7])]
         with pytest.raises(ValueError, match="worker 1 step 0: sample ids must be distinct"):
             train_round(spec, params, ds, assignments, [1, 1], 0.1, 4,
+                        [RngStream(0, 0), RngStream(0, 1)])
+
+    def test_decreasing_taus_rejected(self, tiny_task):
+        spec, params, ds = tiny_task
+        streams = [RngStream(0, i) for i in range(3)]
+        with pytest.raises(ValueError, match="taus must not decrease"):
+            train_round(spec, params, ds, [np.arange(8)] * 3, [2, 4, 3], 0.1, 4, streams)
+
+    def test_non_finite_step_raises_divergence_error(self, tiny_task):
+        spec, params, ds = tiny_task
+        huge = params + 1e308
+        with pytest.raises(DivergenceError, match="^worker 0 step 0: non-finite"):
+            train_round(spec, huge, ds, [np.arange(8)] * 2, [1, 2], 0.1, 4,
                         [RngStream(0, 0), RngStream(0, 1)])
 
 
