@@ -23,7 +23,7 @@ import numpy as np
 from .config import ConfigError, parse_config_file, plan, validate
 from .core import RngStream
 from .data import InvalidLambdaError
-from .harness import run, write_outputs
+from .harness import run, write_outputs, write_partial
 from .models import Batch, ModelSpec, backward, finite_diff_grad, param_count, relu_crossing_mask
 from .simclock import round_timing
 from .workers import DivergenceError
@@ -45,8 +45,14 @@ def _load(path: str, args):
 
 def _cmd_run(args) -> int:
     cfg = _load(args.config, args)
-    result = run(cfg)
     out_dir = cfg.out or "out"
+    try:
+        result = run(cfg)
+    except DivergenceError as exc:
+        # keep the finished rounds; main prints the one error line
+        if exc.records:
+            write_partial(exc.records, out_dir)
+        raise
     csv_path, json_path = write_outputs(result, out_dir)
     if not args.quiet:
         s = result.summary

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import csv
 import struct
+import warnings
 from dataclasses import dataclass, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -166,8 +168,8 @@ def fast_per_worker(n: int, p_s: int, p_f: int, alpha: float) -> int:
 
 
 def _check_profile_args(p_s: int, p_f: int, alpha: float) -> None:
-    if p_s < 1 or p_f < 0:
-        raise ValueError("need P_S >= 1 and P_F >= 0")
+    if p_s < 1 or p_f < 1:
+        raise ValueError("need P_S >= 1 and P_F >= 1")
     if alpha < 1:
         raise ValueError("alpha must be >= 1 (slow/fast cost ratio)")
 
@@ -408,30 +410,84 @@ def save_csv(dataset: Dataset, path: str) -> None:
             writer.writerow([int(y)] + [repr(float(v)) for v in row])
 
 
+# how every CSV line is split: quoted fields, no comment character
+_CSV_SYNTAX = dict(delimiter=",", comments=None, quotechar='"', ndmin=1)
+
+
+class _CountedLines:
+    """A text file's remaining lines, counted as ``np.loadtxt`` pulls them."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.count = 0
+
+    def __iter__(self):
+        for self.count, line in enumerate(self.fh, start=1):
+            yield line
+
+
+def _split_fields(line: str) -> list:
+    """One CSV line's fields, split and unquoted as the data rows are."""
+    if line == "\n":  # loadtxt would warn and return no fields
+        return []
+    return list(np.loadtxt([line], dtype=object, **_CSV_SYNTAX))
+
+
+def _parse_rows(lines, row: np.dtype) -> np.ndarray:
+    with warnings.catch_warnings():  # no rows at all is reported by the caller
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=row, **_CSV_SYNTAX)
+
+
+def _raise_located(path: str, row: np.dtype) -> NoReturn:
+    """Re-scan the data lines and raise the first one's error as ``path:line``.
+
+    Runs only after the one-pass parse has failed or skipped a line, so a
+    valid file never pays for it.
+    """
+    width = 1 + row["features"].shape[0]
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if len(_split_fields(line)) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} fields")
+            try:
+                _parse_rows([line], row)
+            except ValueError as exc:
+                # numpy's own position counts rows of this one line
+                raise ValueError(f"{path}:{lineno}: {str(exc).split(' at row ')[0]}") from None
+    raise ValueError(f"{path}: data rows do not parse")
+
+
 def _load_csv(path: str) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+    """Parse all data rows in one ``np.loadtxt`` pass: int64 label, f64 features.
+
+    Every data line is one row: a blank line, a wrong field count or a field
+    that does not parse is rejected as ``path:line``, found by re-scanning
+    only after the parse fails.
+    """
+    with open(path) as fh:  # universal newlines: a line may end in \r\n or \r
+        header = fh.readline()
+        if not header:
             raise ValueError(f"{path}: empty dataset file")
-        if not header or header[0] != "label":
+        names = _split_fields(header)
+        if not names or names[0] != "label":
             raise ValueError(f"{path}: expected header starting with 'label'")
-        dim = len(header) - 1
-        labels, rows = [], []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != dim + 1:
-                raise ValueError(f"{path}:{lineno}: expected {dim + 1} fields")
-            labels.append(int(rec[0]))
-            rows.append([float(v) for v in rec[1:]])
-    if not rows:
+        row = np.dtype([("label", np.int64), ("features", np.float64, (len(names) - 1,))])
+        lines = _CountedLines(fh)
+        try:
+            table = _parse_rows(lines, row)
+        except ValueError:
+            table = None
+    if table is None or table.shape[0] != lines.count:  # the parse skips blank lines
+        _raise_located(path, row)
+    if not lines.count:
         raise ValueError(f"{path}: no data rows")
-    features = np.asarray(rows)
+    features = np.ascontiguousarray(table["features"])
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
-        # one record per line: a blank or short line was rejected above
         raise ValueError(f"{path}:{int(bad[0]) + 2}: non-finite feature")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.ascontiguousarray(table["label"])
     return Dataset(features, labels, int(labels.max()) + 1)
 
 

@@ -8,7 +8,11 @@ every worker's local updates in one lockstep ``workers.train_round`` call,
 merge all observed losses into the ledger with one ``record_losses`` call
 over them concatenated in worker-id order, aggregate the local models, and
 advance the simulated clock.  A training error is re-raised, with its type,
-with the seed and round in front of the worker and step.
+with the seed and round in front of the worker and step; a
+``DivergenceError`` also carries the rounds finished before it.
+
+A data file is read once per :func:`run` and shared, read-only, by every
+seed; synthetic data is drawn per seed.
 
 Stream-id allotment per seed: 11 data synthesis, 12 validation split,
 13 model init, 20 sampler, 40+j fast-worker epoch cursors, 1000+id workers.
@@ -30,10 +34,10 @@ from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, loa
                    record_losses, SyntheticSpec, train_val_split)
 from .models import Batch, ModelSpec, accuracy, init_params
 from .simclock import round_timing
-from .workers import LrSchedule, lr_at, train_round
+from .workers import DivergenceError, LrSchedule, lr_at, train_round
 
 __all__ = ["RoundRecord", "SeedResult", "RunResult", "run", "render_csv",
-           "write_outputs", "bundled_config_path", "CSV_HEADER"]
+           "write_outputs", "write_partial", "bundled_config_path", "CSV_HEADER"]
 
 STREAM_DATA = 11
 STREAM_SPLIT = 12
@@ -82,9 +86,15 @@ def _model_spec(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> Mode
     return ModelSpec(cfg.model_kind, input_dim, num_classes, hidden)
 
 
-def _load_data(cfg: ExperimentConfig, seed: int) -> Dataset:
-    if cfg.data_source == "file":
-        return load_dataset(cfg.data_path, cfg.data_format or None)
+def _load_file(cfg: ExperimentConfig) -> Dataset:
+    """The config's data file, read-only: every seed of a run shares it."""
+    dataset = load_dataset(cfg.data_path, cfg.data_format or None)
+    dataset.features.flags.writeable = False
+    dataset.labels.flags.writeable = False
+    return dataset
+
+
+def _synthesize(cfg: ExperimentConfig, seed: int) -> Dataset:
     spec = SyntheticSpec(n=cfg.data_n, input_dim=cfg.data_input_dim,
                          num_classes=cfg.data_classes, separation=cfg.data_separation,
                          sigma=cfg.data_sigma, label_noise=cfg.data_label_noise)
@@ -97,8 +107,14 @@ def _schedule(cfg: ExperimentConfig, total_rounds: int) -> LrSchedule:
                       total_rounds=total_rounds)
 
 
-def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int) -> SeedResult:
-    dataset = _load_data(cfg, seed)
+def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
+              dataset: Dataset | None, finished: list) -> SeedResult:
+    """One seed on ``dataset`` (synthesized from the seed when None).
+
+    Appends each round's record to ``finished`` as the round completes.
+    """
+    if dataset is None:
+        dataset = _synthesize(cfg, seed)
     train, val = train_val_split(dataset, cfg.val_fraction, RngStream(seed, STREAM_SPLIT))
     # validate() could only check synthetic shares; a loaded file is checked here
     check_shares(run_plan, train.n)
@@ -121,7 +137,7 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int) -> SeedResult
     rounds_per_epoch = run_plan.rounds_per_epoch(train.n)
     timing = round_timing(workers, run_plan.cost)  # identical every round
 
-    records = []
+    start = len(finished)
     wall = 0.0
     blocked = 0.0
     steps_done = 0
@@ -145,7 +161,7 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int) -> SeedResult
 
         wall += timing.round_wall
         blocked += float(timing.blocking_time.sum())
-        records.append(RoundRecord(
+        finished.append(RoundRecord(
             seed=seed,
             round=r,
             epoch=r // rounds_per_epoch,
@@ -161,14 +177,20 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int) -> SeedResult
     if steps_done != expected:
         raise RuntimeError(f"seed {seed}: expected {expected} gradient steps, "
                            f"counted {steps_done}")
-    return SeedResult(seed=seed, records=records, final_params=params)
+    return SeedResult(seed=seed, records=finished[start:], final_params=params)
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute the experiment for every configured seed."""
     validate(cfg)
     run_plan = plan(cfg)
-    per_seed = [_run_seed(cfg, run_plan, s) for s in cfg.seeds]
+    dataset = _load_file(cfg) if cfg.data_source == "file" else None
+    finished = []
+    try:
+        per_seed = [_run_seed(cfg, run_plan, s, dataset, finished) for s in cfg.seeds]
+    except DivergenceError as exc:
+        exc.records = finished
+        raise
     finals = [sr.final_acc for sr in per_seed]
     summary = {
         "config_hash": config_hash(cfg),
@@ -183,30 +205,48 @@ def run(cfg: ExperimentConfig) -> RunResult:
     return RunResult(config=cfg, per_seed=per_seed, summary=summary)
 
 
+def _render_records(records) -> str:
+    lines = [CSV_HEADER]
+    for rec in records:
+        lines.append(",".join([
+            str(rec.seed), str(rec.round), str(rec.epoch), repr(rec.lr),
+            repr(rec.train_loss), repr(rec.val_acc), repr(rec.sim_wall_s),
+            repr(rec.sim_block_s), str(rec.agg_count), str(rec.grad_steps),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
 def render_csv(result: RunResult) -> str:
     """Deterministic CSV text: one row per (seed, round)."""
-    lines = [CSV_HEADER]
-    for sr in result.per_seed:
-        for rec in sr.records:
-            lines.append(",".join([
-                str(rec.seed), str(rec.round), str(rec.epoch), repr(rec.lr),
-                repr(rec.train_loss), repr(rec.val_acc), repr(rec.sim_wall_s),
-                repr(rec.sim_block_s), str(rec.agg_count), str(rec.grad_steps),
-            ]))
-    return "\n".join(lines) + "\n"
+    return _render_records(rec for sr in result.per_seed for rec in sr.records)
+
+
+def _write_text(out_dir: str, name: str, text: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
 
 
 def write_outputs(result: RunResult, out_dir: str) -> tuple:
     """Write metrics.csv and summary.json under out_dir; returns their paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "metrics.csv")
-    json_path = os.path.join(out_dir, "summary.json")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(render_csv(result))
-    with open(json_path, "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, json_path
+    csv_path = _write_text(out_dir, "metrics.csv", render_csv(result))
+    summary = json.dumps(result.summary, indent=2, sort_keys=True) + "\n"
+    return csv_path, _write_text(out_dir, "summary.json", summary)
+
+
+def write_partial(records: list, out_dir: str) -> str:
+    """Write metrics.csv for the rounds a failed run finished; returns its path.
+
+    The rows are the prefix a completed run would have written.  A
+    summary.json left from an earlier run is removed: there is no summary.
+    """
+    path = _write_text(out_dir, "metrics.csv", _render_records(records))
+    stale = os.path.join(out_dir, "summary.json")
+    if os.path.exists(stale):
+        os.remove(stale)
+    return path
 
 
 def bundled_config_path(name: str) -> str:

@@ -44,7 +44,13 @@ SAMPLER_MODES = ("separated", "unified", "uniform")
 
 
 class DivergenceError(ValueError):
-    """Local training produced a non-finite loss, gradient or parameter."""
+    """Local training produced a non-finite loss, gradient or parameter.
+
+    ``harness.run`` sets ``records`` to the list of rounds it finished
+    before this one, in output order.
+    """
+
+    records = ()
 
 
 @dataclass(frozen=True)

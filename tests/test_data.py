@@ -1,12 +1,14 @@
 """Share formulas, samplers, loss ledger, and dataset I/O."""
 
+import csv
 import math
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hetsgd.core import RngStream
@@ -21,6 +23,33 @@ from hetsgd.workers import SystemProfile
 def profile(alpha=2.0, p_s=1, p_f=1, lam=2.0, tau_f=32, mode="separated"):
     return SystemProfile(alpha=alpha, p_s=p_s, p_f=p_f, lam=lam, tau_f=tau_f,
                          sampler_mode=mode)
+
+
+def reference_load_csv(path):
+    """The per-row ``csv.reader`` loader the one-pass parse replaced: the oracle."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty dataset file")
+        if not header or header[0] != "label":
+            raise ValueError(f"{path}: expected header starting with 'label'")
+        dim = len(header) - 1
+        labels, rows = [], []
+        for lineno, rec in enumerate(reader, start=2):
+            if len(rec) != dim + 1:
+                raise ValueError(f"{path}:{lineno}: expected {dim + 1} fields")
+            labels.append(int(rec[0]))
+            rows.append([float(v) for v in rec[1:]])
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    features = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{int(bad[0]) + 2}: non-finite feature")
+    labels = np.asarray(labels, dtype=np.int64)
+    return Dataset(features, labels, int(labels.max()) + 1)
 
 
 def top_k_oracle(losses, pool, k):
@@ -255,6 +284,17 @@ class TestShareSizes:
         share_sizes(100, profile(alpha=2.0, lam=4.0, mode="uniform"))  # no pool
         with pytest.raises(ValueError, match="slow worker without samples"):
             share_sizes(16, profile(alpha=32.0, lam=1.0))
+
+    @pytest.mark.parametrize("mode", ["separated", "unified", "uniform"])
+    def test_no_fast_worker_rejected(self, mode):
+        # SystemProfile refuses p_f = 0 itself; the share rule must too
+        prof = SimpleNamespace(p_s=1, p_f=0, alpha=2.0, lam=2.0, sampler_mode=mode)
+        with pytest.raises(ValueError, match="P_F >= 1"):
+            share_sizes(100, prof)
+        with pytest.raises(ValueError, match="P_F >= 1"):
+            pool_size(100, 1, 0, 2.0, 2.0)
+        with pytest.raises(ValueError, match="P_F >= 1"):
+            fast_per_worker(100, 1, 0, 2.0)
 
     @given(n=st.integers(2, 2000), p_s=st.integers(1, 6), p_f=st.integers(1, 6),
            alpha=st.floats(1.0, 64.0), mode=st.sampled_from(["separated", "unified",
@@ -497,6 +537,99 @@ class TestDatasetIO:
             fh.write(data[:-10])
         with pytest.raises(ValueError, match="truncated"):
             load_dataset(path)
+
+
+# finite features the loader must read back bit for bit
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+                1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _write(path, text):
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return str(path)
+
+
+class TestCsvLoaderOracle:
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_the_reference_loader(self, tmp_path, data):
+        draw = data.draw
+        n, dim, classes = draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(_EDGE_FLOATS))
+        spelling = st.sampled_from([repr, "{:.17e}".format, "{:.17g}".format])
+        quoted = st.booleans() if draw(st.booleans()) else st.just(False)
+
+        def field(token):
+            return f'"{token}"' if draw(quoted) else token
+
+        eol = draw(st.sampled_from(["\n", "\r\n"]))
+        lines = ["label," + ",".join(f"f{i}" for i in range(dim))]
+        for _ in range(n):
+            label = str(draw(st.integers(0, classes - 1)))
+            feats = [draw(spelling)(draw(value)) for _ in range(dim)]
+            lines.append(",".join(field(t) for t in [label] + feats))
+        path = _write(tmp_path / "d.csv", eol.join(lines) + (eol if draw(st.booleans()) else ""))
+
+        got, want = load_dataset(path, "csv"), reference_load_csv(path)
+        assert got.features.shape == want.features.shape
+        assert got.features.tobytes() == want.features.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.num_classes == want.num_classes
+
+    def test_saved_file_matches_the_reference_loader(self, tmp_path):
+        ds = make_synthetic(SyntheticSpec(n=2000, input_dim=16, num_classes=3,
+                                          label_noise=0.1), RngStream(3, 0))
+        path = str(tmp_path / "d.csv")
+        save_csv(ds, path)
+        got, want = load_dataset(path), reference_load_csv(path)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.features.flags.c_contiguous and got.labels.flags.c_contiguous
+
+
+# (file text, line of the located error or None for a whole-file error)
+_REJECTED = {
+    "empty file": ("", None),
+    "header only": ("label,f0,f1\n", None),
+    "bad header": ("x,f0,f1\n0,1,2\n", None),
+    "short row": ("label,f0,f1\n0,1,2\n1,2\n", 3),
+    "extra field": ("label,f0,f1\n0,1,2\n1,2,3,4\n", 3),
+    "blank middle line": ("label,f0,f1\n0,1,2\n\n1,2,3\n", 3),
+    "trailing blank line": ("label,f0,f1\n0,1,2\n1,2,3\n\n", 4),
+    "nan feature": ("label,f0,f1\n0,1,2\n1,nan,3\n", 3),
+    "inf feature": ("label,f0,f1\n0,1,2\n1,2,inf\n", 3),
+    "abc feature": ("label,f0,f1\n0,1,2\n1,abc,3\n0,1,2\n", 3),
+    "x label": ("label,f0,f1\n0,1,2\n0,1,2\nx,2,3\n", 4),
+    "1.0 label": ("label,f0,f1\r\n0,1,2\r\n1.0,2,3\r\n", 3),
+    "# inside a row": ("label,f0,f1\n0,1,2\n1,2 # note,3\n", 3),
+}
+
+
+class TestCsvRejections:
+    @pytest.mark.parametrize("case", list(_REJECTED))
+    def test_rejected_like_the_reference_and_located(self, tmp_path, case):
+        text, line = _REJECTED[case]
+        path = _write(tmp_path / "d.csv", text)
+        with pytest.raises(ValueError):
+            reference_load_csv(path)
+        with pytest.raises(ValueError) as err:
+            load_dataset(path, "csv")
+        if line is None:
+            assert str(err.value).startswith(f"{path}: ")
+        else:
+            assert re.match(f"^{re.escape(path)}:{line}: ", str(err.value))
+
+    @pytest.mark.parametrize("token", ["1_0.5", "\u0661\u0662"])
+    def test_spellings_only_python_accepts_are_located_rejections(self, tmp_path, token):
+        # deliberate narrowing: float() takes digit separators and non-ASCII
+        # digits, numpy's parser does not
+        path = _write(tmp_path / "d.csv", f"label,f0\n0,1.5\n1,{token}\n")
+        assert reference_load_csv(path).n == 2
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:3: could not convert"):
+            load_dataset(path, "csv")
 
 
 class TestTrainValSplit:

@@ -198,6 +198,33 @@ class TestRoundLayout:
         assert result.per_seed[0].records
 
 
+class TestFileData:
+    def test_file_is_read_once_and_shared_read_only(self, tmp_path, monkeypatch):
+        from hetsgd.core import RngStream
+        from hetsgd.data import SyntheticSpec, make_synthetic, save_csv
+        path = str(tmp_path / "blobs.csv")
+        save_csv(make_synthetic(SyntheticSpec(n=240, input_dim=3, num_classes=3,
+                                              separation=8.0), RngStream(5, 0)), path)
+        loaded = []
+        load = hetsgd.harness.load_dataset
+
+        def counted(*args):
+            loaded.append(load(*args))
+            return loaded[-1]
+
+        monkeypatch.setattr(hetsgd.harness, "load_dataset", counted)
+        file_cfg = dict(data_source="file", data_path=path, rounds=3)
+        result = run(small_cfg(seeds=(0, 1, 2), **file_cfg))
+        assert len(loaded) == 1
+        singles = [render_csv(run(small_cfg(seeds=(s,), **file_cfg))) for s in (0, 1, 2)]
+        assert render_csv(result) == CSV_HEADER + "\n" + "".join(
+            text.split("\n", 1)[1] for text in singles)
+        with pytest.raises(ValueError, match="read-only"):
+            loaded[0].features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            loaded[0].labels[0] = 0
+
+
 class TestBudgetAccounting:
     def test_local_budget(self):
         cfg = small_cfg(rounds=5, p_s=2, p_f=3, alpha=4.0, tau_f=8, data_n=600)
@@ -338,6 +365,28 @@ class TestCli:
             f"error: invalid-value: {data_path}:4: non-finite feature\n")
         assert not os.path.exists(tmp_path / "o")
 
+    def test_diverged_run_keeps_finished_rounds(self, tmp_path, capfd):
+        body = "model.kind = mlp2\nschedule.kind = constant\nschedule.base_lr = 100\n"
+
+        def cli_run(name, extra, out):
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(body + extra)
+            return cli_main(["run", str(cfg_path), "--out", str(out), "--quiet"])
+
+        # seed 0 finishes its 4 rounds; seed 1 diverges in round 2
+        assert cli_run("seed0", "rounds = 4\nseeds = 0\n", tmp_path / "a") == 0
+        assert cli_run("seed1", "rounds = 2\nseeds = 1\n", tmp_path / "b") == 0
+        capfd.readouterr()
+        want = ((tmp_path / "a" / "metrics.csv").read_text()
+                + (tmp_path / "b" / "metrics.csv").read_text().split("\n", 1)[1])
+        out = tmp_path / "a"  # a finished run's outputs are replaced
+        assert cli_run("both", "rounds = 4\nseeds = 0,1\n", out) == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: invalid-value: seed 1 round 2 worker ")
+        assert (out / "metrics.csv").read_text() == want
+        assert not (out / "summary.json").exists()
+
     def test_divergence_prints_one_stderr_line(self, tmp_path, capfd):
         # capfd, not capsys: numpy warnings would reach the process's stderr
         cfg_path = tmp_path / "div.cfg"
@@ -348,6 +397,7 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: invalid-value: seed 0 round 0 worker 1 step ")
         assert err.endswith(": non-finite loss or gradient\n")
+        assert not os.path.exists(tmp_path / "o")  # no round finished
 
     def test_sweep_lambda_marks_diverged_cells(self, tmp_path, capfd):
         cfg_path = tmp_path / "div.cfg"
