@@ -5,11 +5,13 @@ pool, keep the highest-loss members for the slow workers, and let fast
 workers sample freely (separated) or from the remainder (unified).
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from hetsgd.core import RngStream
-from hetsgd.data import (InvalidLambdaError, LossLedger, fast_per_worker, pool_size,
-                         record_losses, sample_separated, sample_unified, slow_total)
+from hetsgd.data import (InvalidLambdaError, LossLedger, assign, fast_per_worker, pool_size,
+                         record_losses, slow_total)
 from hetsgd.workers import SystemProfile
 
 N = 1000
@@ -25,7 +27,7 @@ ledger = LossLedger(N)
 record_losses(ledger, np.arange(N), np.full(N, 0.1), round_idx=0)
 record_losses(ledger, np.arange(50), np.linspace(5.0, 3.0, 50), round_idx=0)
 
-asn = sample_separated(ledger, prof, RngStream(0, 0))
+asn = assign(ledger, prof, RngStream(0, 0))
 for wid in range(prof.p_s):
     share = asn[wid]
     hard = np.sum(share < 50)
@@ -39,7 +41,7 @@ slow_set = set(asn[0].tolist()) | set(asn[1].tolist())
 fast_set = set(asn[2].tolist()) | set(asn[3].tolist())
 print(f"separated mode: fast/slow overlap = {len(slow_set & fast_set)} samples")
 
-uni = sample_unified(ledger, prof, RngStream(0, 1))
+uni = assign(ledger, replace(prof, sampler_mode="unified"), RngStream(0, 1))
 uslow = set(uni[0].tolist()) | set(uni[1].tolist())
 ufast = set(uni[2].tolist()) | set(uni[3].tolist())
 print(f"unified mode  : fast/slow overlap = {len(uslow & ufast)} samples (by construction 0)")

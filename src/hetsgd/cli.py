@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, parse_config_file, plan, validate
+from .config import ConfigError, parse_config_file, validate
 from .core import RngStream
 from .data import InvalidLambdaError
 from .harness import run, write_outputs, write_partial
@@ -69,7 +69,6 @@ def _cmd_sweep_lambda(args) -> int:
     for lam in args.lambdas:
         sweep_cfg = replace(cfg, lam=lam)
         try:
-            validate(sweep_cfg)
             result = run(sweep_cfg)
         except InvalidLambdaError:
             # file-backed datasets reveal their size only at run time
@@ -94,8 +93,7 @@ def _cmd_sweep_lambda(args) -> int:
 
 def _cmd_timing(args) -> int:
     cfg = _load(args.config, args)
-    validate(cfg)
-    run_plan = plan(cfg)
+    run_plan = validate(cfg)
     timing = round_timing(run_plan.workers, run_plan.cost)
     rows = ["worker,role,tau,iter_cost_s,compute_s,block_s,round_wall_s,agg_cost_s"]
     for w, comp, block in zip(run_plan.workers, timing.compute_time, timing.blocking_time):

@@ -5,12 +5,13 @@ The on-disk format is deliberately primitive — one dotted key per line,
 with zero dependencies.  ``plan()`` resolves the algorithm preset (sync SGD
 forces tau=1 and balanced averaging, etc.) into a :class:`RunPlan`, the one
 place the four algorithms differ; ``validate()`` rejects impossible profiles,
-including the pool-size check for lam.
+including the pool-size check for lam, and returns the plan a run executes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 from .aggregation import RULES
@@ -238,12 +239,15 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # validation
 # ---------------------------------------------------------------------------
 
-def validate(cfg: ExperimentConfig) -> None:
-    """Raise on any impossible or inconsistent setting.
+def validate(cfg: ExperimentConfig) -> RunPlan:
+    """Raise on any impossible or inconsistent setting; return the run's plan.
 
     ConfigError for general problems; InvalidLambdaError specifically when
     the candidate pool would exceed the dataset (the sweep's NA condition).
     """
+    for key, (attr, kind) in _KEY_MAP.items():
+        if kind is float and not math.isfinite(getattr(cfg, attr)):
+            raise ConfigError(f"{key} must be finite")
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
     if cfg.aggregation not in RULES:
@@ -260,14 +264,22 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("data.source must be synthetic or file")
     if cfg.data_source == "file" and not cfg.data_path:
         raise ConfigError("data.path required when data.source = file")
+    if cfg.data_source == "synthetic" and cfg.data_classes < 2:
+        raise ConfigError("data.classes must be >= 2")
     if cfg.model_kind not in ("logistic_regression", "mlp2"):
         raise ConfigError(f"unknown model kind {cfg.model_kind!r}")
+    if cfg.model_kind == "mlp2" and cfg.model_hidden < 1:
+        raise ConfigError("model.hidden must be >= 1 for mlp2")
     if not cfg.seeds:
         raise ConfigError("need at least one seed")
     if cfg.rounds < 1 and cfg.epochs < 1:
         raise ConfigError("need rounds >= 1 or epochs >= 1")
     if cfg.batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
+    if cfg.base_lr <= 0:
+        raise ConfigError("schedule.base_lr must be > 0")
+    if cfg.weight_decay < 0:
+        raise ConfigError("weight_decay must be >= 0")
     if not 0.0 < cfg.val_fraction < 1.0:
         raise ConfigError("val_fraction must be in (0, 1)")
     if cfg.alpha < 1:
@@ -292,6 +304,7 @@ def validate(cfg: ExperimentConfig) -> None:
     # a file-backed dataset is checked by run() once it is loaded
     if cfg.data_source == "synthetic":
         check_shares(run_plan, cfg.data_n - val_size(cfg.data_n, cfg.val_fraction))
+    return run_plan
 
 
 def check_shares(run_plan: RunPlan, n_train: int) -> None:

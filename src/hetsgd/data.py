@@ -17,8 +17,8 @@ slow and fast sizes for a dataset of N, and the errors for a profile that
 leaves a worker without samples; ``config.check_shares`` and :func:`assign`
 both call it.  :func:`assign` implements all three modes, switching on the
 profile's ``sampler_mode``, and returns one index array per worker in
-worker-id order (slow first); ``sample_separated``, ``sample_unified`` and
-``sample_uniform`` call it with the mode pinned.
+worker-id order (slow first).  To pin a mode, pass it
+``replace(profile, sampler_mode=...)``, as ``sample_separated`` does.
 
 Loss values come from a :class:`LossLedger` holding each sample's loss as
 last observed during local training; never-seen samples carry a +inf
@@ -52,8 +52,6 @@ __all__ = [
     "share_sizes",
     "assign",
     "sample_separated",
-    "sample_unified",
-    "sample_uniform",
     "record_losses",
     "EpochCursor",
     "SyntheticSpec",
@@ -271,19 +269,6 @@ def sample_separated(ledger: LossLedger, profile, stream: RngStream,
                   cold_start, epoch_cursors)
 
 
-def sample_unified(ledger: LossLedger, profile, stream: RngStream,
-                   cold_start: str = "unseen-first") -> list:
-    """Same slow-side selection; fast workers draw from the remainder, duplicate-free."""
-    return assign(ledger, replace(profile, sampler_mode="unified"), stream, cold_start)
-
-
-def sample_uniform(ledger: LossLedger, profile, stream: RngStream,
-                   epoch_cursors: list | None = None) -> list:
-    """Unbiased baseline: every worker draws its share uniformly."""
-    return assign(ledger, replace(profile, sampler_mode="uniform"), stream,
-                  epoch_cursors=epoch_cursors)
-
-
 class EpochCursor:
     """Epoch-wise consumption of one worker's index permutation.
 
@@ -355,7 +340,7 @@ class SyntheticSpec:
 
     Class means sit on a circle of radius ``separation / 2`` in the first two
     feature dimensions (on a line for 1-D inputs); ``sigma`` scales an
-    isotropic covariance unless an explicit matrix is given.
+    isotropic covariance.
     """
 
     n: int
@@ -365,7 +350,6 @@ class SyntheticSpec:
     sigma: float = 1.0
     label_noise: float = 0.0
     means: np.ndarray | None = None
-    cov: np.ndarray | None = None
 
     def class_means(self) -> np.ndarray:
         if self.means is not None:
@@ -387,13 +371,7 @@ def make_synthetic(spec: SyntheticSpec, stream: RngStream) -> Dataset:
         raise ValueError("need at least one sample per class")
     means = spec.class_means()
     labels = np.arange(spec.n) % spec.num_classes
-    if spec.cov is not None:
-        cov = np.asarray(spec.cov, dtype=np.float64)
-        chol = np.linalg.cholesky(cov)
-        noise = stream.normal(0.0, 1.0, (spec.n, spec.input_dim)) @ chol.T
-    else:
-        noise = stream.normal(0.0, spec.sigma, (spec.n, spec.input_dim))
-    features = means[labels] + noise
+    features = means[labels] + stream.normal(0.0, spec.sigma, (spec.n, spec.input_dim))
     if spec.label_noise > 0:
         flip = stream.uniform(0.0, 1.0, spec.n) < spec.label_noise
         shift = stream.integers(1, spec.num_classes, size=spec.n)
@@ -488,6 +466,11 @@ def _load_csv(path: str) -> Dataset:
     if bad.size:
         raise ValueError(f"{path}:{int(bad[0]) + 2}: non-finite feature")
     labels = np.ascontiguousarray(table["label"])
+    negative = np.flatnonzero(labels < 0)
+    if negative.size:
+        raise ValueError(f"{path}:{int(negative[0]) + 2}: negative label")
+    if labels.max() < 1:
+        raise ValueError(f"{path}: need at least 2 classes")
     return Dataset(features, labels, int(labels.max()) + 1)
 
 
@@ -509,6 +492,8 @@ def _load_binary(path: str) -> Dataset:
         if len(header) != 12:
             raise ValueError(f"{path}: truncated header")
         n, dim, classes = struct.unpack("<III", header)
+        if classes < 2:
+            raise ValueError(f"{path}: need at least 2 classes")
         feat_bytes = fh.read(4 * n * dim)
         if len(feat_bytes) != 4 * n * dim:
             raise ValueError(f"{path}: truncated feature block")

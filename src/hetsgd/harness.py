@@ -1,14 +1,14 @@
 """Experiment orchestration: the communication-round driver and metrics.
 
-The run plan (``config.plan``) fixes the algorithm's workers, sampler mode
-and aggregation rule once, and its worker-id order (slow first) is the one
-order of a round from sampler to ledger.  One round: snapshot the global
-model, draw each worker's sample assignment (loss-biased or uniform), run
-every worker's local updates in one lockstep ``workers.train_round`` call,
-merge all observed losses into the ledger with one ``record_losses`` call
-over them concatenated in worker-id order, aggregate the local models, and
-advance the simulated clock.  A training error is re-raised, with its type,
-with the seed and round in front of the worker and step; a
+The run plan that ``config.validate`` returns fixes the algorithm's workers,
+sampler mode and aggregation rule once, and its worker-id order (slow first)
+is the one order of a round from sampler to ledger.  One round: snapshot the
+global model, draw each worker's sample assignment (loss-biased or uniform),
+run every worker's local updates in one lockstep ``workers.train_round``
+call, merge all observed losses into the ledger with one ``record_losses``
+call over them concatenated in worker-id order, aggregate the local models,
+and advance the simulated clock.  A training error is re-raised, with its
+type, with the seed and round in front of the worker and step; a
 ``DivergenceError`` also carries the rounds finished before it.
 
 A data file is read once per :func:`run` and shared, read-only, by every
@@ -28,7 +28,7 @@ from importlib import resources
 import numpy as np
 
 from .aggregation import aggregate
-from .config import ExperimentConfig, RunPlan, check_shares, config_hash, plan, validate
+from .config import ExperimentConfig, RunPlan, check_shares, config_hash, validate
 from .core import RngStream
 from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, load_dataset,
                    record_losses, SyntheticSpec, train_val_split)
@@ -81,11 +81,6 @@ class RunResult:
     summary: dict
 
 
-def _model_spec(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> ModelSpec:
-    hidden = cfg.model_hidden if cfg.model_kind == "mlp2" else 0
-    return ModelSpec(cfg.model_kind, input_dim, num_classes, hidden)
-
-
 def _load_file(cfg: ExperimentConfig) -> Dataset:
     """The config's data file, read-only: every seed of a run shares it."""
     dataset = load_dataset(cfg.data_path, cfg.data_format or None)
@@ -101,12 +96,6 @@ def _synthesize(cfg: ExperimentConfig, seed: int) -> Dataset:
     return make_synthetic(spec, RngStream(seed, STREAM_DATA))
 
 
-def _schedule(cfg: ExperimentConfig, total_rounds: int) -> LrSchedule:
-    return LrSchedule(kind=cfg.schedule_kind, base_lr=cfg.base_lr,
-                      milestones=cfg.milestones, decay=cfg.decay,
-                      total_rounds=total_rounds)
-
-
 def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
               dataset: Dataset | None, finished: list) -> SeedResult:
     """One seed on ``dataset`` (synthesized from the seed when None).
@@ -118,7 +107,8 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
     train, val = train_val_split(dataset, cfg.val_fraction, RngStream(seed, STREAM_SPLIT))
     # validate() could only check synthetic shares; a loaded file is checked here
     check_shares(run_plan, train.n)
-    spec = _model_spec(cfg, train.input_dim, train.num_classes)
+    spec = ModelSpec(cfg.model_kind, train.input_dim, train.num_classes,
+                     cfg.model_hidden if cfg.model_kind == "mlp2" else 0)
     params = init_params(spec, RngStream(seed, STREAM_INIT))
     val_batch = Batch(val.features, val.labels, np.arange(val.n))
 
@@ -133,7 +123,8 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
                    for j in range(run_plan.profile.p_f)]
 
     total_rounds = run_plan.total_rounds(train.n)
-    schedule = _schedule(cfg, total_rounds)
+    schedule = LrSchedule(cfg.schedule_kind, cfg.base_lr, cfg.milestones, cfg.decay,
+                          total_rounds)
     rounds_per_epoch = run_plan.rounds_per_epoch(train.n)
     timing = round_timing(workers, run_plan.cost)  # identical every round
 
@@ -182,8 +173,7 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
 
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute the experiment for every configured seed."""
-    validate(cfg)
-    run_plan = plan(cfg)
+    run_plan = validate(cfg)
     dataset = _load_file(cfg) if cfg.data_source == "file" else None
     finished = []
     try:

@@ -3,8 +3,11 @@
 Two model kinds are enough for the optimizer mechanics studied here:
 multinomial logistic regression and a 2-layer ReLU MLP.  Parameters are kept
 in one flat float64 vector (see :mod:`hetsgd.core`) so that every optimizer
-and aggregation rule works on plain arrays.  A central finite-difference
-gradient is provided as an independent oracle for the analytic backward pass.
+and aggregation rule works on plain arrays.  One forward pass serves a
+single model (evaluation) and a stack of G models (training);
+:func:`stacked_loss_and_grad` is the one analytic gradient and
+:func:`backward` its one-row call.  A central finite-difference gradient is
+provided as an independent oracle for the analytic backward pass.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ __all__ = [
     "forward_logits",
     "forward_loss",
     "backward",
-    "loss_and_grad",
     "stacked_loss_and_grad",
     "finite_diff_grad",
     "relu_crossing_mask",
@@ -112,20 +114,29 @@ def init_params(spec: ModelSpec, stream: RngStream) -> ParamVector:
     return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(c)])
 
 
-def forward_logits(spec: ModelSpec, params: ParamVector, features: np.ndarray) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+    """``(hidden, logits)`` of one model on ``(b, d)`` or of G models on ``(G, b, d)``.
+
+    ``params`` is one vector or a ``(G, n_params)`` stack; biases add as
+    ``b[..., None, :]``, so both run the same ops in the same order.  ``hidden``
+    (post-ReLU) is None for logistic regression.
+    """
     if spec.kind == "logistic_regression":
         w, b = _unpack(spec, params)
-        out = x @ w
-        out += b
-        return out
+        logits = x @ w
+        logits += b[..., None, :]
+        return None, logits
     w1, b1, w2, b2 = _unpack(spec, params)
     hidden = x @ w1
-    hidden += b1
+    hidden += b1[..., None, :]
     np.maximum(hidden, 0.0, out=hidden)
-    out = hidden @ w2
-    out += b2
-    return out
+    logits = hidden @ w2
+    logits += b2[..., None, :]
+    return hidden, logits
+
+
+def forward_logits(spec: ModelSpec, params: ParamVector, features: np.ndarray) -> np.ndarray:
+    return _forward(spec, params, np.asarray(features, dtype=np.float64))[1]
 
 
 def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch):
@@ -161,50 +172,36 @@ def stacked_loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     stacked one.  Finiteness is left to the caller, which knows the row's
     worker and step.
     """
+    hidden, logits = _forward(spec, params, x)
+    per_sample, dlogits = _xent_and_dlogits(logits, labels)
     grad = np.empty_like(params)
     xt = x.transpose(0, 2, 1)
-    if spec.kind == "logistic_regression":
-        w, b = _unpack(spec, params)
+    if hidden is None:
         gw, gb = _unpack(spec, grad)
-        logits = x @ w
-        logits += b[:, None, :]
-        per_sample, dlogits = _xent_and_dlogits(logits, labels)
         np.matmul(xt, dlogits, out=gw)
         dlogits.sum(axis=1, out=gb)
         return per_sample, grad
-    w1, b1, w2, b2 = _unpack(spec, params)
+    w2 = _unpack(spec, params)[2]
     gw1, gb1, gw2, gb2 = _unpack(spec, grad)
-    a1 = x @ w1
-    a1 += b1[:, None, :]
-    np.maximum(a1, 0.0, out=a1)
-    logits = a1 @ w2
-    logits += b2[:, None, :]
-    per_sample, dlogits = _xent_and_dlogits(logits, labels)
-    np.matmul(a1.transpose(0, 2, 1), dlogits, out=gw2)
+    np.matmul(hidden.transpose(0, 2, 1), dlogits, out=gw2)
     dlogits.sum(axis=1, out=gb2)
     dz1 = dlogits @ w2.transpose(0, 2, 1)
-    dz1 *= a1 > 0.0
+    dz1 *= hidden > 0.0
     np.matmul(xt, dz1, out=gw1)
     dz1.sum(axis=1, out=gb1)
     return per_sample, grad
 
 
-def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch):
-    """Single fused pass: (mean_loss, per_sample_losses, gradient).
+def backward(spec: ModelSpec, params: ParamVector, batch: Batch) -> ParamVector:
+    """Gradient of the mean batch loss w.r.t. the flat parameter vector.
 
     The one-row call of :func:`stacked_loss_and_grad`.
     """
     per_sample, grad = stacked_loss_and_grad(spec, params[None], batch.features[None],
                                              batch.labels[None])
-    per_sample, grad = per_sample[0], grad[0]
-    if not np.all(np.isfinite(per_sample)) or not np.all(np.isfinite(grad)):
+    if not (np.isfinite(per_sample).all() and np.isfinite(grad).all()):
         raise ValueError("non-finite loss or gradient encountered")
-    return float(per_sample.mean()), per_sample, grad
-
-
-def backward(spec: ModelSpec, params: ParamVector, batch: Batch) -> ParamVector:
-    """Gradient of the mean batch loss w.r.t. the flat parameter vector."""
-    return loss_and_grad(spec, params, batch)[2]
+    return grad[0]
 
 
 def finite_diff_grad(spec: ModelSpec, params: ParamVector, batch: Batch, h: float) -> ParamVector:

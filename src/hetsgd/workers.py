@@ -14,8 +14,8 @@ batches gathered as ``(G, b, input_dim)``, one stacked gradient call per
 distinct batch length.  All P workers step for the first ``tau_S`` steps,
 then only the fast ones, a suffix of the stack.  Each worker's stream
 still drives only its own permutations, so the bits match stepping the
-workers one by one.  :func:`local_train` is its one-worker call.  A
-non-finite loss, gradient or parameter raises :class:`DivergenceError`.
+workers one by one; one worker is a one-element call.  A non-finite loss,
+gradient or parameter raises :class:`DivergenceError`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "LrSchedule",
     "derive_tau_s",
     "measure_alpha",
-    "local_train",
     "train_round",
     "lr_at",
 ]
@@ -284,19 +283,3 @@ def train_round(spec: ModelSpec, start_params: ParamVector, dataset: Dataset,
     observed_losses = [losses[i][seen[i]] for i in range(p)]
     return params, observed_ids, observed_losses, steps
 
-
-def local_train(spec: ModelSpec, start_params: ParamVector, dataset: Dataset,
-                assigned: np.ndarray, tau: int, lr: float, batch_size: int,
-                stream: RngStream, weight_decay: float = 0.0):
-    """Run ``tau`` SGD steps over the assigned samples: one worker's round.
-
-    Mini-batches walk a stream-shuffled permutation of ``assigned``; a short
-    batch is used at the boundary, then the permutation is reshuffled.  Every
-    per-sample loss observed (at the pre-step parameters) is returned as
-    parallel (ids, losses) arrays, newest occurrence last.
-
-    Returns (end_params, observed_ids, observed_losses, steps_done).
-    """
-    end, ids, losses, steps = train_round(spec, start_params, dataset, [assigned], [tau],
-                                          lr, batch_size, [stream], weight_decay)
-    return end[0], ids[0], losses[0], steps

@@ -3,7 +3,7 @@
 import pytest
 
 from hetsgd.config import (ALGORITHMS, ConfigError, ExperimentConfig, config_hash,
-                           parse_config, plan, render_config, validate)
+                           parse_config, parse_config_file, plan, render_config, validate)
 from hetsgd.data import InvalidLambdaError
 
 
@@ -139,6 +139,12 @@ class TestValidation:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError, match="algorithm"):
             validate(minimal(algorithm="gossip"))
+
+    @pytest.mark.parametrize("name", ["demo", "hard"])
+    def test_returns_the_run_plan(self, name):
+        from hetsgd.harness import bundled_config_path
+        cfg = parse_config_file(bundled_config_path(name))
+        assert validate(cfg) == plan(cfg)
 
 
 class TestHash:

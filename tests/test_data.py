@@ -15,8 +15,8 @@ from hetsgd.core import RngStream
 from hetsgd.data import (Dataset, EpochCursor, InvalidLambdaError, LossLedger,
                          SyntheticSpec, assign, fast_per_worker, load_dataset, make_synthetic,
                          pool_size, pool_size_exact, record_losses, sample_separated,
-                         sample_unified, sample_uniform, save_binary, save_csv,
-                         share_sizes, slow_share_sizes, slow_total, train_val_split, val_size)
+                         save_binary, save_csv, share_sizes, slow_share_sizes, slow_total,
+                         train_val_split, val_size)
 from hetsgd.workers import SystemProfile
 
 
@@ -49,6 +49,8 @@ def reference_load_csv(path):
     if bad.size:
         raise ValueError(f"{path}:{int(bad[0]) + 2}: non-finite feature")
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.max() < 1:
+        raise ValueError(f"{path}: need at least 2 classes")
     return Dataset(features, labels, int(labels.max()) + 1)
 
 
@@ -223,7 +225,7 @@ class TestUnifiedSampler:
         planted = np.arange(11, 11 + k_slow)
         record_losses(ledger, np.arange(n), np.zeros(n), 0)
         record_losses(ledger, planted, np.full(k_slow, 9.0), 0)
-        asn = sample_unified(ledger, prof, RngStream(2, 0))
+        asn = assign(ledger, prof, RngStream(2, 0))
         assert set(asn[0].tolist()) == set(planted.tolist())
         assert not (set(asn[0].tolist()) & set(asn[1].tolist()))
 
@@ -231,7 +233,7 @@ class TestUnifiedSampler:
         n = 100
         prof = profile(alpha=1.0, p_s=1, p_f=1, lam=2.0, mode="unified")
         ledger = LossLedger(n)
-        asn = sample_unified(ledger, prof, RngStream(4, 0))
+        asn = assign(ledger, prof, RngStream(4, 0))
         union = set(asn[0].tolist()) | set(asn[1].tolist())
         assert union == set(range(n))
 
@@ -239,7 +241,7 @@ class TestUnifiedSampler:
         n = 997
         prof = profile(alpha=4.0, p_s=2, p_f=3, lam=1.5, mode="unified")
         ledger = LossLedger(n)
-        asn = sample_unified(ledger, prof, RngStream(5, 0))
+        asn = assign(ledger, prof, RngStream(5, 0))
         allv = np.concatenate(asn)
         assert len(np.unique(allv)) == allv.size
 
@@ -249,7 +251,7 @@ class TestUnifiedSampler:
         assert slow_total(n, p_s, p_f, alpha) + p_f * fast_per_worker(n, p_s, p_f, alpha) > n
         prof = profile(alpha=alpha, p_s=p_s, p_f=p_f, lam=1.0, mode="unified")
         ledger = LossLedger(n)
-        asn = sample_unified(ledger, prof, RngStream(6, 0))
+        asn = assign(ledger, prof, RngStream(6, 0))
         allv = np.concatenate(asn)
         assert len(np.unique(allv)) == allv.size
         assert allv.size <= n
@@ -324,7 +326,7 @@ class TestUniformSampler:
         n = 990
         prof = profile(alpha=2.0, p_s=2, p_f=2, lam=1.0, mode="uniform")
         ledger = LossLedger(n)
-        asn = sample_uniform(ledger, prof, RngStream(0, 0))
+        asn = assign(ledger, prof, RngStream(0, 0))
         k_slow = slow_total(n, 2, 2, 2.0)
         k_fast = fast_per_worker(n, 2, 2, 2.0)
         assert asn[0].size + asn[1].size == k_slow
@@ -532,10 +534,17 @@ class TestDatasetIO:
         ds = make_synthetic(SyntheticSpec(n=25, input_dim=2, num_classes=2), RngStream(1, 0))
         path = str(tmp_path / "d.bin")
         save_binary(ds, path)
-        data = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            data = fh.read()
         with open(path, "wb") as fh:
             fh.write(data[:-10])
         with pytest.raises(ValueError, match="truncated"):
+            load_dataset(path)
+
+    def test_single_class_binary_rejected(self, tmp_path):
+        path = str(tmp_path / "d.bin")
+        save_binary(Dataset(np.ones((4, 2)), np.zeros(4, dtype=np.int64), 1), path)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: need at least 2 classes$"):
             load_dataset(path)
 
 
@@ -573,7 +582,13 @@ class TestCsvLoaderOracle:
             lines.append(",".join(field(t) for t in [label] + feats))
         path = _write(tmp_path / "d.csv", eol.join(lines) + (eol if draw(st.booleans()) else ""))
 
-        got, want = load_dataset(path, "csv"), reference_load_csv(path)
+        try:
+            want = reference_load_csv(path)
+        except ValueError as exc:  # a single-class file
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                load_dataset(path, "csv")
+            return
+        got = load_dataset(path, "csv")
         assert got.features.shape == want.features.shape
         assert got.features.tobytes() == want.features.tobytes()
         np.testing.assert_array_equal(got.labels, want.labels)
@@ -605,6 +620,8 @@ _REJECTED = {
     "x label": ("label,f0,f1\n0,1,2\n0,1,2\nx,2,3\n", 4),
     "1.0 label": ("label,f0,f1\r\n0,1,2\r\n1.0,2,3\r\n", 3),
     "# inside a row": ("label,f0,f1\n0,1,2\n1,2 # note,3\n", 3),
+    "negative label": ("label,f0,f1\n0,1,2\n1,2,3\n-1,2,3\n0,1,2\n-1,0,0\n", 4),
+    "single class": ("label,f0,f1\n0,1,2\n0,2,3\n", None),
 }
 
 

@@ -111,7 +111,7 @@ class TestLedgerTrend:
         from hetsgd.data import (LossLedger, make_synthetic, record_losses,
                                  sample_separated, SyntheticSpec)
         from hetsgd.models import ModelSpec, init_params
-        from hetsgd.workers import SystemProfile, local_train
+        from hetsgd.workers import SystemProfile, train_round
         from hetsgd.aggregation import aggregate
 
         ds = make_synthetic(SyntheticSpec(n=300, input_dim=2, num_classes=2,
@@ -125,13 +125,11 @@ class TestLedgerTrend:
         means = []
         for r in range(8):
             asn = sample_separated(ledger, prof, sampler)
-            models, taus = [], []
-            for wid, tau in ((0, prof.tau_s), (1, prof.tau_f)):
-                end, ids, losses, _ = local_train(spec, params, ds, asn[wid], tau,
-                                                  0.5, 16, streams[wid])
-                record_losses(ledger, ids, losses, r)
-                models.append(end)
-                taus.append(tau)
+            taus = [prof.tau_s, prof.tau_f]
+            models, ids, losses, _ = train_round(spec, params, ds, asn, taus, 0.5, 16,
+                                                 [streams[0], streams[1]])
+            for wid in (0, 1):
+                record_losses(ledger, ids[wid], losses[wid], r)
             params = aggregate("tau_weighted", models, taus)
             means.append(ledger.mean_seen())
         assert means[-1] < means[0]
@@ -265,9 +263,11 @@ class TestOutputs:
     def test_write_outputs_files(self, tmp_path):
         result = run(small_cfg())
         csv_path, json_path = write_outputs(result, str(tmp_path / "exp"))
-        text = open(csv_path).read()
+        with open(csv_path) as fh:
+            text = fh.read()
         assert text.splitlines()[0] == CSV_HEADER
-        summary = json.load(open(json_path))
+        with open(json_path) as fh:
+            summary = json.load(fh)
         assert summary["algorithm"] == "biased_local"
 
     def test_csv_row_count(self, tmp_path):
@@ -305,6 +305,25 @@ class TestCli:
         rc = cli_main(["validate", str(bad)])
         assert rc != 0
         assert capsys.readouterr().err.startswith("error: invalid-config:")
+
+    @pytest.mark.parametrize("override", [
+        "schedule.base_lr = nan", "weight_decay = nan", "data.separation = nan",
+        "data.sigma = inf", "profile.alpha = nan", "profile.lambda = inf",
+        "cost.iter_fast = nan", "cost.agg = inf", "data.classes = 1",
+        "model.kind = mlp2; model.hidden = 0", "weight_decay = -1", "schedule.base_lr = 0",
+    ])
+    def test_validate_names_the_bad_key(self, tmp_path, capsys, override):
+        # the last line of the override holds the bad value
+        lines = override.split("; ")
+        keys = [line.split(" =")[0] for line in lines]
+        with open(bundled_config_path("demo")) as fh:
+            kept = [l for l in fh.read().splitlines() if l.split(" =")[0] not in keys]
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text("\n".join(kept + lines) + "\n")
+        assert cli_main(["validate", str(cfg_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid-config: ") and keys[-1] in err[0]
 
     def test_sweep_lambda_marks_na(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetsgd.core import RngStream
-from hetsgd.models import (Batch, ModelSpec, accuracy, backward, finite_diff_grad,
-                           forward_loss, init_params, loss_and_grad, param_count,
-                           relu_crossing_mask)
+from hetsgd.models import (Batch, ModelSpec, _forward, accuracy, backward, finite_diff_grad,
+                           forward_logits, forward_loss, init_params, param_count,
+                           relu_crossing_mask, stacked_loss_and_grad)
 
 LOGREG = ModelSpec("logistic_regression", 3, 2)
 MLP = ModelSpec("mlp2", 4, 3, hidden_dim=5)
@@ -143,11 +145,35 @@ class TestBackward:
 
     def test_loss_and_grad_consistent_with_parts(self):
         spec, params, batch = random_instance(11)
-        mean, per_sample, grad = loss_and_grad(spec, params, batch)
+        per_sample, grad = stacked_loss_and_grad(spec, params[None], batch.features[None],
+                                                 batch.labels[None])
         mean2, per_sample2 = forward_loss(spec, params, batch)
-        assert mean == mean2
-        np.testing.assert_array_equal(per_sample, per_sample2)
-        np.testing.assert_array_equal(grad, backward(spec, params, batch))
+        assert float(per_sample[0].mean()) == mean2
+        np.testing.assert_array_equal(per_sample[0], per_sample2)
+        np.testing.assert_array_equal(grad[0], backward(spec, params, batch))
+
+    def test_non_finite_gradient_rejected(self):
+        spec, params, batch = random_instance(14, kind="logreg")
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite loss or gradient"):
+            backward(spec, params + np.inf, batch)
+
+
+class TestForward:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_one_model_matches_its_row_of_a_stack(self, data):
+        draw = data.draw
+        kind = draw(st.sampled_from(["logistic_regression", "mlp2"]))
+        g_count, b = draw(st.integers(1, 5)), draw(st.integers(1, 40))
+        spec = ModelSpec(kind, draw(st.integers(1, 9)), draw(st.integers(2, 6)),
+                         hidden_dim=draw(st.integers(1, 12)) if kind == "mlp2" else 0)
+        stream = RngStream(draw(st.integers(0, 2**16)), 0)
+        params = stream.normal(0.0, 1.0, (g_count, param_count(spec)))
+        x = stream.normal(0.0, 1.0, (g_count, b, spec.input_dim))
+        stacked = _forward(spec, params, x)[1]
+        for g in range(g_count):
+            assert forward_logits(spec, params[g], x[g]).tobytes() == stacked[g].tobytes()
 
 
 class TestFiniteDiff:

@@ -9,7 +9,7 @@ from hetsgd.core import RngStream, log_softmax
 from hetsgd.data import make_synthetic, SyntheticSpec
 from hetsgd.models import Batch, ModelSpec, backward, init_params
 from hetsgd.workers import (DivergenceError, LrSchedule, SystemProfile, WorkerSpec,
-                            derive_tau_s, local_train, lr_at, measure_alpha, train_round)
+                            derive_tau_s, lr_at, measure_alpha, train_round)
 
 
 def reference_loss_and_grad(spec, params, batch):
@@ -69,6 +69,14 @@ def reference_local_train(spec, start_params, dataset, assigned, tau, lr, batch_
         seen_ids.append(ids)
         seen_losses.append(per_sample)
     return params, np.concatenate(seen_ids), np.concatenate(seen_losses), tau
+
+
+def train_one(spec, start_params, dataset, assigned, tau, lr, batch_size, stream,
+              weight_decay=0.0):
+    """One worker's round: ``train_round`` on a one-worker stack, unstacked."""
+    end, ids, losses, steps = train_round(spec, start_params, dataset, [assigned], [tau], lr,
+                                          batch_size, [stream], weight_decay)
+    return end[0], ids[0], losses[0], steps
 
 
 def assert_same_bits(got, want):
@@ -135,9 +143,9 @@ class TestLocalTrain:
         spec, params, ds = tiny_task
         assigned = np.arange(ds.n)
         lr = 0.3
-        end, ids, losses, steps = local_train(spec, params, ds, assigned, tau=1,
-                                              lr=lr, batch_size=ds.n,
-                                              stream=RngStream(1, 0))
+        end, ids, losses, steps = train_one(spec, params, ds, assigned, tau=1,
+                                            lr=lr, batch_size=ds.n,
+                                            stream=RngStream(1, 0))
         # same permuted batch, explicitly unrolled
         perm = RngStream(1, 0).permutation(ds.n)
         batch = Batch(ds.features[assigned[perm]], ds.labels[assigned[perm]], assigned[perm])
@@ -148,8 +156,8 @@ class TestLocalTrain:
 
     def test_zero_lr_keeps_params_but_records_losses(self, tiny_task):
         spec, params, ds = tiny_task
-        end, ids, losses, _ = local_train(spec, params, ds, np.arange(ds.n), tau=3,
-                                          lr=0.0, batch_size=16, stream=RngStream(2, 0))
+        end, ids, losses, _ = train_one(spec, params, ds, np.arange(ds.n), tau=3,
+                                        lr=0.0, batch_size=16, stream=RngStream(2, 0))
         np.testing.assert_array_equal(end, params)
         assert ids.size == 3 * 16
         assert np.all(losses >= 0)
@@ -158,8 +166,8 @@ class TestLocalTrain:
         spec, params, ds = tiny_task
         assigned = np.arange(20)
         lr, bs = 0.2, 8
-        end, _, _, _ = local_train(spec, params, ds, assigned, tau=3, lr=lr,
-                                   batch_size=bs, stream=RngStream(3, 0))
+        end, _, _, _ = train_one(spec, params, ds, assigned, tau=3, lr=lr,
+                                 batch_size=bs, stream=RngStream(3, 0))
         # unroll with identical stream and the same boundary policy: a short
         # batch finishes the epoch, then the permutation is redrawn
         stream = RngStream(3, 0)
@@ -179,15 +187,15 @@ class TestLocalTrain:
     def test_cycles_with_reshuffle_when_budget_exceeds_assignment(self, tiny_task):
         spec, params, ds = tiny_task
         assigned = np.arange(10)
-        end, ids, _, _ = local_train(spec, params, ds, assigned, tau=5, lr=0.1,
-                                     batch_size=4, stream=RngStream(4, 0))
+        end, ids, _, _ = train_one(spec, params, ds, assigned, tau=5, lr=0.1,
+                                   batch_size=4, stream=RngStream(4, 0))
         assert ids.size == 5 * 4 - 2  # one short batch of 2 at the epoch boundary
         assert set(ids.tolist()) == set(range(10))  # full coverage each epoch
 
     def test_reproducible(self, tiny_task):
         spec, params, ds = tiny_task
-        r1 = local_train(spec, params, ds, np.arange(30), 4, 0.1, 8, RngStream(5, 0))
-        r2 = local_train(spec, params, ds, np.arange(30), 4, 0.1, 8, RngStream(5, 0))
+        r1 = train_one(spec, params, ds, np.arange(30), 4, 0.1, 8, RngStream(5, 0))
+        r2 = train_one(spec, params, ds, np.arange(30), 4, 0.1, 8, RngStream(5, 0))
         np.testing.assert_array_equal(r1[0], r2[0])
         np.testing.assert_array_equal(r1[1], r2[1])
         np.testing.assert_array_equal(r1[2], r2[2])
@@ -196,8 +204,8 @@ class TestLocalTrain:
         spec, params, ds = tiny_task
         assigned = np.arange(ds.n)
         lr, wd = 0.3, 0.01
-        end, _, _, _ = local_train(spec, params, ds, assigned, 1, lr, ds.n,
-                                   RngStream(6, 0), weight_decay=wd)
+        end, _, _, _ = train_one(spec, params, ds, assigned, 1, lr, ds.n,
+                                 RngStream(6, 0), weight_decay=wd)
         perm = RngStream(6, 0).permutation(ds.n)
         batch = Batch(ds.features[perm], ds.labels[perm], perm)
         expected = params - lr * (backward(spec, params, batch) + wd * params)
@@ -206,15 +214,15 @@ class TestLocalTrain:
     def test_empty_assignment_rejected(self, tiny_task):
         spec, params, ds = tiny_task
         with pytest.raises(ValueError, match="empty"):
-            local_train(spec, params, ds, np.array([], dtype=int), 1, 0.1, 4,
-                        RngStream(0, 0))
+            train_one(spec, params, ds, np.array([], dtype=int), 1, 0.1, 4,
+                      RngStream(0, 0))
 
     def test_loss_records_newest_last(self, tiny_task):
         spec, params, ds = tiny_task
         # tau large enough to revisit samples; last occurrence must reflect
         # the most recent forward pass
-        _, ids, losses, _ = local_train(spec, params, ds, np.arange(8), 4, 0.5, 8,
-                                        RngStream(7, 0))
+        _, ids, losses, _ = train_one(spec, params, ds, np.arange(8), 4, 0.5, 8,
+                                      RngStream(7, 0))
         last = {}
         for i, l in zip(ids.tolist(), losses.tolist()):
             last[i] = l
