@@ -2,28 +2,28 @@
 
 The on-disk format is deliberately primitive — one dotted key per line,
 ``#`` comments, comma-separated lists — so configs diff cleanly and parse
-with zero dependencies.  ``plan()`` resolves the algorithm preset (sync SGD
-forces tau=1 and balanced averaging, etc.) into a :class:`RunPlan`, the one
-place the four algorithms differ; ``validate()`` rejects impossible profiles,
-including the pool-size check for lam, and returns the plan a run executes.
+with zero dependencies.  Each key is declared once, in ``_KEYS``: its
+field, its parser and its valid values.  ``plan()`` resolves the algorithm
+preset (sync SGD forces tau=1 and balanced averaging, etc.) into a
+:class:`RunPlan`, the one place the four algorithms differ; ``validate()``
+checks every key against its rule, then the rules that span keys (including
+the pool-size check for lam), and returns the plan a run executes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .aggregation import RULES
 from .data import InvalidLambdaError, share_sizes, val_size
+from .models import MODEL_KINDS
 from .simclock import CostModel
-from .workers import SAMPLER_MODES, SystemProfile, WorkerSpec
+from .workers import SAMPLER_MODES, SCHEDULE_KINDS, SystemProfile, WorkerSpec
 
 __all__ = ["ExperimentConfig", "ConfigError", "RunPlan", "plan", "check_shares",
            "parse_config", "parse_config_file", "render_config", "config_hash", "ALGORITHMS"]
-
-ALGORITHMS = ("sync_sgd", "balanced_local", "unbalanced_unbiased", "biased_local")
-
 
 class ConfigError(ValueError):
     pass
@@ -32,9 +32,9 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     # data source: synthetic blobs or a dataset file
-    data_source: str = "synthetic"  # synthetic | file
+    data_source: str = "synthetic"
     data_path: str = ""
-    data_format: str = ""  # csv | binary | "" (sniff)
+    data_format: str = ""  # "" sniffs the file
     data_n: int = 1000
     data_input_dim: int = 2
     data_classes: int = 2
@@ -54,8 +54,8 @@ class ExperimentConfig:
     p_s: int = 1
     p_f: int = 1
     sampler_mode: str = "separated"
-    fast_draw: str = "fresh"  # fresh | epoch
-    cold_start: str = "unseen-first"  # unseen-first | uniform-first
+    fast_draw: str = "fresh"
+    cold_start: str = "unseen-first"
 
     schedule_kind: str = "constant"
     base_lr: float = 0.1
@@ -94,6 +94,7 @@ _PRESETS = {
     "unbalanced_unbiased": dict(sampler_mode="uniform", aggregation="balanced"),
     "biased_local": dict(),
 }
+ALGORITHMS = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -139,48 +140,64 @@ def plan(cfg: ExperimentConfig) -> RunPlan:
 
 
 # ---------------------------------------------------------------------------
-# key = value parsing
+# the keys and key = value parsing
 # ---------------------------------------------------------------------------
 
-_KEY_MAP = {
-    "data.source": ("data_source", str),
-    "data.path": ("data_path", str),
-    "data.format": ("data_format", str),
-    "data.n": ("data_n", int),
-    "data.input_dim": ("data_input_dim", int),
-    "data.classes": ("data_classes", int),
-    "data.separation": ("data_separation", float),
-    "data.sigma": ("data_sigma", float),
-    "data.label_noise": ("data_label_noise", float),
-    "model.kind": ("model_kind", str),
-    "model.hidden": ("model_hidden", int),
-    "algorithm": ("algorithm", str),
-    "aggregation": ("aggregation", str),
-    "profile.alpha": ("alpha", float),
-    "profile.lambda": ("lam", float),
-    "profile.tau_f": ("tau_f", int),
-    "profile.p_s": ("p_s", int),
-    "profile.p_f": ("p_f", int),
-    "profile.sampler_mode": ("sampler_mode", str),
-    "sampling.fast_draw": ("fast_draw", str),
-    "sampling.cold_start": ("cold_start", str),
-    "schedule.kind": ("schedule_kind", str),
-    "schedule.base_lr": ("base_lr", float),
-    "schedule.milestones": ("milestones", "int_list"),
-    "schedule.decay": ("decay", float),
-    "batch_size": ("batch_size", int),
-    "rounds": ("rounds", int),
-    "epochs": ("epochs", int),
-    "weight_decay": ("weight_decay", float),
-    "val_fraction": ("val_fraction", float),
-    "seeds": ("seeds", "int_list"),
-    "cost.iter_fast": ("cost_iter_fast", float),
-    "cost.iter_slow": ("cost_iter_slow", float),
-    "cost.agg": ("cost_agg", float),
-    "out": ("out", str),
-}
+def _int_list(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(",") if v.strip())
 
-_FIELD_TO_KEY = {attr: key for key, (attr, _) in _KEY_MAP.items()}
+
+def _one_of(*options):
+    return (lambda v: v in options), "one of " + ", ".join(repr(o) for o in options)
+
+
+def _bound(op, lo):
+    return (lambda v: v > lo if op == ">" else v >= lo), f"{op} {lo}"
+
+
+_ANY = (lambda v: True), "any value"
+
+# dotted key -> (ExperimentConfig field, parser, (rule, what the rule asks)).
+# A key's rule holds whether or not a run reads the key; rules that span
+# keys are in validate().
+_KEYS = {
+    "data.source": ("data_source", str, _one_of("synthetic", "file")),
+    "data.path": ("data_path", str, _ANY),
+    "data.format": ("data_format", str, _one_of("", "csv", "binary")),
+    "data.n": ("data_n", int, _bound(">=", 1)),
+    "data.input_dim": ("data_input_dim", int, _bound(">=", 1)),
+    "data.classes": ("data_classes", int, _bound(">=", 2)),
+    "data.separation": ("data_separation", float, _ANY),
+    "data.sigma": ("data_sigma", float, _bound(">=", 0)),
+    "data.label_noise": ("data_label_noise", float, ((lambda v: 0 <= v <= 1), "in [0, 1]")),
+    "model.kind": ("model_kind", str, _one_of(*MODEL_KINDS)),
+    "model.hidden": ("model_hidden", int, _ANY),
+    "algorithm": ("algorithm", str, _one_of(*ALGORITHMS)),
+    "aggregation": ("aggregation", str, _one_of(*RULES)),
+    "profile.alpha": ("alpha", float, _bound(">=", 1)),
+    "profile.lambda": ("lam", float, _bound(">=", 1)),
+    "profile.tau_f": ("tau_f", int, _bound(">=", 1)),
+    "profile.p_s": ("p_s", int, _bound(">=", 1)),
+    "profile.p_f": ("p_f", int, _bound(">=", 1)),
+    "profile.sampler_mode": ("sampler_mode", str, _one_of(*SAMPLER_MODES)),
+    "sampling.fast_draw": ("fast_draw", str, _one_of("fresh", "epoch")),
+    "sampling.cold_start": ("cold_start", str, _one_of("unseen-first", "uniform-first")),
+    "schedule.kind": ("schedule_kind", str, _one_of(*SCHEDULE_KINDS)),
+    "schedule.base_lr": ("base_lr", float, _bound(">", 0)),
+    "schedule.milestones": ("milestones", _int_list, (
+        (lambda v: all(a < b for a, b in zip(v, v[1:]))), "strictly increasing")),
+    "schedule.decay": ("decay", float, _bound(">", 0)),
+    "batch_size": ("batch_size", int, _bound(">=", 1)),
+    "rounds": ("rounds", int, _bound(">=", 0)),
+    "epochs": ("epochs", int, _bound(">=", 0)),
+    "weight_decay": ("weight_decay", float, _bound(">=", 0)),
+    "val_fraction": ("val_fraction", float, ((lambda v: 0 < v < 1), "in (0, 1)")),
+    "seeds": ("seeds", _int_list, ((lambda v: len(v) > 0), "non-empty")),
+    "cost.iter_fast": ("cost_iter_fast", float, _bound(">", 0)),
+    "cost.iter_slow": ("cost_iter_slow", float, _bound(">", 0)),
+    "cost.agg": ("cost_agg", float, _bound(">=", 0)),
+    "out": ("out", str, _ANY),
+}
 
 
 def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
@@ -193,20 +210,13 @@ def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KEY_MAP:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        attr, kind = _KEY_MAP[key]
+        attr, parser, _ = _KEYS[key]
         if attr in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
-            if kind is int:
-                values[attr] = int(val)
-            elif kind is float:
-                values[attr] = float(val)
-            elif kind == "int_list":
-                values[attr] = tuple(int(v) for v in val.split(",") if v.strip())
-            else:
-                values[attr] = val
+            values[attr] = parser(val)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from None
     return ExperimentConfig(**values)
@@ -220,9 +230,8 @@ def parse_config_file(path: str) -> ExperimentConfig:
 def render_config(cfg: ExperimentConfig) -> str:
     """Canonical serialization: every key, sorted, one per line."""
     lines = []
-    for f in fields(cfg):
-        key = _FIELD_TO_KEY[f.name]
-        val = getattr(cfg, f.name)
+    for key, (attr, _, _) in _KEYS.items():
+        val = getattr(cfg, attr)
         if isinstance(val, tuple):
             val = ",".join(str(v) for v in val)
         lines.append(f"{key} = {val}")
@@ -245,57 +254,24 @@ def validate(cfg: ExperimentConfig) -> RunPlan:
     ConfigError for general problems; InvalidLambdaError specifically when
     the candidate pool would exceed the dataset (the sweep's NA condition).
     """
-    for key, (attr, kind) in _KEY_MAP.items():
-        if kind is float and not math.isfinite(getattr(cfg, attr)):
+    for key, (attr, parser, (rule, need)) in _KEYS.items():
+        value = getattr(cfg, attr)
+        if parser is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite")
-    if cfg.algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
-    if cfg.aggregation not in RULES:
-        raise ConfigError(f"unknown aggregation rule {cfg.aggregation!r}")
-    if cfg.sampler_mode not in SAMPLER_MODES:
-        raise ConfigError(f"unknown sampler_mode {cfg.sampler_mode!r}")
+        if not rule(value):
+            raise ConfigError(f"{key} must be {need}, got {value!r}")
     if cfg.algorithm == "biased_local" and cfg.sampler_mode == "uniform":
         raise ConfigError("biased_local requires sampler_mode separated or unified")
-    if cfg.fast_draw not in ("fresh", "epoch"):
-        raise ConfigError("sampling.fast_draw must be fresh or epoch")
-    if cfg.cold_start not in ("unseen-first", "uniform-first"):
-        raise ConfigError("sampling.cold_start must be unseen-first or uniform-first")
-    if cfg.data_source not in ("synthetic", "file"):
-        raise ConfigError("data.source must be synthetic or file")
     if cfg.data_source == "file" and not cfg.data_path:
         raise ConfigError("data.path required when data.source = file")
-    if cfg.data_source == "synthetic" and cfg.data_classes < 2:
-        raise ConfigError("data.classes must be >= 2")
-    if cfg.model_kind not in ("logistic_regression", "mlp2"):
-        raise ConfigError(f"unknown model kind {cfg.model_kind!r}")
+    if cfg.data_source == "synthetic" and cfg.data_n < cfg.data_classes:
+        raise ConfigError("data.n must be >= data.classes for synthetic data")
     if cfg.model_kind == "mlp2" and cfg.model_hidden < 1:
         raise ConfigError("model.hidden must be >= 1 for mlp2")
-    if not cfg.seeds:
-        raise ConfigError("need at least one seed")
     if cfg.rounds < 1 and cfg.epochs < 1:
         raise ConfigError("need rounds >= 1 or epochs >= 1")
-    if cfg.batch_size < 1:
-        raise ConfigError("batch_size must be >= 1")
-    if cfg.base_lr <= 0:
-        raise ConfigError("schedule.base_lr must be > 0")
-    if cfg.weight_decay < 0:
-        raise ConfigError("weight_decay must be >= 0")
-    if not 0.0 < cfg.val_fraction < 1.0:
-        raise ConfigError("val_fraction must be in (0, 1)")
-    if cfg.alpha < 1:
-        raise ConfigError("profile.alpha must be >= 1")
-    if cfg.lam < 1:
-        raise ConfigError("profile.lambda must be >= 1")
-    if cfg.tau_f < 1:
-        raise ConfigError("profile.tau_f must be >= 1")
-    if cfg.p_s < 1 or cfg.p_f < 1:
-        raise ConfigError("need profile.p_s >= 1 and profile.p_f >= 1")
-    if cfg.cost_iter_fast <= 0 or cfg.cost_iter_slow <= 0:
-        raise ConfigError("iteration costs must be positive")
     if cfg.cost_iter_slow < cfg.cost_iter_fast:
         raise ConfigError("cost.iter_slow must be >= cost.iter_fast")
-    if cfg.cost_agg < 0:
-        raise ConfigError("cost.agg must be >= 0")
 
     run_plan = plan(cfg)
     # the preset's sampler, not the configured one: sync_sgd always samples uniformly

@@ -371,7 +371,8 @@ def make_synthetic(spec: SyntheticSpec, stream: RngStream) -> Dataset:
         raise ValueError("need at least one sample per class")
     means = spec.class_means()
     labels = np.arange(spec.n) % spec.num_classes
-    features = means[labels] + stream.normal(0.0, spec.sigma, (spec.n, spec.input_dim))
+    # + 0.0 turns a sigma of -0.0, which numpy's normal rejects, into 0.0
+    features = means[labels] + stream.normal(0.0, spec.sigma + 0.0, (spec.n, spec.input_dim))
     if spec.label_noise > 0:
         flip = stream.uniform(0.0, 1.0, spec.n) < spec.label_noise
         shift = stream.integers(1, spec.num_classes, size=spec.n)
@@ -466,12 +467,30 @@ def _load_csv(path: str) -> Dataset:
     if bad.size:
         raise ValueError(f"{path}:{int(bad[0]) + 2}: non-finite feature")
     labels = np.ascontiguousarray(table["label"])
+    return _bounded(path, features, labels, int(labels.max()) + 1)
+
+
+def _bounded(path: str, features: np.ndarray, labels: np.ndarray, num_classes: int) -> Dataset:
+    """Both loaders' bounds on a parsed file, each error naming ``path``.
+
+    The file needs a feature column, at least 2 classes, labels in
+    ``[0, num_classes)`` and, as synthetic data does, no more classes than
+    rows: the class count sizes the output layer, so this keeps the model
+    about the size of the features.  Only a CSV can hold a negative label.
+    """
+    n, dim = features.shape
+    if dim < 1:
+        raise ValueError(f"{path}: no feature columns")
     negative = np.flatnonzero(labels < 0)
     if negative.size:
         raise ValueError(f"{path}:{int(negative[0]) + 2}: negative label")
-    if labels.max() < 1:
+    if num_classes < 2:
         raise ValueError(f"{path}: need at least 2 classes")
-    return Dataset(features, labels, int(labels.max()) + 1)
+    if num_classes > n:
+        raise ValueError(f"{path}: {n} rows cannot hold {num_classes} classes")
+    if labels.max() >= num_classes:
+        raise ValueError(f"{path}: label {labels.max()} out of range for {num_classes} classes")
+    return Dataset(features, labels, num_classes)
 
 
 def save_binary(dataset: Dataset, path: str) -> None:
@@ -492,8 +511,6 @@ def _load_binary(path: str) -> Dataset:
         if len(header) != 12:
             raise ValueError(f"{path}: truncated header")
         n, dim, classes = struct.unpack("<III", header)
-        if classes < 2:
-            raise ValueError(f"{path}: need at least 2 classes")
         feat_bytes = fh.read(4 * n * dim)
         if len(feat_bytes) != 4 * n * dim:
             raise ValueError(f"{path}: truncated feature block")
@@ -504,8 +521,8 @@ def _load_binary(path: str) -> Dataset:
         labels = np.frombuffer(label_bytes, dtype="<u4")
     if not np.isfinite(feats).all():
         raise ValueError(f"{path}: non-finite feature")
-    return Dataset(feats.astype(np.float64).reshape(n, dim),
-                   labels.astype(np.int64), int(classes))
+    return _bounded(path, feats.astype(np.float64).reshape(n, dim),
+                    labels.astype(np.int64), int(classes))
 
 
 def load_dataset(path: str, format: str | None = None) -> Dataset:

@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 
+MODEL_KINDS = ("logistic_regression", "mlp2")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture description: ``logistic_regression`` or ``mlp2``."""
@@ -43,7 +46,7 @@ class ModelSpec:
     hidden_dim: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("logistic_regression", "mlp2"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.input_dim < 1 or self.num_classes < 2:
             raise ValueError("need input_dim >= 1 and num_classes >= 2")
@@ -234,8 +237,8 @@ def relu_crossing_mask(spec: ModelSpec, params: ParamVector, batch: Batch, h: fl
     n_hidden_params = w1.size + b1.size
 
     def preact_sign(p):
-        w1p, b1p, _, _ = _unpack(spec, p)
-        return (batch.features @ w1p + b1p) > 0.0
+        # the ReLU output is positive exactly where its input is
+        return _forward(spec, p, batch.features)[0] > 0.0
 
     p = params.copy()
     for k in range(n_hidden_params):
@@ -253,11 +256,13 @@ def accuracy(spec: ModelSpec, params: ParamVector, batches) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
     Ties break toward the lowest class index (np.argmax convention).
+    Overflowing logits are scored without a numpy warning, as in training.
     """
     correct = 0
     total = 0
     for batch in batches:
-        logits = forward_logits(spec, params, batch.features)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = forward_logits(spec, params, batch.features)
         pred = np.argmax(logits, axis=1)
         correct += int((pred == batch.labels).sum())
         total += len(batch)

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 SAMPLER_MODES = ("separated", "unified", "uniform")
+SCHEDULE_KINDS = ("constant", "multistep", "cosine")
 
 
 class DivergenceError(ValueError):
@@ -132,7 +133,7 @@ class LrSchedule:
     total_rounds: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "multistep", "cosine"):
+        if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")

@@ -1,8 +1,12 @@
 """Config parsing, per-algorithm overrides, and validation."""
 
+import os
+import re
+from dataclasses import fields
+
 import pytest
 
-from hetsgd.config import (ALGORITHMS, ConfigError, ExperimentConfig, config_hash,
+from hetsgd.config import (_KEYS, ALGORITHMS, ConfigError, ExperimentConfig, config_hash,
                            parse_config, parse_config_file, plan, render_config, validate)
 from hetsgd.data import InvalidLambdaError
 
@@ -145,6 +149,43 @@ class TestValidation:
         from hetsgd.harness import bundled_config_path
         cfg = parse_config_file(bundled_config_path(name))
         assert validate(cfg) == plan(cfg)
+
+
+class TestKeys:
+    def test_every_field_declared_once(self):
+        declared = sorted(attr for attr, _, _ in _KEYS.values())
+        assert declared == sorted(f.name for f in fields(ExperimentConfig))
+
+    def test_readme_table_matches_keys(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("## Config format")[1].split("\n## ")[0]
+        rows = {}
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                cells = [c.strip() for c in line.split("|")[1:-1]]
+                for key in re.findall(r"`([^`]+)`", cells[0]):
+                    assert key not in rows, key
+                    rows[key] = cells[2]
+        assert rows == {key: need for key, (_, _, (_, need)) in _KEYS.items()}
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(data_input_dim=0), "data.input_dim must be >= 1, got 0"),
+        (dict(data_format="bogus"), "data.format must be one of '', 'csv', 'binary', got 'bogus'"),
+        (dict(val_fraction=1.0), "val_fraction must be in (0, 1), got 1.0"),
+        (dict(seeds=()), "seeds must be non-empty, got ()"),
+        (dict(data_separation=float("nan")), "data.separation must be finite"),
+        (dict(data_n=10, data_classes=11), "data.n must be >= data.classes for synthetic data"),
+        # a file-backed run never reads data.classes, but its rule still holds
+        (dict(data_source="file", data_path="d.csv", data_classes=1),
+         "data.classes must be >= 2, got 1"),
+    ])
+    def test_rejection_names_the_key_and_its_values(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            validate(minimal(**overrides))
+
+    def test_synthetic_class_bound_skips_file_data(self):
+        validate(minimal(data_source="file", data_path="d.csv", data_n=1, data_classes=5))
 
 
 class TestHash:

@@ -4,6 +4,7 @@ import csv
 import math
 import os
 import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,7 +27,11 @@ def profile(alpha=2.0, p_s=1, p_f=1, lam=2.0, tau_f=32, mode="separated"):
 
 
 def reference_load_csv(path):
-    """The per-row ``csv.reader`` loader the one-pass parse replaced: the oracle."""
+    """The per-row ``csv.reader`` loader the one-pass parse replaced: the oracle.
+
+    It also carries the loaders' bounds on the parsed file: a feature column,
+    at least 2 classes and no more classes than rows.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -48,9 +53,13 @@ def reference_load_csv(path):
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}:{int(bad[0]) + 2}: non-finite feature")
+    if not dim:
+        raise ValueError(f"{path}: no feature columns")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.max() < 1:
         raise ValueError(f"{path}: need at least 2 classes")
+    if labels.max() + 1 > len(rows):
+        raise ValueError(f"{path}: {len(rows)} rows cannot hold {labels.max() + 1} classes")
     return Dataset(features, labels, int(labels.max()) + 1)
 
 
@@ -467,6 +476,13 @@ class TestSyntheticData:
         flipped = float(np.mean(a.labels != b.labels))
         assert abs(flipped - 0.1) < 0.01
 
+    def test_negative_zero_sigma_is_zero(self):
+        # "-0" parses to -0.0, which passes sigma >= 0 but numpy's normal rejects
+        spec = SyntheticSpec(n=6, input_dim=2, num_classes=2, sigma=-0.0)
+        zero = SyntheticSpec(n=6, input_dim=2, num_classes=2, sigma=0.0)
+        np.testing.assert_array_equal(make_synthetic(spec, RngStream(0, 0)).features,
+                                      make_synthetic(zero, RngStream(0, 0)).features)
+
     def test_explicit_means_respected(self):
         means = np.array([[0.0, 0.0], [100.0, 100.0]])
         spec = SyntheticSpec(n=200, input_dim=2, num_classes=2, means=means, sigma=0.1)
@@ -547,6 +563,29 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=f"^{re.escape(path)}: need at least 2 classes$"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("features, labels, classes, message", [
+        (np.ones((4, 0)), [0, 1, 0, 1], 2, "no feature columns"),
+        (np.ones((10, 2)), [0, 1] * 4 + [0, 5], 2, "label 5 out of range for 2 classes"),
+        (np.ones((10, 2)), [0, 1] * 4 + [0, 2], 2, "label 2 out of range for 2 classes"),
+        (np.ones((10, 2)), [0, 1] * 5, 11, "10 rows cannot hold 11 classes"),
+    ], ids=["no features", "label past classes", "label at classes", "more classes than rows"])
+    def test_binary_bounds_rejected_with_the_path(self, tmp_path, features, labels,
+                                                  classes, message):
+        path = str(tmp_path / "d.bin")
+        # a valid dataset, saved, then the header's class count and a label rewritten
+        save_binary(Dataset(features, [0] * len(labels), 2), path)
+        with open(path, "r+b") as fh:
+            fh.seek(12)
+            fh.write(struct.pack("<I", classes))
+            fh.seek(16 + 4 * features.size)
+            fh.write(np.asarray(labels, dtype="<u4").tobytes())
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: {re.escape(message)}$"):
+            load_dataset(path)
+
+    def test_as_many_classes_as_rows_loads(self, tmp_path):
+        path = _write(tmp_path / "d.csv", "label,f0\n0,1\n1,2\n2,3\n")
+        assert load_dataset(path).num_classes == 3
+
 
 # finite features the loader must read back bit for bit
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
@@ -584,7 +623,7 @@ class TestCsvLoaderOracle:
 
         try:
             want = reference_load_csv(path)
-        except ValueError as exc:  # a single-class file
+        except ValueError as exc:  # a single-class file, or more classes than rows
             with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                 load_dataset(path, "csv")
             return
@@ -622,6 +661,8 @@ _REJECTED = {
     "# inside a row": ("label,f0,f1\n0,1,2\n1,2 # note,3\n", 3),
     "negative label": ("label,f0,f1\n0,1,2\n1,2,3\n-1,2,3\n0,1,2\n-1,0,0\n", 4),
     "single class": ("label,f0,f1\n0,1,2\n0,2,3\n", None),
+    "label column only": ("label\n0\n1\n0\n", None),
+    "more classes than rows": ("label,f0\n" + "0,1\n1,2\n" * 4 + "0,3\n1000,4\n", None),
 }
 
 

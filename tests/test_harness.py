@@ -2,6 +2,8 @@
 
 import json
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +313,9 @@ class TestCli:
         "data.sigma = inf", "profile.alpha = nan", "profile.lambda = inf",
         "cost.iter_fast = nan", "cost.agg = inf", "data.classes = 1",
         "model.kind = mlp2; model.hidden = 0", "weight_decay = -1", "schedule.base_lr = 0",
+        "data.input_dim = 0", "schedule.kind = bogus", "schedule.milestones = 5,3",
+        "data.format = bogus", "data.sigma = -1", "data.classes = 3000000",
+        "data.label_noise = 2", "data.label_noise = -1", "schedule.decay = -5",
     ])
     def test_validate_names_the_bad_key(self, tmp_path, capsys, override):
         # the last line of the override holds the bad value
@@ -384,6 +389,20 @@ class TestCli:
             f"error: invalid-value: {data_path}:4: non-finite feature\n")
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("text, detail", [
+        ("label\n" + "0\n1\n" * 5, "no feature columns"),
+        ("label,f0\n" + "0,1\n1,2\n" * 4 + "0,3\n1000,4\n", "10 rows cannot hold 1001 classes"),
+    ], ids=["label column only", "more classes than rows"])
+    def test_run_file_data_bounds_fail_at_load(self, tmp_path, capsys, text, detail):
+        data_path = tmp_path / "d.csv"
+        data_path.write_text(text)
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(f"data.source = file\ndata.path = {data_path}\nrounds = 1\n")
+        rc = cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: invalid-value: {data_path}: {detail}\n"
+        assert not os.path.exists(tmp_path / "o")
+
     def test_diverged_run_keeps_finished_rounds(self, tmp_path, capfd):
         body = "model.kind = mlp2\nschedule.kind = constant\nschedule.base_lr = 100\n"
 
@@ -447,3 +466,88 @@ class TestCli:
         rc = cli_main(["run", "/nonexistent/path.cfg"])
         assert rc != 0
         assert "error: missing-file" in capsys.readouterr().err
+
+
+# hostile values for raw config text; sizes are small or invalid, never a
+# large valid size, which would allocate or train without bound
+_FLOAT_TOKENS = ["nan", "inf", "-inf", "-0", "0", "-1", "1e300", "", "abc"]
+_BAD_SIZE_TOKENS = ["0", "-1", "1.5", "", "abc"]
+_FLOAT_KEYS = ["data.separation", "data.sigma", "data.label_noise", "profile.alpha",
+               "profile.lambda", "schedule.base_lr", "schedule.decay", "weight_decay",
+               "val_fraction", "cost.iter_fast", "cost.iter_slow", "cost.agg"]
+_CHOICE_KEYS = {
+    "data.source": ["synthetic", "file"],
+    "data.format": ["", "csv", "binary"],
+    "model.kind": ["logistic_regression", "mlp2"],
+    "algorithm": ["sync_sgd", "balanced_local", "unbalanced_unbiased", "biased_local"],
+    "aggregation": ["balanced", "tau_weighted", "fednova"],
+    "profile.sampler_mode": ["separated", "unified", "uniform"],
+    "sampling.fast_draw": ["fresh", "epoch"],
+    "sampling.cold_start": ["unseen-first", "uniform-first"],
+    "schedule.kind": ["constant", "multistep", "cosine"],
+}
+_SIZE_KEYS = {  # small valid values
+    "data.n": ["2", "5", "24", "60"], "data.input_dim": ["1", "3"],
+    "data.classes": ["2", "3", "5"], "model.hidden": ["1", "4"],
+    "profile.tau_f": ["1", "3"], "profile.p_s": ["1", "2"], "profile.p_f": ["1", "3"],
+    "batch_size": ["1", "8"], "rounds": ["1", "2"], "epochs": ["0", "1"],
+    "seeds": ["0", "3", "0,1"],
+}
+_OTHER_KEYS = {
+    "schedule.milestones": ["", "1,3", "5,3", "x"],
+    "data.path": ["", "missing.csv", "good.csv", "label_only.csv", "huge_label.csv"],
+}
+_DATA_FILES = {
+    "good.csv": "label,f0,f1\n" + "".join(f"{i % 2},{i * 0.5},{-i * 0.25}\n" for i in range(40)),
+    "label_only.csv": "label\n" + "0\n1\n" * 10,
+    "huge_label.csv": "label,f0\n" + "0,1\n1,2\n" * 4 + "0,3\n1000,4\n",
+}
+
+
+class TestConfigText:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    def test_any_text_runs_or_fails_with_one_error_line(self, tmp_path, capsys, data):
+        draw = data.draw
+        for name, text in _DATA_FILES.items():
+            (tmp_path / name).write_text(text)
+        values = {}
+        for key in draw(st.lists(st.sampled_from(
+                _FLOAT_KEYS + list(_CHOICE_KEYS) + list(_SIZE_KEYS) + list(_OTHER_KEYS)),
+                min_size=1, max_size=4, unique=True)):
+            if key in _FLOAT_KEYS:
+                values[key] = draw(st.sampled_from(_FLOAT_TOKENS))
+            elif key in _CHOICE_KEYS:  # valid half the time
+                values[key] = draw(st.sampled_from(_CHOICE_KEYS[key])
+                                   | st.sampled_from(["bogus", ""]))
+            elif key in _SIZE_KEYS:
+                values[key] = draw(st.sampled_from(_SIZE_KEYS[key])
+                                   | st.sampled_from(_BAD_SIZE_TOKENS))
+            else:
+                values[key] = draw(st.sampled_from(_OTHER_KEYS[key]))
+        if values.get("data.path", "").endswith(".csv"):
+            values["data.path"] = str(tmp_path / values["data.path"])
+        with open(bundled_config_path("demo")) as fh:
+            kept = [l for l in fh.read().splitlines() if l.split(" =")[0] not in values]
+        work = tempfile.mkdtemp(dir=tmp_path)
+        cfg_path = os.path.join(work, "fuzz.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write("\n".join(kept + [f"{k} = {v}" for k, v in values.items()]) + "\n")
+        out = os.path.join(work, "out")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli_main(["run", cfg_path, "--out", out, "--quiet"])
+        err = capsys.readouterr().err
+        assert not caught, [str(w.message) for w in caught]
+        if rc == 0:
+            assert err == ""
+            assert os.path.exists(os.path.join(out, "metrics.csv"))
+        else:
+            assert rc == 2
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            code, _, detail = err[len("error: "):].partition(": ")
+            if code == "invalid-value":  # only what validate cannot see
+                assert detail.startswith(("seed ", str(tmp_path))), err

@@ -1,6 +1,7 @@
 """Model forward/backward correctness against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,14 @@ class TestAccuracy:
         spec = ModelSpec("logistic_regression", 1, 2)
         with pytest.raises(ValueError, match="empty"):
             accuracy(spec, np.zeros(param_count(spec)), [])
+
+    def test_overflowing_logits_scored_without_a_warning(self):
+        # huge but finite params: the evaluation forward pass overflows
+        spec = ModelSpec("logistic_regression", 2, 2)
+        batch = Batch(np.full((3, 2), 1e10), np.array([0, 1, 0]), np.arange(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            accuracy(spec, np.full(param_count(spec), 1e300), [batch])
 
 
 class TestBatchInvariants:
