@@ -9,10 +9,10 @@ prices compute, communication, and barrier blocking.
 
 from .aggregation import aggregate, aggregation_weights
 from .config import ExperimentConfig, ConfigError, parse_config, parse_config_file, validate
-from .core import RngStream, axpy, weighted_sum
+from .core import RngStream
 from .data import (Dataset, EpochCursor, InvalidLambdaError, LossLedger, SyntheticSpec,
                    assign, fast_per_worker, load_dataset, make_synthetic, pool_size,
-                   record_losses, sample_separated, save_binary, save_csv, share_sizes,
+                   record_losses, sample_separated, save_csv, share_sizes,
                    slow_total, train_val_split)
 from .harness import RoundRecord, RunResult, bundled_config_path, render_csv, run, write_outputs
 from .models import (Batch, ModelSpec, accuracy, backward, finite_diff_grad, forward_loss,

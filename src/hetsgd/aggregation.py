@@ -11,13 +11,16 @@ global model:
   and added back.  This is a deliberately simplified inverse-tau reading of
   update normalization, kept as an ablation baseline; it is known to slow
   convergence when workers sample IID data.
+
+:func:`aggregate` is the one place models are combined: it takes its weights
+from :func:`aggregation_weights` and accumulates in worker order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ParamVector, axpy, weighted_sum
+from .core import ParamVector
 
 __all__ = ["RULES", "aggregation_weights", "aggregate"]
 
@@ -44,21 +47,33 @@ def aggregation_weights(rule: str, taus) -> np.ndarray:
     return np.array([v / total for v in inv])
 
 
-def aggregate(rule: str, models: list, taus, round_start: ParamVector | None = None) -> ParamVector:
-    """Combine local models into the next global model.
+def aggregate(rule: str, models, taus, round_start: ParamVector | None = None) -> ParamVector:
+    """Combine the round's local models into the next global model.
 
-    ``round_start`` (the model all workers started the round from) is
-    required for the fednova rule, which reweights deltas rather than the
-    models themselves.
+    ``models`` is a list of param vectors or a ``(P, n_params)`` stack, in
+    the order of ``taus``.  The result accumulates ``w_i * m_i`` in that
+    order; fednova accumulates ``w_i * (m_i - round_start)`` and then adds
+    ``round_start``, the model all workers started the round from, which
+    it requires.  Raises ValueError on a worker-count or shape mismatch and
+    on a non-finite result.
     """
-    if len(models) == 0:
-        raise ValueError("no models to aggregate")
-    if len(models) != len(list(taus)):
+    taus = list(taus)
+    if len(models) != len(taus):
         raise ValueError("models and taus disagree on worker count")
     weights = aggregation_weights(rule, taus)
-    if rule in ("balanced", "tau_weighted"):
-        return weighted_sum(models, weights)
-    if round_start is None:
+    fednova = rule == "fednova"
+    if fednova and round_start is None:
         raise ValueError("fednova aggregation needs the round-start model")
-    deltas = [m - round_start for m in models]
-    return axpy(1.0, weighted_sum(deltas, weights), round_start)
+    shape = np.shape(models[0])
+    for m in [*models, round_start] if fednova else models:
+        if np.shape(m) != shape:
+            raise ValueError(f"length mismatch: {np.shape(m)} vs {shape}")
+    out = np.zeros(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, m in zip(weights, models):
+            out += w * (m - round_start if fednova else m)
+        if fednova:
+            out += round_start
+    if not np.isfinite(out).all():
+        raise ValueError("aggregation produced non-finite entries")
+    return out

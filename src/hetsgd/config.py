@@ -7,7 +7,8 @@ field, its parser and its valid values.  ``plan()`` resolves the algorithm
 preset (sync SGD forces tau=1 and balanced averaging, etc.) into a
 :class:`RunPlan`, the one place the four algorithms differ; ``validate()``
 checks every key against its rule, then the rules that span keys (including
-the pool-size check for lam), and returns the plan a run executes.
+the pool-size check for lam and the ``MAX_ELEMENTS`` cap on the arrays a run
+sizes), and returns the plan a run executes.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from dataclasses import dataclass, replace
 
 from .aggregation import RULES
 from .data import InvalidLambdaError, share_sizes, val_size
-from .models import MODEL_KINDS
+from .models import MODEL_KINDS, ModelSpec, param_count
 from .simclock import CostModel
 from .workers import SAMPLER_MODES, SCHEDULE_KINDS, SystemProfile, WorkerSpec
 
 __all__ = ["ExperimentConfig", "ConfigError", "RunPlan", "plan", "check_shares",
-           "parse_config", "parse_config_file", "render_config", "config_hash", "ALGORITHMS"]
+           "check_model_size", "model_spec", "MAX_ELEMENTS", "parse_config",
+           "parse_config_file", "render_config", "config_hash", "ALGORITHMS"]
 
 class ConfigError(ValueError):
     pass
@@ -272,6 +274,12 @@ def validate(cfg: ExperimentConfig) -> RunPlan:
         raise ConfigError("need rounds >= 1 or epochs >= 1")
     if cfg.cost_iter_slow < cfg.cost_iter_fast:
         raise ConfigError("cost.iter_slow must be >= cost.iter_fast")
+    # sized before plan(), which builds one WorkerSpec per worker
+    _cap("(profile.p_s + profile.p_f) x profile.tau_f x batch_size",
+         (cfg.p_s + cfg.p_f) * cfg.tau_f * cfg.batch_size)
+    if cfg.data_source == "synthetic":
+        _cap("data.n x data.input_dim", cfg.data_n * cfg.data_input_dim)
+        check_model_size(cfg, model_spec(cfg, cfg.data_input_dim, cfg.data_classes), cfg.data_n)
 
     run_plan = plan(cfg)
     # the preset's sampler, not the configured one: sync_sgd always samples uniformly
@@ -296,3 +304,33 @@ def check_shares(run_plan: RunPlan, n_train: int) -> None:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+# The most elements any one array a run sizes from its config or data may
+# hold: 2**27, 1 GiB of float64.  The benchmark's largest holds 1.6M.
+MAX_ELEMENTS = 2**27
+
+
+def _cap(what: str, count: int, where: str = "") -> None:
+    if count > MAX_ELEMENTS:
+        raise ConfigError(f"{where}{what} is {count} elements, over the cap of 2**27")
+
+
+def model_spec(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> ModelSpec:
+    """The model a run of ``cfg`` trains on data of this shape."""
+    return ModelSpec(cfg.model_kind, input_dim, num_classes,
+                     cfg.model_hidden if cfg.model_kind == "mlp2" else 0)
+
+
+def check_model_size(cfg: ExperimentConfig, spec: ModelSpec, n: int, where: str = "") -> None:
+    """Raise unless the parameter stack and the activations fit ``MAX_ELEMENTS``.
+
+    ``spec`` is the model for a dataset of ``n`` rows.  ``validate`` checks
+    synthetic data; a run checks a file once it is loaded, ``where`` naming it.
+    """
+    workers = cfg.p_s + cfg.p_f
+    _cap("(profile.p_s + profile.p_f) x model parameters", workers * param_count(spec), where)
+    rows = max(val_size(n, cfg.val_fraction), workers * cfg.batch_size)
+    _cap("max(validation rows, (profile.p_s + profile.p_f) x batch_size) x the widest of "
+         "data.input_dim, model.hidden, data.classes",
+         rows * max(spec.input_dim, spec.hidden_dim, spec.num_classes), where)

@@ -14,15 +14,12 @@ import numpy as np
 __all__ = [
     "ParamVector",
     "RngStream",
-    "axpy",
-    "weighted_sum",
     "log_softmax",
     "rng_choose_without_replacement",
     "round_half_up",
 ]
 
-# A param vector is a plain 1-D float64 ndarray; functions below validate
-# length agreement and finiteness instead of wrapping it in a class.
+# A param vector is a plain 1-D float64 ndarray, not wrapped in a class.
 ParamVector = np.ndarray
 
 _MASK64 = (1 << 64) - 1
@@ -65,51 +62,6 @@ class RngStream:
 def round_half_up(x: float) -> int:
     """Round to nearest integer, halves away from zero (x >= 0 here)."""
     return int(np.floor(x + 0.5))
-
-
-def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-
-
-def axpy(a: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """Return ``a*x + y`` as a new vector.
-
-    Raises ValueError on length mismatch or a non-finite result.
-    """
-    if not np.isfinite(a):
-        raise ValueError("scale factor must be finite")
-    _check_same_length(x, y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a * x + y
-    if not np.all(np.isfinite(out)):
-        raise ValueError("axpy produced non-finite entries")
-    return out
-
-
-def weighted_sum(models: list, weights) -> ParamVector:
-    """Convex combination ``sum_i weights[i] * models[i]``.
-
-    Weights must be nonnegative and sum to 1 within 1e-12.
-    """
-    if len(models) == 0:
-        raise ValueError("no vectors to combine")
-    w = np.asarray(weights, dtype=np.float64)
-    if len(models) != w.shape[0]:
-        raise ValueError(f"{len(models)} vectors but {w.shape[0]} weights")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    if abs(float(w.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
-    length = models[0].shape
-    out = np.zeros(length, dtype=np.float64)
-    for wi, m in zip(w, models):
-        if m.shape != length:
-            raise ValueError(f"length mismatch: {m.shape} vs {length}")
-        out += wi * m
-    if not np.all(np.isfinite(out)):
-        raise ValueError("weighted_sum produced non-finite entries")
-    return out
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -58,7 +58,6 @@ __all__ = [
     "make_synthetic",
     "load_dataset",
     "save_csv",
-    "save_binary",
     "val_size",
     "train_val_split",
 ]
@@ -112,12 +111,6 @@ class LossLedger:
 
     def seen_mask(self) -> np.ndarray:
         return self.last_round >= 0
-
-    def mean_seen(self) -> float:
-        mask = self.seen_mask()
-        if not mask.any():
-            return float("nan")
-        return float(self.last_loss[mask].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +342,8 @@ class SyntheticSpec:
     separation: float = 6.0
     sigma: float = 1.0
     label_noise: float = 0.0
-    means: np.ndarray | None = None
 
     def class_means(self) -> np.ndarray:
-        if self.means is not None:
-            m = np.asarray(self.means, dtype=np.float64)
-            if m.shape != (self.num_classes, self.input_dim):
-                raise ValueError("means must be (num_classes, input_dim)")
-            return m
         m = np.zeros((self.num_classes, self.input_dim))
         r = self.separation / 2.0
         angles = 2.0 * np.pi * np.arange(self.num_classes) / self.num_classes
@@ -491,15 +478,6 @@ def _bounded(path: str, features: np.ndarray, labels: np.ndarray, num_classes: i
     if labels.max() >= num_classes:
         raise ValueError(f"{path}: label {labels.max()} out of range for {num_classes} classes")
     return Dataset(features, labels, num_classes)
-
-
-def save_binary(dataset: Dataset, path: str) -> None:
-    """Raw binary layout: magic, u32 N / dim / classes, f32 features, u32 labels."""
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<III", dataset.n, dataset.input_dim, dataset.num_classes))
-        fh.write(dataset.features.astype("<f4").tobytes())
-        fh.write(dataset.labels.astype("<u4").tobytes())
 
 
 def _load_binary(path: str) -> Dataset:

@@ -28,11 +28,12 @@ from importlib import resources
 import numpy as np
 
 from .aggregation import aggregate
-from .config import ExperimentConfig, RunPlan, check_shares, config_hash, validate
+from .config import (ExperimentConfig, RunPlan, check_model_size, check_shares, config_hash,
+                     model_spec, validate)
 from .core import RngStream
 from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, load_dataset,
                    record_losses, SyntheticSpec, train_val_split)
-from .models import Batch, ModelSpec, accuracy, init_params
+from .models import Batch, accuracy, init_params
 from .simclock import round_timing
 from .workers import DivergenceError, LrSchedule, lr_at, train_round
 
@@ -105,10 +106,11 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
     if dataset is None:
         dataset = _synthesize(cfg, seed)
     train, val = train_val_split(dataset, cfg.val_fraction, RngStream(seed, STREAM_SPLIT))
-    # validate() could only check synthetic shares; a loaded file is checked here
+    # validate() could only check synthetic data; a loaded file is checked here
     check_shares(run_plan, train.n)
-    spec = ModelSpec(cfg.model_kind, train.input_dim, train.num_classes,
-                     cfg.model_hidden if cfg.model_kind == "mlp2" else 0)
+    spec = model_spec(cfg, train.input_dim, train.num_classes)
+    check_model_size(cfg, spec, dataset.n,
+                     f"{cfg.data_path}: " if cfg.data_source == "file" else "")
     params = init_params(spec, RngStream(seed, STREAM_INIT))
     val_batch = Batch(val.features, val.labels, np.arange(val.n))
 

@@ -117,10 +117,6 @@ class SystemProfile:
             raise ValueError(f"sampler_mode must be one of {SAMPLER_MODES}")
         self.tau_s = derive_tau_s(self.tau_f, self.alpha)
 
-    @property
-    def num_workers(self) -> int:
-        return self.p_s + self.p_f
-
 
 @dataclass(frozen=True)
 class LrSchedule:
@@ -150,15 +146,17 @@ def lr_at(schedule: LrSchedule, round_idx: int) -> float:
     if round_idx < 0:
         raise ValueError("round index must be nonnegative")
     if schedule.kind == "constant":
-        return schedule.base_lr
-    if schedule.kind == "multistep":
+        lr = schedule.base_lr
+    elif schedule.kind == "multistep":
         hits = sum(1 for m in schedule.milestones if m <= round_idx)
-        return schedule.base_lr * schedule.decay ** hits
-    if round_idx >= schedule.total_rounds:
+        lr = schedule.base_lr * schedule.decay ** hits
+    elif round_idx >= schedule.total_rounds:
         raise ValueError(
             f"round {round_idx} beyond cosine horizon {schedule.total_rounds}"
         )
-    return 0.5 * schedule.base_lr * (1.0 + np.cos(np.pi * round_idx / schedule.total_rounds))
+    else:
+        lr = 0.5 * schedule.base_lr * (1.0 + np.cos(np.pi * round_idx / schedule.total_rounds))
+    return float(lr)  # a numpy scalar would render as np.float64(...) in metrics.csv
 
 
 def _batch_schedule(assigned: np.ndarray, tau: int, batch_size: int, stream: RngStream,

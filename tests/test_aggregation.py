@@ -12,6 +12,18 @@ from hetsgd.aggregation import RULES, aggregate, aggregation_weights
 taus_strategy = st.lists(st.integers(1, 64), min_size=1, max_size=12)
 
 
+def _scalar_loop(rule, models, taus, start):
+    """The combination one element and one worker at a time, in worker order."""
+    w = aggregation_weights(rule, taus)
+    out = np.empty(len(start))
+    for k in range(len(start)):
+        acc = 0.0
+        for i in range(len(models)):
+            acc += w[i] * (models[i][k] - start[k] if rule == "fednova" else models[i][k])
+        out[k] = acc + start[k] if rule == "fednova" else acc
+    return out
+
+
 class TestWeights:
     def test_tau_weighted_32_1_exact(self):
         w = aggregation_weights("tau_weighted", [32, 1])
@@ -121,3 +133,45 @@ class TestAggregate:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="worker count"):
             aggregate("balanced", [np.ones(2)], [1, 2])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            aggregate("balanced", [np.zeros(3), np.zeros(4)], [1, 2])
+        with pytest.raises(ValueError, match="length mismatch"):
+            aggregate("fednova", [np.zeros(3), np.zeros(3)], [1, 2], round_start=np.zeros(4))
+
+    def test_nonfinite_result_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            aggregate("balanced", [np.ones(2), np.array([1.0, np.inf])], [1, 2])
+        # each delta overflows although every model is finite
+        with pytest.raises(ValueError, match="non-finite"):
+            aggregate("fednova", [np.full(2, 1e308)] * 2, [1, 2],
+                      round_start=np.full(2, -1e308))
+
+    def test_balanced_equals_mean(self):
+        rng = np.random.default_rng(3)
+        models = [rng.normal(size=8) for _ in range(5)]
+        got = aggregate("balanced", models, [4, 4, 9, 9, 9])
+        np.testing.assert_allclose(got, np.mean(models, axis=0), rtol=0, atol=1e-12)
+
+    def test_one_worker_is_identity(self):
+        v = np.array([1.0, -2.0, 3.5])
+        for rule in ("balanced", "tau_weighted"):
+            np.testing.assert_array_equal(aggregate(rule, [v], [5]), v)
+
+    def test_fednova_unmoved_workers_return_round_start(self):
+        start = np.array([0.25, -4.0, 7.0])
+        got = aggregate("fednova", np.stack([start] * 3), [1, 4, 4], round_start=start)
+        np.testing.assert_array_equal(got, start)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(RULES), taus_strategy,
+           st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_loop_oracle(self, seed, rule, taus, n):
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(scale=10.0, size=(len(taus), n))
+        start = rng.normal(size=n)
+        expected = _scalar_loop(rule, stack, taus, start)
+        for models in (list(stack), stack):
+            np.testing.assert_array_equal(aggregate(rule, models, taus, round_start=start),
+                                          expected)

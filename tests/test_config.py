@@ -6,8 +6,9 @@ from dataclasses import fields
 
 import pytest
 
-from hetsgd.config import (_KEYS, ALGORITHMS, ConfigError, ExperimentConfig, config_hash,
-                           parse_config, parse_config_file, plan, render_config, validate)
+from hetsgd.config import (_KEYS, ALGORITHMS, MAX_ELEMENTS, ConfigError, ExperimentConfig,
+                           config_hash, parse_config, parse_config_file, plan, render_config,
+                           validate)
 from hetsgd.data import InvalidLambdaError
 
 
@@ -186,6 +187,37 @@ class TestKeys:
 
     def test_synthetic_class_bound_skips_file_data(self):
         validate(minimal(data_source="file", data_path="d.csv", data_n=1, data_classes=5))
+
+
+class TestSizeCap:
+    """validate rejects a config whose arrays would exceed the cap; nothing is allocated."""
+
+    @pytest.mark.parametrize("overrides, what", [
+        (dict(data_n=10**12), "data.n x data.input_dim"),
+        (dict(tau_f=10**12), "(profile.p_s + profile.p_f) x profile.tau_f x batch_size"),
+        # checked before the plan, which would build one WorkerSpec per worker
+        (dict(p_s=10**12), "(profile.p_s + profile.p_f) x profile.tau_f x batch_size"),
+        (dict(model_kind="mlp2", model_hidden=10**12),
+         "(profile.p_s + profile.p_f) x model parameters"),
+        # parameters fit, but a validation pass would not
+        (dict(data_n=2**25, data_input_dim=1, model_kind="mlp2", model_hidden=2**21),
+         "max(validation rows, (profile.p_s + profile.p_f) x batch_size) x the widest of "
+         "data.input_dim, model.hidden, data.classes"),
+    ])
+    def test_oversized_array_rejected(self, overrides, what):
+        with pytest.raises(ConfigError, match=f"^{re.escape(what)} is \\d+ elements, "
+                                              "over the cap of 2\\*\\*27$"):
+            validate(minimal(**overrides))
+
+    def test_cap_is_inclusive(self):
+        validate(minimal(data_n=MAX_ELEMENTS // 2, data_input_dim=2))
+        with pytest.raises(ConfigError, match="data.n x data.input_dim"):
+            validate(minimal(data_n=MAX_ELEMENTS // 2 + 1, data_input_dim=2))
+
+    def test_file_data_model_is_sized_at_load(self):
+        # validate cannot count a file's parameters; run checks them once loaded
+        validate(minimal(data_source="file", data_path="d.csv", model_kind="mlp2",
+                         model_hidden=10**12))
 
 
 class TestHash:

@@ -1,15 +1,12 @@
-"""Vector arithmetic, RNG streams, and loss primitives."""
+"""RNG streams, rounding and loss primitives."""
 
 import math
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hetsgd.core import (RngStream, axpy, log_softmax, rng_choose_without_replacement,
-                         round_half_up, weighted_sum)
+from hetsgd.core import RngStream, log_softmax, rng_choose_without_replacement, round_half_up
 
 
 def _softmax_ce_decimal(logits, label, digits=50):
@@ -23,75 +20,6 @@ def _softmax_ce_decimal(logits, label, digits=50):
 def _xent(logits, label):
     """Cross-entropy of one logit vector, as every model takes it from log_softmax."""
     return float(-log_softmax(np.asarray(logits, dtype=np.float64))[label])
-
-
-class TestAxpy:
-    def test_zero_scale_is_identity(self):
-        v = np.array([1.0, -2.0, 3.5])
-        x = np.array([9.0, 9.0, 9.0])
-        np.testing.assert_array_equal(axpy(0.0, x, v), v)
-
-    def test_unit_scale_against_zero(self):
-        v = np.array([1.0, -2.0, 3.5])
-        np.testing.assert_array_equal(axpy(1.0, v, np.zeros(3)), v)
-
-    def test_negation_cancels(self):
-        v = np.array([0.25, -4.0, 7.0])
-        np.testing.assert_array_equal(axpy(-1.0, v, v), np.zeros(3))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            axpy(1.0, np.zeros(3), np.zeros(4))
-
-    def test_nonfinite_result_rejected(self):
-        big = np.full(2, 1e308)
-        with pytest.raises(ValueError, match="non-finite"):
-            axpy(10.0, big, big)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_elementwise_definition(self, seed):
-        rng = np.random.default_rng(seed)
-        a = float(rng.normal())
-        x, y = rng.normal(size=6), rng.normal(size=6)
-        expected = np.array([a * xi + yi for xi, yi in zip(x, y)])
-        np.testing.assert_array_equal(axpy(a, x, y), expected)
-
-
-class TestWeightedSum:
-    def test_identical_vectors_uniform_weights(self):
-        v = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(weighted_sum([v, v], [0.5, 0.5]), v, rtol=0, atol=1e-15)
-
-    def test_degenerate_weight_selects_one(self):
-        u = np.array([4.0, -1.0])
-        np.testing.assert_array_equal(weighted_sum([u, u * 3], [1.0, 0.0]), u)
-
-    def test_matches_scalar_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        models = [rng.normal(size=5) for _ in range(3)]
-        w = rng.dirichlet(np.ones(3))
-        expected = np.zeros(5)
-        for k in range(5):
-            acc = 0.0
-            for i in range(3):
-                acc += w[i] * models[i][k]
-            expected[k] = acc
-        np.testing.assert_allclose(weighted_sum(models, w), expected, rtol=1e-14)
-
-    def test_uniform_weights_equal_mean(self):
-        rng = np.random.default_rng(3)
-        models = [rng.normal(size=8) for _ in range(5)]
-        got = weighted_sum(models, np.full(5, 0.2))
-        np.testing.assert_allclose(got, np.mean(models, axis=0), rtol=0, atol=1e-12)
-
-    def test_bad_weight_sum_rejected(self):
-        with pytest.raises(ValueError, match="sum"):
-            weighted_sum([np.ones(2), np.ones(2)], [0.6, 0.6])
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            weighted_sum([np.ones(2), np.ones(2)], [1.5, -0.5])
 
 
 class TestCrossEntropy:

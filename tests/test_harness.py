@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hetsgd.cli
 import hetsgd.harness
 from hetsgd.cli import main as cli_main
 from hetsgd.config import ALGORITHMS, ConfigError, ExperimentConfig, parse_config_file, validate
@@ -133,7 +134,7 @@ class TestLedgerTrend:
             for wid in (0, 1):
                 record_losses(ledger, ids[wid], losses[wid], r)
             params = aggregate("tau_weighted", models, taus)
-            means.append(ledger.mean_seen())
+            means.append(ledger.last_loss[ledger.seen_mask()].mean())
         assert means[-1] < means[0]
 
 
@@ -376,6 +377,21 @@ class TestCli:
             "error: invalid-config: training split of 2 cannot cover 6 workers\n")
         assert not os.path.exists(tmp_path / "o")
 
+    def test_run_file_data_oversized_model_fails_at_load(self, tmp_path, capsys):
+        # validate cannot count a file's parameters; run checks them once loaded
+        data_path = tmp_path / "d.csv"
+        data_path.write_text("label,f0\n" + "0,1\n1,2\n" * 10)
+        cfg_path = tmp_path / "d.cfg"
+        cfg_path.write_text(f"data.source = file\ndata.path = {data_path}\nrounds = 1\n"
+                            "model.kind = mlp2\nmodel.hidden = 1000000000000\n")
+        assert cli_main(["validate", str(cfg_path), "--quiet"]) == 0
+        rc = cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid-config: {data_path}: (profile.p_s + profile.p_f) x model "
+            "parameters is 8000000000004 elements, over the cap of 2**27\n")
+        assert not os.path.exists(tmp_path / "o")
+
     def test_run_file_data_non_finite_fails_at_load(self, tmp_path, capsys):
         data_path = tmp_path / "nan.csv"
         rows = [f"{i % 2},{'nan' if i == 2 else i * 0.5}" for i in range(10)]
@@ -456,7 +472,15 @@ class TestCli:
         assert len(lines) == 3  # header + 2 workers
 
     def test_gradcheck(self, capsys):
-        assert cli_main(["gradcheck", "--trials", "10"]) == 0
+        # trial 159 has gradient entries near 2e-8: over a 1e-8 floor, the
+        # finite differences' roundoff alone is a relative error of 2e-3
+        assert cli_main(["gradcheck", "--trials", "200"]) == 0
+
+    def test_gradcheck_catches_a_wrong_gradient(self, capsys, monkeypatch):
+        right = hetsgd.cli.backward
+        monkeypatch.setattr(hetsgd.cli, "backward", lambda *a: right(*a) * 1.001)
+        assert cli_main(["gradcheck", "--trials", "10"]) == 1
+        assert capsys.readouterr().out.endswith("-> FAIL\n")
 
     def test_unknown_flag_usage_error(self, capsys):
         rc = cli_main(["run", "--definitely-not-a-flag"])
@@ -469,9 +493,13 @@ class TestCli:
 
 
 # hostile values for raw config text; sizes are small or invalid, never a
-# large valid size, which would allocate or train without bound
+# large valid size, which would allocate or train without bound.  10**12 is
+# drawn only for the keys that size an array, where validate's cap rejects it.
 _FLOAT_TOKENS = ["nan", "inf", "-inf", "-0", "0", "-1", "1e300", "", "abc"]
 _BAD_SIZE_TOKENS = ["0", "-1", "1.5", "", "abc"]
+_HUGE = "1000000000000"
+_CAPPED_KEYS = {"data.n", "data.input_dim", "data.classes", "model.hidden", "profile.tau_f",
+                "profile.p_s", "profile.p_f", "batch_size"}
 _FLOAT_KEYS = ["data.separation", "data.sigma", "data.label_noise", "profile.alpha",
                "profile.lambda", "schedule.base_lr", "schedule.decay", "weight_decay",
                "val_fraction", "cost.iter_fast", "cost.iter_slow", "cost.agg"]
@@ -523,8 +551,8 @@ class TestConfigText:
                 values[key] = draw(st.sampled_from(_CHOICE_KEYS[key])
                                    | st.sampled_from(["bogus", ""]))
             elif key in _SIZE_KEYS:
-                values[key] = draw(st.sampled_from(_SIZE_KEYS[key])
-                                   | st.sampled_from(_BAD_SIZE_TOKENS))
+                bad = _BAD_SIZE_TOKENS + [_HUGE] * (key in _CAPPED_KEYS)
+                values[key] = draw(st.sampled_from(_SIZE_KEYS[key]) | st.sampled_from(bad))
             else:
                 values[key] = draw(st.sampled_from(_OTHER_KEYS[key]))
         if values.get("data.path", "").endswith(".csv"):
@@ -544,7 +572,9 @@ class TestConfigText:
         assert not caught, [str(w.message) for w in caught]
         if rc == 0:
             assert err == ""
-            assert os.path.exists(os.path.join(out, "metrics.csv"))
+            with open(os.path.join(out, "metrics.csv")) as fh:
+                for line in fh.read().splitlines()[1:]:
+                    [float(cell) for cell in line.split(",")]  # not np.float64(...)
         else:
             assert rc == 2
             assert len(err.splitlines()) == 1 and err.startswith("error: ")

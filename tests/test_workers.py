@@ -131,7 +131,6 @@ class TestSystemProfile:
     def test_tau_s_derived(self):
         prof = SystemProfile(alpha=4.0, p_s=1, p_f=2, lam=2.0, tau_f=32)
         assert prof.tau_s == 8
-        assert prof.num_workers == 3
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="sampler_mode"):
