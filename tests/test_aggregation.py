@@ -164,6 +164,20 @@ class TestAggregate:
         got = aggregate("fednova", np.stack([start] * 3), [1, 4, 4], round_start=start)
         np.testing.assert_array_equal(got, start)
 
+    def test_identical_models_uniform_weights(self):
+        v = np.array([1.0, 2.0, 3.0])
+        np.testing.assert_allclose(aggregate("balanced", [v, v], [3, 8]), v, rtol=0, atol=1e-15)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(("balanced", "tau_weighted")),
+           st.integers(1, 64), st.integers(1, 64))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_elementwise_definition(self, seed, rule, tau_x, tau_y):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=6), rng.normal(size=6)
+        wx, wy = aggregation_weights(rule, [tau_x, tau_y])
+        expected = np.array([wx * xi + wy * yi for xi, yi in zip(x, y)])
+        np.testing.assert_array_equal(aggregate(rule, [x, y], [tau_x, tau_y]), expected)
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from(RULES), taus_strategy,
            st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
