@@ -208,9 +208,13 @@ def _top_loss_selection(ledger: LossLedger, pool: np.ndarray, k: int,
     if cold_start == "uniform-first" and not ledger.seen_mask().any():
         picked = rng_choose_without_replacement(stream, pool.shape[0], k)
         return pool[np.sort(picked)]
-    # lexsort: primary key last -> -loss ascending (loss desc), ties by index asc
-    order = np.lexsort((pool, -losses))
-    return pool[order[:k]]
+    # only members at or above the k-th largest loss can be picked (its ties
+    # and the +inf sentinels included); a stable sort of the id-sorted
+    # survivors by loss desc orders them by (loss desc, index asc)
+    kth = np.partition(losses, pool.shape[0] - k)[pool.shape[0] - k]
+    survivors = np.sort(pool[losses >= kth])  # pool ids are distinct
+    order = np.argsort(-ledger.last_loss[survivors], kind="stable")
+    return survivors[order[:k]]
 
 
 def assign(ledger: LossLedger, profile, stream: RngStream,
@@ -309,17 +313,26 @@ def record_losses(ledger: LossLedger, sample_ids, losses, round_idx: int) -> Los
     vals = np.asarray(losses, dtype=np.float64)
     if ids.shape != vals.shape:
         raise ValueError("sample_ids and losses disagree on length")
+    if ids.ndim != 1:
+        raise ValueError("sample_ids must be one-dimensional")
     if ids.size == 0:
         return ledger
     if ids.min() < 0 or ids.max() >= ledger.n:
         raise ValueError("sample id out of range")
     if not np.all(np.isfinite(vals)) or np.any(vals < 0):
         raise ValueError("losses must be finite and nonnegative")
-    # keep the last write per id
-    rev_uniq, rev_pos = np.unique(ids[::-1], return_index=True)
-    last_vals = vals[::-1][rev_pos]
-    ledger.last_loss[rev_uniq] = last_vals
-    ledger.last_round[rev_uniq] = round_idx
+    # keep the last write per id: the keys id * m + position are distinct,
+    # so one unstable sort groups each id's writes in position order and
+    # the end of each run is its last.  Keys stay below n * m < 2**63:
+    # config.MAX_ELEMENTS (2**27) caps m, a round's padded batch ids, and a
+    # synthetic n; a binary file's n is a u32, and a CSV file would need
+    # 2**36 rows.
+    m = ids.shape[0]
+    sorted_ids, pos = np.divmod(np.sort(ids * m + np.arange(m)), m)
+    last = np.append(sorted_ids[1:] != sorted_ids[:-1], True)
+    ids = sorted_ids[last]
+    ledger.last_loss[ids] = vals[pos[last]]
+    ledger.last_round[ids] = round_idx
     return ledger
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,12 +13,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hetsgd.core import RngStream
-from hetsgd.data import (Dataset, EpochCursor, InvalidLambdaError, LossLedger,
-                         SyntheticSpec, assign, fast_per_worker, load_dataset, make_synthetic,
-                         pool_size, pool_size_exact, record_losses, sample_separated,
-                         save_csv, share_sizes, slow_share_sizes, slow_total,
-                         train_val_split, val_size)
+import hetsgd.data
+import hetsgd.harness
+from hetsgd.config import parse_config_file
+from hetsgd.core import RngStream, rng_choose_without_replacement
+from hetsgd.data import (NEVER_SEEN, Dataset, EpochCursor, InvalidLambdaError, LossLedger,
+                         SyntheticSpec, _top_loss_selection, assign, fast_per_worker,
+                         load_dataset, make_synthetic, pool_size, pool_size_exact,
+                         record_losses, sample_separated, save_csv, share_sizes,
+                         slow_share_sizes, slow_total, train_val_split, val_size)
+from hetsgd.harness import bundled_config_path, render_csv, run
 from hetsgd.workers import SystemProfile
 
 
@@ -76,6 +81,43 @@ def top_k_oracle(losses, pool, k):
     """Independent full-sort selection: loss descending, index ascending."""
     ranked = sorted(pool.tolist(), key=lambda i: (-losses[i], i))
     return set(ranked[:k])
+
+
+def reference_top_loss(ledger, pool, k, stream, cold_start):
+    """The full-pool ``lexsort`` selection the partition replaced: the oracle."""
+    losses = ledger.last_loss[pool]
+    if cold_start == "uniform-first" and not ledger.seen_mask().any():
+        picked = rng_choose_without_replacement(stream, pool.shape[0], k)
+        return pool[np.sort(picked)]
+    # lexsort: primary key last -> -loss ascending (loss desc), ties by index asc
+    order = np.lexsort((pool, -losses))
+    return pool[order[:k]]
+
+
+def reference_record_losses(ledger, sample_ids, losses, round_idx):
+    """The ``np.unique`` last-write merge the one-sort merge replaced: the oracle."""
+    ids = np.asarray(sample_ids, dtype=np.int64)
+    vals = np.asarray(losses, dtype=np.float64)
+    rev_uniq, rev_pos = np.unique(ids[::-1], return_index=True)
+    ledger.last_loss[rev_uniq] = vals[::-1][rev_pos]
+    ledger.last_round[rev_uniq] = round_idx
+    return ledger
+
+
+def drawn_ledger(kind, n, rng):
+    """A ledger of one of the shapes that stress the ranking's ties."""
+    ledger = LossLedger(n)
+    if kind == "all-unseen":
+        return ledger
+    if kind == "all-seen":
+        values = rng.uniform(0, 5, n)
+    elif kind == "ties":  # a few distinct values, never-seen sentinels among them
+        values = rng.choice([0.0, 0.5, 2.0, NEVER_SEEN], n)
+    else:  # "signed-zeros"
+        values = rng.choice([0.0, -0.0, 1.0], n)
+    ledger.last_loss[:] = values
+    ledger.last_round[values != NEVER_SEEN] = 0
+    return ledger
 
 
 class TestShareFormulas:
@@ -232,6 +274,43 @@ class TestSeparatedSampler:
         assert len(a) == len(b) == prof.p_s + prof.p_f
         for got, want in zip(a, b):
             np.testing.assert_array_equal(got, want)
+
+
+class TestTopLossOracle:
+    """The partition-based selection returns the lexsort's array, order included:
+    the round-robin split and the workers' batch permutations index into it."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+           kind=st.sampled_from(["ties", "all-unseen", "all-seen", "signed-zeros"]),
+           whole_pool=st.booleans(), k_at=st.sampled_from(["one", "pool", "between"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_lexsort_byte_for_byte(self, seed, n, kind, whole_pool, k_at):
+        rng = np.random.default_rng(seed)
+        ledger = drawn_ledger(kind, n, rng)
+        pool = rng.permutation(n)[:n if whole_pool else int(rng.integers(1, n + 1))]
+        k = {"one": 1, "pool": pool.shape[0],
+             "between": int(rng.integers(1, pool.shape[0] + 1))}[k_at]
+        for cold_start in ("unseen-first", "uniform-first"):
+            got = _top_loss_selection(ledger, pool, k, RngStream(seed, 0), cold_start)
+            want = reference_top_loss(ledger, pool, k, RngStream(seed, 0), cold_start)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_signed_zeros_tie_and_break_by_index(self):
+        ledger = LossLedger(6)
+        ledger.last_loss[:] = [0.0, -0.0, 1.0, -0.0, 0.0, 1.0]
+        ledger.last_round[:] = 0
+        pool = np.array([4, 1, 5, 3, 0, 2])
+        got = _top_loss_selection(ledger, pool, 4, RngStream(0, 0), "unseen-first")
+        np.testing.assert_array_equal(got, [2, 5, 0, 1])
+
+    def test_uniform_first_on_an_empty_ledger_draws_from_the_stream(self):
+        ledger = LossLedger(200)
+        pool = RngStream(1, 0).choose(200, 120)
+        got = _top_loss_selection(ledger, pool, 50, RngStream(7, 3), "uniform-first")
+        want = reference_top_loss(ledger, pool, 50, RngStream(7, 3), "uniform-first")
+        assert got.tobytes() == want.tobytes()
+        assert set(got.tolist()) != set(np.sort(pool)[:50].tolist())
 
 
 class TestUnifiedSampler:
@@ -404,12 +483,78 @@ class TestLossLedger:
         with pytest.raises(ValueError, match="nonnegative"):
             record_losses(LossLedger(3), [0], [-1.0], 0)
 
+    @pytest.mark.parametrize("loss", [np.nan, np.inf])
+    def test_non_finite_loss_rejected(self, loss):
+        with pytest.raises(ValueError, match="finite"):
+            record_losses(LossLedger(3), [0, 1], [1.0, loss], 0)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="disagree on length"):
+            record_losses(LossLedger(3), [0, 1], [1.0], 0)
+
+    @pytest.mark.parametrize("ids, losses", [(1, 1.0), ([[0, 1], [1, 2]], [[1.0, 2.0], [3.0, 4.0]])])
+    def test_ids_not_one_dimensional_rejected(self, ids, losses):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            record_losses(LossLedger(3), ids, losses, 0)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           rounds=st.lists(st.lists(st.integers(1, 40), min_size=1, max_size=4),
+                           min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_merge_matches_unique_oracle(self, seed, n, rounds):
+        # each inner list holds one round's per-worker segment lengths, merged
+        # in one call as the harness does; ids repeat within and across segments
+        rng = np.random.default_rng(seed)
+        got, want = LossLedger(n), LossLedger(n)
+        for r, lengths in enumerate(rounds):
+            m = sum(lengths)
+            ids = rng.integers(0, n, m)
+            ids[rng.random(m) < 0.2] = 0
+            ids[rng.random(m) < 0.2] = n - 1
+            losses = rng.uniform(0, 4, m)
+            losses[rng.random(m) < 0.2] = -0.0
+            losses[rng.random(m) < 0.1] = 0.0
+            record_losses(got, ids, losses, r)
+            reference_record_losses(want, ids, losses, r)
+            assert got.last_loss.tobytes() == want.last_loss.tobytes()
+            np.testing.assert_array_equal(got.last_round, want.last_round)
+
+    def test_negative_zero_last_write_kept_bitwise(self):
+        ledger = LossLedger(2)
+        record_losses(ledger, [1, 1], [0.0, -0.0], 3)
+        assert ledger.last_loss[1:].tobytes() == np.array([-0.0]).tobytes()
+
     def test_mean_seen(self):
         ledger = LossLedger(4)
         assert not ledger.seen_mask().any()
         record_losses(ledger, [0, 1], [2.0, 4.0], 0)
         np.testing.assert_array_equal(ledger.seen_mask(), [True, True, False, False])
         assert ledger.last_loss[ledger.seen_mask()].mean() == 3.0
+
+
+MLP2 = dict(model_kind="mlp2", data_classes=3, p_s=2, p_f=2)
+
+
+class TestOraclesEndToEnd:
+    """A run's metrics.csv has the same bytes with the oracles swapped in.
+
+    Both runs use the same BLAS, so the check holds on any platform.
+    Epoch-wise fast draws are not defined for unified sampling, so the
+    unified run draws fresh.
+    """
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("demo", {}),
+        ("hard", {}),
+        ("demo", dict(MLP2, sampler_mode="separated", fast_draw="epoch")),
+        ("demo", dict(MLP2, sampler_mode="unified", fast_draw="fresh")),
+    ], ids=["demo", "hard", "mlp2-separated-epoch", "mlp2-unified"])
+    def test_metrics_csv_unchanged(self, monkeypatch, name, overrides):
+        cfg = replace(parse_config_file(bundled_config_path(name)), **overrides)
+        fast = render_csv(run(cfg))
+        monkeypatch.setattr(hetsgd.data, "_top_loss_selection", reference_top_loss)
+        monkeypatch.setattr(hetsgd.harness, "record_losses", reference_record_losses)
+        assert render_csv(run(cfg)) == fast
 
 
 class TestEpochCursor:
