@@ -7,8 +7,11 @@ field, its parser and its valid values.  ``plan()`` resolves the algorithm
 preset (sync SGD forces tau=1 and balanced averaging, etc.) into a
 :class:`RunPlan`, the one place the four algorithms differ; ``validate()``
 checks every key against its rule, then the rules that span keys (including
-the pool-size check for lam and the ``MAX_ELEMENTS`` cap on the arrays a run
-sizes), and returns the plan a run executes.
+the ``MAX_ELEMENTS`` cap on the arrays a run sizes and a finite simulated
+clock), and returns the plan a run executes.  ``check_data`` decides whether
+a plan can run on a dataset of a given size and shape, the pool-size check
+for lam included: ``validate`` calls it for synthetic data, ``harness.run``
+for a file once it is loaded.
 """
 
 from __future__ import annotations
@@ -17,15 +20,17 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .aggregation import RULES
 from .data import InvalidLambdaError, share_sizes, val_size
 from .models import MODEL_KINDS, ModelSpec, param_count
-from .simclock import CostModel
+from .simclock import CostModel, round_timing
 from .workers import SAMPLER_MODES, SCHEDULE_KINDS, SystemProfile, WorkerSpec
 
-__all__ = ["ExperimentConfig", "ConfigError", "RunPlan", "plan", "check_shares",
-           "check_model_size", "model_spec", "MAX_ELEMENTS", "parse_config",
-           "parse_config_file", "render_config", "config_hash", "ALGORITHMS"]
+__all__ = ["ExperimentConfig", "ConfigError", "RunPlan", "plan", "check_data", "model_spec",
+           "MAX_ELEMENTS", "MAX_WORKERS", "parse_config", "parse_config_file",
+           "render_config", "config_hash", "ALGORITHMS"]
 
 class ConfigError(ValueError):
     pass
@@ -268,52 +273,63 @@ def validate(cfg: ExperimentConfig) -> RunPlan:
         raise ConfigError("data.path required when data.source = file")
     if cfg.data_source == "synthetic" and cfg.data_n < cfg.data_classes:
         raise ConfigError("data.n must be >= data.classes for synthetic data")
+    # a synthetic feature is a class mean plus noise: at most |separation| / 2
+    # plus 14 sigma, as numpy's normal sampler stops 13.71 sigma out
+    if cfg.data_source == "synthetic" and not math.isfinite(
+            abs(cfg.data_separation) / 2 + 14 * cfg.data_sigma):
+        raise ConfigError("data.separation and data.sigma allow non-finite synthetic features")
     if cfg.model_kind == "mlp2" and cfg.model_hidden < 1:
         raise ConfigError("model.hidden must be >= 1 for mlp2")
     if cfg.rounds < 1 and cfg.epochs < 1:
         raise ConfigError("need rounds >= 1 or epochs >= 1")
     if cfg.cost_iter_slow < cfg.cost_iter_fast:
         raise ConfigError("cost.iter_slow must be >= cost.iter_fast")
-    # sized before plan(), which builds one WorkerSpec per worker
     _cap("(profile.p_s + profile.p_f) x profile.tau_f x batch_size",
          (cfg.p_s + cfg.p_f) * cfg.tau_f * cfg.batch_size)
-    if cfg.data_source == "synthetic":
-        _cap("data.n x data.input_dim", cfg.data_n * cfg.data_input_dim)
-        check_model_size(cfg, model_spec(cfg, cfg.data_input_dim, cfg.data_classes), cfg.data_n)
+    # before plan(), which builds one WorkerSpec per worker
+    if cfg.p_s + cfg.p_f > MAX_WORKERS:
+        raise ConfigError(f"profile.p_s + profile.p_f is {cfg.p_s + cfg.p_f} workers, "
+                          "over the cap of 2**12")
 
     run_plan = plan(cfg)
     # the preset's sampler, not the configured one: sync_sgd always samples uniformly
     if run_plan.fast_draw == "epoch" and run_plan.profile.sampler_mode == "unified":
         raise ConfigError("epoch-wise fast draws are not defined for unified sampling")
+    _check_clock(run_plan, 1)  # what `hetsgd timing` prints
     # a file-backed dataset is checked by run() once it is loaded
     if cfg.data_source == "synthetic":
-        check_shares(run_plan, cfg.data_n - val_size(cfg.data_n, cfg.val_fraction))
+        _cap("data.n x data.input_dim", cfg.data_n * cfg.data_input_dim)
+        check_data(cfg, run_plan, cfg.data_n, cfg.data_input_dim, cfg.data_classes)
     return run_plan
-
-
-def check_shares(run_plan: RunPlan, n_train: int) -> None:
-    """Raise unless a training split of ``n_train`` feeds every worker each round.
-
-    The rule is ``data.share_sizes``, the one the sampler applies; its
-    errors become ConfigErrors, except that InvalidLambdaError propagates
-    untouched so sweeps can mark NA cells.
-    """
-    try:
-        share_sizes(n_train, run_plan.profile)
-    except InvalidLambdaError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # The most elements any one array a run sizes from its config or data may
 # hold: 2**27, 1 GiB of float64.  The benchmark's largest holds 1.6M.
 MAX_ELEMENTS = 2**27
+# The most workers a run may have: each costs a WorkerSpec and, per seed, a
+# random stream of about 0.8 KiB.  The benchmark's largest run has 16.
+MAX_WORKERS = 2**12
 
 
 def _cap(what: str, count: int, where: str = "") -> None:
     if count > MAX_ELEMENTS:
         raise ConfigError(f"{where}{what} is {count} elements, over the cap of 2**27")
+
+
+def _check_clock(run_plan: RunPlan, rounds: int, where: str = "") -> None:
+    """Raise unless the simulated wall and blocking stay finite for ``rounds`` rounds.
+
+    The harness adds one round's values once per round; summing ``rounds``
+    copies of a value rounds up by at most ``(rounds - 1) * 2**-52`` of the
+    exact total.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the finding
+        timing = round_timing(run_plan.workers, run_plan.cost)
+        per_round = (timing.round_wall, float(timing.blocking_time.sum()))
+    scale = rounds * (1 + (rounds - 1) * 2**-52)
+    if not all(math.isfinite(value * scale) for value in per_round):
+        raise ConfigError(f"{where}cost.iter_fast, cost.iter_slow and cost.agg overflow the "
+                          f"simulated clock in {rounds} round(s)")
 
 
 def model_spec(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> ModelSpec:
@@ -322,15 +338,40 @@ def model_spec(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> Model
                      cfg.model_hidden if cfg.model_kind == "mlp2" else 0)
 
 
-def check_model_size(cfg: ExperimentConfig, spec: ModelSpec, n: int, where: str = "") -> None:
-    """Raise unless the parameter stack and the activations fit ``MAX_ELEMENTS``.
+def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
+               num_classes: int, where: str = "") -> None:
+    """Raise unless ``run_plan`` can run on a dataset of ``n`` rows of this shape.
 
-    ``spec`` is the model for a dataset of ``n`` rows.  ``validate`` checks
-    synthetic data; a run checks a file once it is loaded, ``where`` naming it.
+    The training split must feed every worker each round by
+    ``data.share_sizes``, the rule the sampler applies: its errors become
+    ConfigErrors, except that InvalidLambdaError propagates untouched so
+    sweeps can mark NA cells.  Then the parameter stack and the activations
+    must fit ``MAX_ELEMENTS``, and the simulated clock and the learning rate
+    must stay finite over the run.  ``validate`` checks synthetic data; a run checks a file once it
+    is loaded, ``where`` naming it.
     """
+    n_train = n - val_size(n, cfg.val_fraction)
+    try:
+        share_sizes(n_train, run_plan.profile)
+    except InvalidLambdaError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    spec = model_spec(cfg, input_dim, num_classes)
     workers = cfg.p_s + cfg.p_f
     _cap("(profile.p_s + profile.p_f) x model parameters", workers * param_count(spec), where)
     rows = max(val_size(n, cfg.val_fraction), workers * cfg.batch_size)
     _cap("max(validation rows, (profile.p_s + profile.p_f) x batch_size) x the widest of "
          "data.input_dim, model.hidden, data.classes",
          rows * max(spec.input_dim, spec.hidden_dim, spec.num_classes), where)
+    rounds = run_plan.total_rounds(n_train)
+    _check_clock(run_plan, rounds, where)
+    if cfg.schedule_kind == "multistep":
+        # a decay above 1 peaks at the last milestone the run reaches
+        hits = sum(1 for m in cfg.milestones if m < rounds)
+        try:
+            finite = math.isfinite(cfg.base_lr * cfg.decay ** hits)
+        except OverflowError:  # float ** int raises where float * float gives inf
+            finite = False
+        if not finite:
+            raise ConfigError(f"{where}schedule.base_lr x schedule.decay ** {hits} is not finite")

@@ -177,18 +177,21 @@ def share_sizes(n: int, profile) -> tuple:
     ``pool`` is the candidate-pool size (0 in uniform mode), ``slow`` the
     list of per-slow-worker sizes and ``fast`` the per-fast-worker size; in
     unified mode it is repaired downward so the fast draws fit in the
-    complement of the slow selection.  Raises InvalidLambdaError when the
-    pool would exceed ``n`` and ValueError when a worker would get nothing.
+    complement of the slow selection.  Raises ValueError when a worker would
+    get nothing and, failing that, InvalidLambdaError when the pool would
+    exceed ``n``.
     """
     p_s, p_f, alpha = profile.p_s, profile.p_f, profile.alpha
     if n < p_s + p_f:
         raise ValueError(f"training split of {n} cannot cover {p_s + p_f} workers")
-    biased = profile.sampler_mode != "uniform"
-    pool = pool_size(n, p_s, p_f, alpha, profile.lam) if biased else 0
     k_slow = slow_total(n, p_s, p_f, alpha)
     slow = slow_share_sizes(k_slow, p_s)
     if min(slow) < 1:
         raise ValueError("profile leaves a slow worker without samples")
+    # a fed slow worker bounds alpha * P_F by 2 * P_S * N, so neither the pool
+    # nor the fast share below can overflow to inf
+    biased = profile.sampler_mode != "uniform"
+    pool = pool_size(n, p_s, p_f, alpha, profile.lam) if biased else 0
     # n >= P_S + P_F and alpha >= 1 make the exact fast share >= 1, so the
     # fast size and the unified remainder per fast worker are >= 1 as well
     fast = fast_per_worker(n, p_s, p_f, alpha)

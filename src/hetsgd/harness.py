@@ -11,8 +11,9 @@ and advance the simulated clock.  A training error is re-raised, with its
 type, with the seed and round in front of the worker and step; a
 ``DivergenceError`` also carries the rounds finished before it.
 
-A data file is read once per :func:`run` and shared, read-only, by every
-seed; synthetic data is drawn per seed.
+A data file is read once per :func:`run`, checked once against the plan by
+``config.check_data`` and shared, read-only, by every seed; synthetic data
+is drawn per seed, ``validate`` having checked its size.
 
 Stream-id allotment per seed: 11 data synthesis, 12 validation split,
 13 model init, 20 sampler, 40+j fast-worker epoch cursors, 1000+id workers.
@@ -28,8 +29,7 @@ from importlib import resources
 import numpy as np
 
 from .aggregation import aggregate
-from .config import (ExperimentConfig, RunPlan, check_model_size, check_shares, config_hash,
-                     model_spec, validate)
+from .config import ExperimentConfig, RunPlan, check_data, config_hash, model_spec, validate
 from .core import RngStream
 from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, load_dataset,
                    record_losses, SyntheticSpec, train_val_split)
@@ -106,11 +106,7 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
     if dataset is None:
         dataset = _synthesize(cfg, seed)
     train, val = train_val_split(dataset, cfg.val_fraction, RngStream(seed, STREAM_SPLIT))
-    # validate() could only check synthetic data; a loaded file is checked here
-    check_shares(run_plan, train.n)
     spec = model_spec(cfg, train.input_dim, train.num_classes)
-    check_model_size(cfg, spec, dataset.n,
-                     f"{cfg.data_path}: " if cfg.data_source == "file" else "")
     params = init_params(spec, RngStream(seed, STREAM_INIT))
     val_batch = Batch(val.features, val.labels, np.arange(val.n))
 
@@ -175,8 +171,12 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
 
 def run(cfg: ExperimentConfig) -> RunResult:
     """Execute the experiment for every configured seed."""
-    run_plan = validate(cfg)
-    dataset = _load_file(cfg) if cfg.data_source == "file" else None
+    run_plan = validate(cfg)  # checks synthetic data against the plan
+    dataset = None
+    if cfg.data_source == "file":
+        dataset = _load_file(cfg)
+        check_data(cfg, run_plan, dataset.n, dataset.input_dim, dataset.num_classes,
+                   f"{cfg.data_path}: ")
     finished = []
     try:
         per_seed = [_run_seed(cfg, run_plan, s, dataset, finished) for s in cfg.seeds]

@@ -6,9 +6,10 @@ from dataclasses import fields
 
 import pytest
 
-from hetsgd.config import (_KEYS, ALGORITHMS, MAX_ELEMENTS, ConfigError, ExperimentConfig,
-                           config_hash, parse_config, parse_config_file, plan, render_config,
-                           validate)
+import hetsgd.config
+from hetsgd.config import (_KEYS, ALGORITHMS, MAX_ELEMENTS, MAX_WORKERS, ConfigError,
+                           ExperimentConfig, config_hash, parse_config, parse_config_file, plan,
+                           render_config, validate)
 from hetsgd.data import InvalidLambdaError
 
 
@@ -213,6 +214,21 @@ class TestSizeCap:
         validate(minimal(data_n=MAX_ELEMENTS // 2, data_input_dim=2))
         with pytest.raises(ConfigError, match="data.n x data.input_dim"):
             validate(minimal(data_n=MAX_ELEMENTS // 2 + 1, data_input_dim=2))
+
+    def test_worker_count_capped_before_the_plan(self, monkeypatch):
+        # every array fits, but plan() would build 8,388,608 WorkerSpecs
+        def no_plan(cfg):
+            raise AssertionError("plan() reached")
+
+        monkeypatch.setattr(hetsgd.config, "plan", no_plan)
+        with pytest.raises(ConfigError, match="^profile.p_s \\+ profile.p_f is 8388608 "
+                                              "workers, over the cap of 2\\*\\*12$"):
+            validate(minimal(p_s=2**22, p_f=2**22, tau_f=1, batch_size=1, data_n=2**24))
+
+    def test_worker_cap_is_inclusive(self):
+        half = MAX_WORKERS // 2
+        run_plan = validate(minimal(p_s=half, p_f=half, tau_f=1, batch_size=1, data_n=10000))
+        assert len(run_plan.workers) == MAX_WORKERS
 
     def test_file_data_model_is_sized_at_load(self):
         # validate cannot count a file's parameters; run checks them once loaded

@@ -1,6 +1,7 @@
 """End-to-end driver behavior: determinism, reductions, metrics, CLI."""
 
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hetsgd.cli
+import hetsgd.config
 import hetsgd.harness
 from hetsgd.cli import main as cli_main
 from hetsgd.config import ALGORITHMS, ConfigError, ExperimentConfig, parse_config_file, validate
@@ -225,6 +227,27 @@ class TestFileData:
         with pytest.raises(ValueError, match="read-only"):
             loaded[0].labels[0] = 0
 
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    def test_data_is_checked_once_per_run(self, tmp_path, monkeypatch, source):
+        from hetsgd.core import RngStream
+        from hetsgd.data import SyntheticSpec, make_synthetic, save_csv
+        path = str(tmp_path / "blobs.csv")
+        save_csv(make_synthetic(SyntheticSpec(n=240, input_dim=3, num_classes=3,
+                                              separation=8.0), RngStream(5, 0)), path)
+        calls = []
+        check = hetsgd.config.check_data
+
+        def counted(*args):
+            calls.append(args[2:5])  # n, input_dim, num_classes
+            return check(*args)
+
+        # validate calls it from config, run from harness
+        monkeypatch.setattr(hetsgd.config, "check_data", counted)
+        monkeypatch.setattr(hetsgd.harness, "check_data", counted)
+        run(small_cfg(seeds=(0, 1, 2), rounds=2, data_source=source, data_path=path,
+                      data_n=240, data_input_dim=3, data_classes=3))
+        assert calls == [(240, 3, 3)]
+
 
 class TestBudgetAccounting:
     def test_local_budget(self):
@@ -377,6 +400,47 @@ class TestCli:
             "error: invalid-config: training split of 2 cannot cover 6 workers\n")
         assert not os.path.exists(tmp_path / "o")
 
+    def test_run_file_data_all_validation_fails_like_synthetic(self, tmp_path, capsys):
+        # a validation split of every row leaves 0 rows for the workers,
+        # reported as for synthetic data of that size
+        data_path = tmp_path / "two.csv"
+        data_path.write_text("label,f0\n0,1\n1,2\n")
+        body = "val_fraction = 0.8\nrounds = 1\n"
+        for name, source in [("file", f"data.source = file\ndata.path = {data_path}\n"),
+                             ("synthetic", "data.n = 2\n")]:
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(source + body)
+            rc = cli_main(["run", str(cfg_path), "--out", str(tmp_path / name)])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "error: invalid-config: training split of 0 cannot cover 2 workers\n")
+            assert not os.path.exists(tmp_path / name)
+
+    @pytest.mark.parametrize("command", ["validate", "timing", "run"])
+    @pytest.mark.parametrize("text, detail", [
+        ("data.n = 200\nrounds = 2\ncost.iter_fast = 1e307\ncost.iter_slow = 1e308\n",
+         "cost.iter_fast, cost.iter_slow and cost.agg overflow the simulated clock in 1 "
+         "round(s)"),
+        # one round fits, three do not
+        ("cost.agg = 1e308\nrounds = 3\n",
+         "cost.iter_fast, cost.iter_slow and cost.agg overflow the simulated clock in 3 "
+         "round(s)"),
+        ("profile.p_s = 4194304\nprofile.p_f = 4194304\nprofile.tau_f = 1\nbatch_size = 1\n"
+         "data.n = 16777216\n",
+         "profile.p_s + profile.p_f is 8388608 workers, over the cap of 2**12"),
+        # the rate after two milestones overflows
+        ("schedule.kind = multistep\nschedule.milestones = 1,3\nschedule.decay = 1e300\n"
+         "rounds = 5\n", "schedule.base_lr x schedule.decay ** 2 is not finite"),
+    ], ids=["iter cost", "agg cost", "workers", "learning rate"])
+    def test_unrunnable_plan_fails_before_any_output(self, tmp_path, capfd, command, text,
+                                                     detail):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "o"
+        assert cli_main([command, str(cfg_path), "--out", str(out)]) == 2
+        assert capfd.readouterr() == ("", f"error: invalid-config: {detail}\n")
+        assert not os.path.exists(out)
+
     def test_run_file_data_oversized_model_fails_at_load(self, tmp_path, capsys):
         # validate cannot count a file's parameters; run checks them once loaded
         data_path = tmp_path / "d.csv"
@@ -495,7 +559,7 @@ class TestCli:
 # hostile values for raw config text; sizes are small or invalid, never a
 # large valid size, which would allocate or train without bound.  10**12 is
 # drawn only for the keys that size an array, where validate's cap rejects it.
-_FLOAT_TOKENS = ["nan", "inf", "-inf", "-0", "0", "-1", "1e300", "", "abc"]
+_FLOAT_TOKENS = ["nan", "inf", "-inf", "-0", "0", "-1", "1e300", "1e308", "", "abc"]
 _BAD_SIZE_TOKENS = ["0", "-1", "1.5", "", "abc"]
 _HUGE = "1000000000000"
 _CAPPED_KEYS = {"data.n", "data.input_dim", "data.classes", "model.hidden", "profile.tau_f",
@@ -570,14 +634,88 @@ class TestConfigText:
             rc = cli_main(["run", cfg_path, "--out", out, "--quiet"])
         err = capsys.readouterr().err
         assert not caught, [str(w.message) for w in caught]
-        if rc == 0:
-            assert err == ""
-            with open(os.path.join(out, "metrics.csv")) as fh:
-                for line in fh.read().splitlines()[1:]:
-                    [float(cell) for cell in line.split(",")]  # not np.float64(...)
-        else:
-            assert rc == 2
-            assert len(err.splitlines()) == 1 and err.startswith("error: ")
-            code, _, detail = err[len("error: "):].partition(": ")
-            if code == "invalid-value":  # only what validate cannot see
-                assert detail.startswith(("seed ", str(tmp_path))), err
+        _assert_one_outcome(rc, err, out, str(tmp_path))
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds {name}")
+
+
+def _assert_one_outcome(rc, err, out, path_prefix):
+    """Exit 0 with finite outputs, or exit 2 with one located ``error:`` line."""
+    if rc == 0:
+        assert err == ""
+        with open(os.path.join(out, "metrics.csv")) as fh:
+            for line in fh.read().splitlines()[1:]:
+                # float(), not np.float64(...) text; no inf or nan
+                assert all(math.isfinite(float(cell)) for cell in line.split(",")), line
+        with open(os.path.join(out, "summary.json")) as fh:
+            json.load(fh, parse_constant=_reject_constant)
+    else:
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        code, _, detail = err[len("error: "):].partition(": ")
+        if code == "invalid-value":  # only what validate cannot see
+            assert detail.startswith(("seed ", path_prefix)), err
+
+
+# CSV fields for generated data files: valid numbers, then the hostile values
+# a loader must reject or bound (non-finite, signed zero, overflow-sized,
+# negative and huge labels, empty, quoted, underscored, a non-ASCII digit)
+_CSV_LABELS = ["0", "1", "2"]
+_CSV_NUMBERS = ["0", "1", "-2", "0.5", "-3.25", "7e-3"]
+_CSV_HOSTILE = ["nan", "inf", "-0", "1e308", "-1", str(10**9), "", '"1.5"', "1_0", "٣"]
+_CSV_HEADERS = ["", "f0,label", "label;f0", "label,f0,", '"label",f0']  # malformed
+_FILE_VARIANTS = ["model.kind = mlp2\nmodel.hidden = 3", "profile.sampler_mode = unified",
+                  "epochs = 1", "algorithm = sync_sgd", "sampling.fast_draw = epoch", "seeds = 0,1"]
+
+
+class TestDataFileText:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    def test_any_csv_runs_or_fails_with_one_error_line(self, tmp_path, capsys, data):
+        draw = data.draw
+        # mostly well-formed, so that runs complete as well as fail
+        width = draw(st.sampled_from([1, 2, 3, 0]))  # feature columns
+        header = draw(st.sampled_from(
+            ["label" + "".join(f",f{j}" for j in range(width))] * 8 + _CSV_HEADERS))
+        rows = [[draw(st.sampled_from(_CSV_LABELS))]
+                + [draw(st.sampled_from(_CSV_NUMBERS)) for _ in range(width)]
+                for _ in range(draw(st.integers(0, 15)))]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):
+            row = draw(st.sampled_from(rows))
+            fault = draw(st.sampled_from(["field", "field", "drop", "extra"] if row else ["extra"]))
+            if fault == "field":
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_CSV_HOSTILE))
+            elif fault == "drop":
+                row.pop()
+            else:
+                row.append(draw(st.sampled_from(_CSV_NUMBERS)))
+        lines = [header] + [",".join(row) for row in rows]
+        if rows and draw(st.sampled_from([False, False, False, True])):
+            lines.insert(draw(st.integers(1, len(lines))), "")  # a blank line
+        newline = draw(st.sampled_from(["\n", "\r\n"]))
+        text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+        work = tempfile.mkdtemp(dir=tmp_path)
+        data_path = os.path.join(work, "data.csv")
+        with open(data_path, "w", newline="") as fh:
+            fh.write(text)
+        variants = draw(st.lists(st.sampled_from(_FILE_VARIANTS), max_size=3, unique=True))
+        cfg_path = os.path.join(work, "file.cfg")
+        with open(cfg_path, "w") as fh:
+            fh.write(f"data.source = file\ndata.path = {data_path}\n"
+                     f"profile.p_s = {draw(st.integers(1, 3))}\n"
+                     f"profile.p_f = {draw(st.integers(1, 3))}\n"
+                     "profile.tau_f = 2\nbatch_size = 4\nschedule.base_lr = 0.1\nrounds = 2\n"
+                     + "".join(line + "\n" for line in variants))
+        out = os.path.join(work, "out")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli_main(["run", cfg_path, "--out", out, "--quiet"])
+        err = capsys.readouterr().err
+        assert not caught, [str(w.message) for w in caught]
+        _assert_one_outcome(rc, err, out, data_path)
