@@ -7,7 +7,7 @@ machine whose slow resource is ~33.6x slower per iteration than its fast one
 
 import numpy as np
 
-from hetsgd.simclock import CostModel, round_timing, run_timeline
+from hetsgd.simclock import CostModel, clock, round_timing
 from hetsgd.workers import WorkerSpec, derive_tau_s, measure_alpha
 
 FAST, SLOW = 0.1940, 6.5230
@@ -44,16 +44,17 @@ residual from rounding tau_S to an integer (0.315 s here).
 
 # communication counts at an equal fast-worker update budget
 updates = 320
-sync = run_timeline(updates, fleet(1, 1), cost)
-balanced = run_timeline(updates // 32, fleet(32, 32), cost)
-aware = run_timeline(updates // 32, fleet(32, tau_s), cost)
+# clock() gives the cumulative wall after each round, one entry per aggregation
+sync, _ = clock(fleet(1, 1), cost, updates)
+balanced, _ = clock(fleet(32, 32), cost, updates // 32)
+aware, _ = clock(fleet(32, tau_s), cost, updates // 32)
 print(f"equal budget of {updates} fast-worker updates:")
 print(f"{'policy':<28}{'aggregations':>13}{'total wall':>12}")
-for name, t in [("per-step averaging", sync), ("balanced local", balanced),
-                ("system-aware", aware)]:
-    print(f"{name:<28}{t.total_agg_count:>13}{t.total_wall:>11.1f}s")
+for name, wall in [("per-step averaging", sync), ("balanced local", balanced),
+                   ("system-aware", aware)]:
+    print(f"{name:<28}{len(wall):>13}{wall[-1]:>11.1f}s")
 print(f"\naggregation ratio per-step vs local: "
-      f"{sync.total_agg_count // aware.total_agg_count}x (exactly tau_F)")
+      f"{len(sync) // len(aware)}x (exactly tau_F)")
 
 # the zero-blocking identity: integer tau_S with an exact cost ratio
 exact = CostModel(0.25, 1.0)

@@ -9,10 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from hetsgd.config import parse_config_file
+from hetsgd.config import ALGORITHMS, parse_config_file
 from hetsgd.harness import bundled_config_path, run
-
-ALGORITHMS = ("sync_sgd", "balanced_local", "unbalanced_unbiased", "biased_local")
 
 
 def compare(config_name):

@@ -17,8 +17,8 @@ from .data import (Dataset, EpochCursor, InvalidLambdaError, LossLedger, Synthet
 from .harness import RoundRecord, RunResult, bundled_config_path, render_csv, run, write_outputs
 from .models import (Batch, ModelSpec, accuracy, backward, finite_diff_grad, forward_loss,
                      init_params, param_count)
-from .simclock import CostModel, RoundTiming, round_timing, run_timeline
-from .workers import (DivergenceError, LrSchedule, SystemProfile, WorkerSpec, derive_tau_s,
-                      lr_at, measure_alpha, train_round)
+from .simclock import CostModel, RoundTiming, clock, round_timing
+from .workers import (DivergenceError, SystemProfile, WorkerSpec, derive_tau_s, lr_schedule,
+                      measure_alpha, train_round)
 
 __version__ = "0.1.0"

@@ -10,8 +10,8 @@ checks every key against its rule, then the rules that span keys (including
 the ``MAX_ELEMENTS`` cap on the arrays a run sizes and a finite simulated
 clock), and returns the plan a run executes.  ``check_data`` decides whether
 a plan can run on a dataset of a given size and shape, the pool-size check
-for lam included: ``validate`` calls it for synthetic data, ``harness.run``
-for a file once it is loaded.
+for lam and the ``per_round`` arrays the run writes included: ``validate``
+calls it for synthetic data, ``harness.run`` for a file once it is loaded.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import numpy as np
 from .aggregation import RULES
 from .data import InvalidLambdaError, share_sizes, val_size
 from .models import MODEL_KINDS, ModelSpec, param_count
-from .simclock import CostModel, round_timing
-from .workers import SAMPLER_MODES, SCHEDULE_KINDS, SystemProfile, WorkerSpec
+from .simclock import CostModel, clock
+from .workers import SAMPLER_MODES, SCHEDULE_KINDS, SystemProfile, WorkerSpec, lr_schedule
 
-__all__ = ["ExperimentConfig", "ConfigError", "RunPlan", "plan", "check_data", "model_spec",
-           "MAX_ELEMENTS", "MAX_WORKERS", "parse_config", "parse_config_file",
+__all__ = ["ExperimentConfig", "ConfigError", "RunPlan", "plan", "check_data", "per_round",
+           "model_spec", "MAX_ELEMENTS", "MAX_WORKERS", "parse_config", "parse_config_file",
            "render_config", "config_hash", "ALGORITHMS"]
 
 class ConfigError(ValueError):
@@ -295,7 +295,7 @@ def validate(cfg: ExperimentConfig) -> RunPlan:
     # the preset's sampler, not the configured one: sync_sgd always samples uniformly
     if run_plan.fast_draw == "epoch" and run_plan.profile.sampler_mode == "unified":
         raise ConfigError("epoch-wise fast draws are not defined for unified sampling")
-    _check_clock(run_plan, 1)  # what `hetsgd timing` prints
+    _check_clock(*clock(run_plan.workers, run_plan.cost, 1))  # what `hetsgd timing` prints
     # a file-backed dataset is checked by run() once it is loaded
     if cfg.data_source == "synthetic":
         _cap("data.n x data.input_dim", cfg.data_n * cfg.data_input_dim)
@@ -316,20 +316,17 @@ def _cap(what: str, count: int, where: str = "") -> None:
         raise ConfigError(f"{where}{what} is {count} elements, over the cap of 2**27")
 
 
-def _check_clock(run_plan: RunPlan, rounds: int, where: str = "") -> None:
-    """Raise unless the simulated wall and blocking stay finite for ``rounds`` rounds.
-
-    The harness adds one round's values once per round; summing ``rounds``
-    copies of a value rounds up by at most ``(rounds - 1) * 2**-52`` of the
-    exact total.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the finding
-        timing = round_timing(run_plan.workers, run_plan.cost)
-        per_round = (timing.round_wall, float(timing.blocking_time.sum()))
-    scale = rounds * (1 + (rounds - 1) * 2**-52)
-    if not all(math.isfinite(value * scale) for value in per_round):
+def _check_clock(wall: np.ndarray, blocked: np.ndarray, where: str = "") -> None:
+    if not (np.isfinite(wall).all() and np.isfinite(blocked).all()):
         raise ConfigError(f"{where}cost.iter_fast, cost.iter_slow and cost.agg overflow the "
-                          f"simulated clock in {rounds} round(s)")
+                          f"simulated clock in {len(wall)} round(s)")
+
+
+def per_round(cfg: ExperimentConfig, run_plan: RunPlan, n_train: int) -> tuple:
+    """Each round's ``lr``, ``sim_wall_s`` and ``sim_block_s`` for ``n_train`` rows, in float64."""
+    rounds = run_plan.total_rounds(n_train)
+    return (lr_schedule(cfg.schedule_kind, cfg.base_lr, cfg.milestones, cfg.decay, rounds),
+            *clock(run_plan.workers, run_plan.cost, rounds))
 
 
 def model_spec(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> ModelSpec:
@@ -345,10 +342,11 @@ def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
     The training split must feed every worker each round by
     ``data.share_sizes``, the rule the sampler applies: its errors become
     ConfigErrors, except that InvalidLambdaError propagates untouched so
-    sweeps can mark NA cells.  Then the parameter stack and the activations
-    must fit ``MAX_ELEMENTS``, and the simulated clock and the learning rate
-    must stay finite over the run.  ``validate`` checks synthetic data; a run checks a file once it
-    is loaded, ``where`` naming it.
+    sweeps can mark NA cells.  Then the parameter stack, the activations and
+    the ``metrics.csv`` rows (total rounds x seeds) must fit ``MAX_ELEMENTS``,
+    and the run's :func:`per_round` arrays must be finite.  ``validate``
+    checks synthetic data; a run checks a file once it is loaded, ``where``
+    naming it.
     """
     n_train = n - val_size(n, cfg.val_fraction)
     try:
@@ -364,14 +362,10 @@ def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
     _cap("max(validation rows, (profile.p_s + profile.p_f) x batch_size) x the widest of "
          "data.input_dim, model.hidden, data.classes",
          rows * max(spec.input_dim, spec.hidden_dim, spec.num_classes), where)
-    rounds = run_plan.total_rounds(n_train)
-    _check_clock(run_plan, rounds, where)
-    if cfg.schedule_kind == "multistep":
-        # a decay above 1 peaks at the last milestone the run reaches
-        hits = sum(1 for m in cfg.milestones if m < rounds)
-        try:
-            finite = math.isfinite(cfg.base_lr * cfg.decay ** hits)
-        except OverflowError:  # float ** int raises where float * float gives inf
-            finite = False
-        if not finite:
-            raise ConfigError(f"{where}schedule.base_lr x schedule.decay ** {hits} is not finite")
+    _cap("total rounds x seeds", run_plan.total_rounds(n_train) * len(cfg.seeds), where)
+    lr, wall, blocked = per_round(cfg, run_plan, n_train)
+    _check_clock(wall, blocked, where)
+    bad = np.flatnonzero(~np.isfinite(lr))
+    if bad.size:  # only a multistep decay above 1 can overflow
+        hits = sum(1 for m in cfg.milestones if m <= int(bad[0]))
+        raise ConfigError(f"{where}schedule.base_lr x schedule.decay ** {hits} is not finite")

@@ -14,7 +14,7 @@ draw from the complement of the slow selection, giving a globally
 duplicate-free assignment.  *uniform* mode drops step 2 entirely and is the
 unbiased baseline.  :func:`share_sizes` is the one share rule: the pool,
 slow and fast sizes for a dataset of N, and the errors for a profile that
-leaves a worker without samples; ``config.check_shares`` and :func:`assign`
+leaves a worker without samples; ``config.check_data`` and :func:`assign`
 both call it.  :func:`assign` implements all three modes, switching on the
 profile's ``sampler_mode``, and returns one index array per worker in
 worker-id order (slow first).  To pin a mode, pass it

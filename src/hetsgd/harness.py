@@ -7,7 +7,8 @@ global model, draw each worker's sample assignment (loss-biased or uniform),
 run every worker's local updates in one lockstep ``workers.train_round``
 call, merge all observed losses into the ledger with one ``record_losses``
 call over them concatenated in worker-id order, aggregate the local models,
-and advance the simulated clock.  A training error is re-raised, with its
+and record the round with the learning rate and simulated clock that
+``config.per_round`` computed once per run.  A training error is re-raised, with its
 type, with the seed and round in front of the worker and step; a
 ``DivergenceError`` also carries the rounds finished before it.
 
@@ -29,13 +30,13 @@ from importlib import resources
 import numpy as np
 
 from .aggregation import aggregate
-from .config import ExperimentConfig, RunPlan, check_data, config_hash, model_spec, validate
+from .config import (ExperimentConfig, RunPlan, check_data, config_hash, model_spec, per_round,
+                     validate)
 from .core import RngStream
 from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, load_dataset,
-                   record_losses, SyntheticSpec, train_val_split)
+                   record_losses, SyntheticSpec, train_val_split, val_size)
 from .models import Batch, accuracy, init_params
-from .simclock import round_timing
-from .workers import DivergenceError, LrSchedule, lr_at, train_round
+from .workers import DivergenceError, train_round
 
 __all__ = ["RoundRecord", "SeedResult", "RunResult", "run", "render_csv",
            "write_outputs", "write_partial", "bundled_config_path", "CSV_HEADER"]
@@ -97,11 +98,12 @@ def _synthesize(cfg: ExperimentConfig, seed: int) -> Dataset:
     return make_synthetic(spec, RngStream(seed, STREAM_DATA))
 
 
-def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
-              dataset: Dataset | None, finished: list) -> SeedResult:
+def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int, dataset: Dataset | None,
+              rounds: tuple, finished: list) -> SeedResult:
     """One seed on ``dataset`` (synthesized from the seed when None).
 
-    Appends each round's record to ``finished`` as the round completes.
+    ``rounds`` is ``config.per_round``'s columns as lists.  Appends each
+    round's record to ``finished`` as the round completes.
     """
     if dataset is None:
         dataset = _synthesize(cfg, seed)
@@ -120,18 +122,11 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
         cursors = [EpochCursor(train.n, RngStream(seed, STREAM_CURSOR_BASE + j))
                    for j in range(run_plan.profile.p_f)]
 
-    total_rounds = run_plan.total_rounds(train.n)
-    schedule = LrSchedule(cfg.schedule_kind, cfg.base_lr, cfg.milestones, cfg.decay,
-                          total_rounds)
+    lrs, walls, blocks = rounds
     rounds_per_epoch = run_plan.rounds_per_epoch(train.n)
-    timing = round_timing(workers, run_plan.cost)  # identical every round
-
     start = len(finished)
-    wall = 0.0
-    blocked = 0.0
     steps_done = 0
-    for r in range(total_rounds):
-        lr = lr_at(schedule, r)
+    for r, lr in enumerate(lrs):
         assignment = assign(ledger, run_plan.profile, sampler_stream,
                             run_plan.cold_start, cursors)
         try:
@@ -147,9 +142,6 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
         train_loss = sum(float(w.sum()) for w in seen_losses) / losses.shape[0]
         steps_done += steps
         params = aggregate(run_plan.aggregation, models, taus, round_start=params)
-
-        wall += timing.round_wall
-        blocked += float(timing.blocking_time.sum())
         finished.append(RoundRecord(
             seed=seed,
             round=r,
@@ -157,12 +149,12 @@ def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int,
             lr=lr,
             train_loss=train_loss,
             val_acc=accuracy(spec, params, [val_batch]),
-            sim_wall_s=wall,
-            sim_block_s=blocked,
+            sim_wall_s=walls[r],
+            sim_block_s=blocks[r],
             agg_count=r + 1,
             grad_steps=steps_done,
         ))
-    expected = total_rounds * run_plan.steps_per_round
+    expected = len(lrs) * run_plan.steps_per_round
     if steps_done != expected:
         raise RuntimeError(f"seed {seed}: expected {expected} gradient steps, "
                            f"counted {steps_done}")
@@ -177,9 +169,13 @@ def run(cfg: ExperimentConfig) -> RunResult:
         dataset = _load_file(cfg)
         check_data(cfg, run_plan, dataset.n, dataset.input_dim, dataset.num_classes,
                    f"{cfg.data_path}: ")
+    n = cfg.data_n if dataset is None else dataset.n
+    n_train = n - val_size(n, cfg.val_fraction)
+    # Python floats: a np.float64 would render as np.float64(...) in metrics.csv
+    rounds = tuple(column.tolist() for column in per_round(cfg, run_plan, n_train))
     finished = []
     try:
-        per_seed = [_run_seed(cfg, run_plan, s, dataset, finished) for s in cfg.seeds]
+        per_seed = [_run_seed(cfg, run_plan, s, dataset, rounds, finished) for s in cfg.seeds]
     except DivergenceError as exc:
         exc.records = finished
         raise

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CostModel", "RoundTiming", "TimelineTotals", "round_timing", "run_timeline"]
+__all__ = ["CostModel", "RoundTiming", "clock", "round_timing"]
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,6 @@ class RoundTiming:
     round_wall: float
 
 
-@dataclass
-class TimelineTotals:
-    total_wall: float
-    total_blocking: np.ndarray  # per worker
-    total_agg_count: int
-
-
 def round_timing(workers, cost: CostModel) -> RoundTiming:
     """Timing decomposition of a single communication round."""
     if len(workers) == 0:
@@ -57,13 +50,14 @@ def round_timing(workers, cost: CostModel) -> RoundTiming:
     return RoundTiming(compute, blocking, barrier + cost.agg_cost)
 
 
-def run_timeline(rounds: int, workers, cost: CostModel) -> TimelineTotals:
-    """Totals over a fixed number of identical rounds."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    per_round = round_timing(workers, cost)
-    return TimelineTotals(
-        total_wall=rounds * per_round.round_wall,
-        total_blocking=rounds * per_round.blocking_time,
-        total_agg_count=rounds,
-    )
+def clock(workers, cost: CostModel, rounds: int) -> tuple:
+    """Cumulative simulated wall and blocking (summed over workers) after each round.
+
+    Returns two float64 arrays of ``rounds`` entries.  ``np.cumsum`` adds in
+    sequence, so entry r has the bits of a running sum over rounds 0..r.  A
+    cost that overflows gives inf or nan entries, for the caller to check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        timing = round_timing(workers, cost)
+        per_round = (timing.round_wall, float(timing.blocking_time.sum()))
+        return tuple(np.cumsum(np.full(rounds, value)) for value in per_round)

@@ -1,4 +1,4 @@
-"""Local training rounds, update-count derivation and learning-rate schedules.
+"""Local training rounds, update-count derivation and the learning-rate schedule.
 
 Each communication round, every worker starts from the global model and
 runs ``tau`` plain-SGD steps on mini-batches drawn from a stream-shuffled
@@ -20,6 +20,7 @@ gradient or parameter raises :class:`DivergenceError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +33,10 @@ __all__ = [
     "DivergenceError",
     "WorkerSpec",
     "SystemProfile",
-    "LrSchedule",
     "derive_tau_s",
     "measure_alpha",
     "train_round",
-    "lr_at",
+    "lr_schedule",
 ]
 
 SAMPLER_MODES = ("separated", "unified", "uniform")
@@ -118,45 +118,25 @@ class SystemProfile:
         self.tau_s = derive_tau_s(self.tau_f, self.alpha)
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    """constant | multistep (decay at milestones) | cosine annealing."""
+def lr_schedule(kind: str, base_lr: float, milestones, decay: float, rounds: int) -> np.ndarray:
+    """The learning rate of each of ``rounds`` rounds, as a float64 array.
 
-    kind: str
-    base_lr: float
-    milestones: tuple = ()
-    decay: float = 0.1
-    total_rounds: int = 0
-
-    def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        ms = tuple(self.milestones)
-        if any(b >= a for a, b in zip(ms[1:], ms)):
-            raise ValueError("milestones must be strictly increasing")
-        object.__setattr__(self, "milestones", ms)
-        if self.kind == "cosine" and self.total_rounds < 1:
-            raise ValueError("cosine schedule needs total_rounds >= 1")
-
-
-def lr_at(schedule: LrSchedule, round_idx: int) -> float:
-    """Learning rate for a communication round (schedules are round-indexed)."""
-    if round_idx < 0:
-        raise ValueError("round index must be nonnegative")
-    if schedule.kind == "constant":
-        lr = schedule.base_lr
-    elif schedule.kind == "multistep":
-        hits = sum(1 for m in schedule.milestones if m <= round_idx)
-        lr = schedule.base_lr * schedule.decay ** hits
-    elif round_idx >= schedule.total_rounds:
-        raise ValueError(
-            f"round {round_idx} beyond cosine horizon {schedule.total_rounds}"
-        )
-    else:
-        lr = 0.5 * schedule.base_lr * (1.0 + np.cos(np.pi * round_idx / schedule.total_rounds))
-    return float(lr)  # a numpy scalar would render as np.float64(...) in metrics.csv
+    constant: ``base_lr``; multistep: ``base_lr * decay ** k`` from the k-th
+    milestone on, one Python product per milestone the run reaches (a rate
+    that overflows is inf); cosine: ``0.5 * base_lr * (1 + cos(pi r / rounds))``.
+    """
+    if kind == "constant":
+        return np.full(rounds, base_lr)
+    if kind == "cosine":
+        return 0.5 * base_lr * (1.0 + np.cos(np.pi * np.arange(rounds) / rounds))
+    starts = [max(m, 0) for m in milestones if m < rounds]
+    rates = []
+    for k in range(len(starts) + 1):
+        try:
+            rates.append(base_lr * decay ** k)
+        except OverflowError:  # float ** int raises where float * float gives inf
+            rates.append(math.inf)
+    return np.repeat(rates, np.diff([0, *starts, rounds]))
 
 
 def _batch_schedule(assigned: np.ndarray, tau: int, batch_size: int, stream: RngStream,

@@ -204,6 +204,10 @@ class TestSizeCap:
         (dict(data_n=2**25, data_input_dim=1, model_kind="mlp2", model_hidden=2**21),
          "max(validation rows, (profile.p_s + profile.p_f) x batch_size) x the widest of "
          "data.input_dim, model.hidden, data.classes"),
+        # the rows of metrics.csv, before any per-round array is built
+        (dict(rounds=10**12), "total rounds x seeds"),
+        (dict(epochs=10**12), "total rounds x seeds"),
+        (dict(rounds=MAX_ELEMENTS // 2 + 1, seeds=(0, 1)), "total rounds x seeds"),
     ])
     def test_oversized_array_rejected(self, overrides, what):
         with pytest.raises(ConfigError, match=f"^{re.escape(what)} is \\d+ elements, "

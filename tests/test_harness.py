@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,14 @@ import hetsgd.config
 import hetsgd.harness
 from hetsgd.cli import main as cli_main
 from hetsgd.config import ALGORITHMS, ConfigError, ExperimentConfig, parse_config_file, validate
-from hetsgd.data import InvalidLambdaError
+from hetsgd.data import InvalidLambdaError, val_size
+from hetsgd.simclock import round_timing
 from hetsgd.workers import DivergenceError
 from hetsgd.harness import (CSV_HEADER, bundled_config_path, render_csv, run,
                             write_outputs)
+
+
+from test_workers import reference_lr_at
 
 
 def small_cfg(**overrides):
@@ -200,6 +205,61 @@ class TestRoundLayout:
             return
         assert result.per_seed[0].records
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_lr_and_clock_columns_match_the_scalar_oracle(self, data):
+        draw = data.draw
+        algorithm = draw(st.sampled_from(ALGORITHMS))
+        modes = ["separated", "unified"] + (["uniform"] if algorithm != "biased_local" else [])
+        fast = draw(st.sampled_from([0.1, 0.1940, 0.3, 1e-3]))
+        cfg = small_cfg(
+            algorithm=algorithm,
+            sampler_mode=draw(st.sampled_from(modes)),
+            aggregation=draw(st.sampled_from(["tau_weighted", "balanced", "fednova"])),
+            p_s=draw(st.integers(1, 4)), p_f=draw(st.integers(1, 4)),
+            data_n=draw(st.integers(8, 160)),
+            alpha=draw(st.sampled_from([1.0, 1.5, 2.0, 4.0, 8.0])),
+            tau_f=draw(st.integers(1, 4)), batch_size=draw(st.integers(1, 8)),
+            rounds=draw(st.integers(1, 12)), epochs=draw(st.sampled_from([0, 0, 1, 3])),
+            schedule_kind=draw(st.sampled_from(["constant", "multistep", "cosine"])),
+            base_lr=draw(st.sampled_from([0.05, 0.1, 0.3])),
+            milestones=tuple(sorted(draw(st.sets(st.integers(-2, 14), max_size=4)))),
+            decay=draw(st.sampled_from([0.1, 0.5, 1.5])),
+            cost_iter_fast=fast, cost_iter_slow=fast * draw(st.sampled_from([1.0, 3.7, 33.6])),
+            cost_agg=draw(st.sampled_from([0.0, 0.05, 2.5])),
+            seeds=tuple(draw(st.sets(st.integers(0, 3), min_size=1, max_size=2))))
+        try:
+            run_plan = validate(cfg)
+            result = run(cfg)
+        except (ConfigError, InvalidLambdaError, DivergenceError):
+            return
+        _assert_columns_match_the_oracle(cfg, run_plan, render_csv(result))
+
+    @pytest.mark.parametrize("kind", ["constant", "multistep", "cosine"])
+    @pytest.mark.parametrize("name", ["demo", "hard"])
+    def test_bundled_columns_match_the_scalar_oracle(self, name, kind):
+        # cosine is the one schedule computed with a vectorised transcendental
+        cfg = replace(parse_config_file(bundled_config_path(name)), schedule_kind=kind,
+                      milestones=(3, 7), decay=0.5)
+        _assert_columns_match_the_oracle(cfg, validate(cfg), render_csv(run(cfg)))
+
+
+def _assert_columns_match_the_oracle(cfg, run_plan, text):
+    """``lr``, ``sim_wall_s`` and ``sim_block_s`` equal a round-by-round computation."""
+    n_train = cfg.data_n - val_size(cfg.data_n, cfg.val_fraction)
+    rounds = run_plan.total_rounds(n_train)
+    timing = round_timing(run_plan.workers, run_plan.cost)
+    wall, blocked, expected = 0.0, 0.0, []
+    for r in range(rounds):
+        wall += timing.round_wall
+        blocked += float(timing.blocking_time.sum())
+        lr = reference_lr_at(cfg.schedule_kind, cfg.base_lr, cfg.milestones, cfg.decay,
+                             rounds, r)
+        expected.append([repr(lr), repr(wall), repr(blocked)])
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [[row[3], row[6], row[7]] for row in rows] == expected * len(cfg.seeds)
+
 
 class TestFileData:
     def test_file_is_read_once_and_shared_read_only(self, tmp_path, monkeypatch):
@@ -269,7 +329,7 @@ class TestBudgetAccounting:
     def test_wall_clock_ratio_matches_closed_form(self):
         # equal fast-worker update budget: the harness's cumulative wall must
         # match the timeline arithmetic, and the biased run must be faster
-        from hetsgd.simclock import CostModel, run_timeline
+        from hetsgd.simclock import CostModel, clock
         from hetsgd.workers import WorkerSpec
         local = small_cfg(rounds=4, tau_f=8, alpha=4.0)
         sync = small_cfg(algorithm="sync_sgd", rounds=32)
@@ -277,12 +337,12 @@ class TestBudgetAccounting:
         wall_sync = run(sync).summary["total_sim_wall_s"]
         assert wall_local < wall_sync
         cost = CostModel(0.1, 0.4, agg_cost=0.05)
-        expect_local = run_timeline(4, [WorkerSpec(0, "slow", 2, 0.4, 16),
-                                        WorkerSpec(1, "fast", 8, 0.1, 16)], cost)
-        expect_sync = run_timeline(32, [WorkerSpec(0, "slow", 1, 0.4, 16),
-                                        WorkerSpec(1, "fast", 1, 0.1, 16)], cost)
-        assert wall_local == pytest.approx(expect_local.total_wall, rel=1e-9)
-        assert wall_sync == pytest.approx(expect_sync.total_wall, rel=1e-9)
+        expect_local, _ = clock([WorkerSpec(0, "slow", 2, 0.4, 16),
+                                 WorkerSpec(1, "fast", 8, 0.1, 16)], cost, 4)
+        expect_sync, _ = clock([WorkerSpec(0, "slow", 1, 0.4, 16),
+                                WorkerSpec(1, "fast", 1, 0.1, 16)], cost, 32)
+        assert wall_local == expect_local[-1]
+        assert wall_sync == expect_sync[-1]
 
 
 class TestOutputs:
@@ -431,7 +491,10 @@ class TestCli:
         # the rate after two milestones overflows
         ("schedule.kind = multistep\nschedule.milestones = 1,3\nschedule.decay = 1e300\n"
          "rounds = 5\n", "schedule.base_lr x schedule.decay ** 2 is not finite"),
-    ], ids=["iter cost", "agg cost", "workers", "learning rate"])
+        # metrics.csv would hold 200,000,000 rows
+        ("rounds = 100000000\nseeds = 0,1\n",
+         "total rounds x seeds is 200000000 elements, over the cap of 2**27"),
+    ], ids=["iter cost", "agg cost", "workers", "learning rate", "rounds x seeds"])
     def test_unrunnable_plan_fails_before_any_output(self, tmp_path, capfd, command, text,
                                                      detail):
         cfg_path = tmp_path / "c.cfg"
@@ -440,6 +503,19 @@ class TestCli:
         assert cli_main([command, str(cfg_path), "--out", str(out)]) == 2
         assert capfd.readouterr() == ("", f"error: invalid-config: {detail}\n")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command, milestones", [
+        ("validate", "1,3"), ("timing", "1,3"),
+        # a first milestone at round 1 would diverge the run: 0.1 x 1e300
+        ("run", "2,3")])
+    def test_unreached_milestone_rates_are_not_checked(self, tmp_path, capfd, command,
+                                                       milestones):
+        # the rate after milestone 3 overflows, but two rounds never reach it
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(f"schedule.kind = multistep\nschedule.milestones = {milestones}\n"
+                            "schedule.decay = 1e300\nrounds = 2\n")
+        assert cli_main([command, str(cfg_path), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert capfd.readouterr().err == ""
 
     def test_run_file_data_oversized_model_fails_at_load(self, tmp_path, capsys):
         # validate cannot count a file's parameters; run checks them once loaded
@@ -563,7 +639,7 @@ _FLOAT_TOKENS = ["nan", "inf", "-inf", "-0", "0", "-1", "1e300", "1e308", "", "a
 _BAD_SIZE_TOKENS = ["0", "-1", "1.5", "", "abc"]
 _HUGE = "1000000000000"
 _CAPPED_KEYS = {"data.n", "data.input_dim", "data.classes", "model.hidden", "profile.tau_f",
-                "profile.p_s", "profile.p_f", "batch_size"}
+                "profile.p_s", "profile.p_f", "batch_size", "rounds", "epochs"}
 _FLOAT_KEYS = ["data.separation", "data.sigma", "data.label_noise", "profile.alpha",
                "profile.lambda", "schedule.base_lr", "schedule.decay", "weight_decay",
                "val_fraction", "cost.iter_fast", "cost.iter_slow", "cost.agg"]

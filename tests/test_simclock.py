@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hetsgd.simclock import CostModel, round_timing, run_timeline
+from hetsgd.simclock import CostModel, clock, round_timing
 from hetsgd.workers import WorkerSpec
 
 # measured single-iteration costs used throughout the timing checks
@@ -81,27 +81,55 @@ class TestRunTimeline:
         # rounds of tau=1; periodic averaging with tau_F=32 does U/32
         cost = CostModel(FAST_COST, SLOW_COST)
         u = 320
-        sync = run_timeline(u, fleet(1, 1, cost), cost)
-        local = run_timeline(u // 32, fleet(32, 1, cost), cost)
-        assert sync.total_agg_count == 32 * local.total_agg_count
+        sync_wall, _ = clock(fleet(1, 1, cost), cost, u)
+        local_wall, _ = clock(fleet(32, 1, cost), cost, u // 32)
+        assert len(sync_wall) == 32 * len(local_wall)
 
     def test_single_worker_zero_agg_cost(self):
         cost = CostModel(0.25, 0.25, agg_cost=0.0)
         workers = [WorkerSpec(0, "fast", 10, 0.25, 8)]
-        totals = run_timeline(7, workers, cost)
-        assert totals.total_wall == pytest.approx(7 * 10 * 0.25)
-        assert totals.total_agg_count == 7
+        wall, blocked = clock(workers, cost, 7)
+        assert wall[-1] == pytest.approx(7 * 10 * 0.25)
+        assert len(wall) == 7
+        assert (blocked == 0.0).all()
 
     def test_cost_doubling_doubles_compute(self):
         cost1 = CostModel(0.1, 0.3)
         cost2 = CostModel(0.2, 0.6)
-        w1 = fleet(8, 2, cost1)
-        w2 = fleet(8, 2, cost2)
-        t1 = run_timeline(5, w1, cost1)
-        t2 = run_timeline(5, w2, cost2)
-        assert t2.total_wall == pytest.approx(2 * t1.total_wall)
+        wall1, _ = clock(fleet(8, 2, cost1), cost1, 5)
+        wall2, _ = clock(fleet(8, 2, cost2), cost2, 5)
+        assert wall2[-1] == pytest.approx(2 * wall1[-1])
 
     def test_zero_rounds_rejected(self):
-        cost = CostModel(0.1, 0.2)
-        with pytest.raises(ValueError, match="rounds"):
-            run_timeline(0, fleet(1, 1, cost), cost)
+        # a run has at least one round: validate rejects zero
+        from hetsgd.config import ConfigError, ExperimentConfig, validate
+        with pytest.raises(ConfigError, match="rounds"):
+            validate(ExperimentConfig(rounds=0, epochs=0))
+
+    def test_matches_a_running_sum(self):
+        # entry r has the bits of adding one round's values r + 1 times in turn
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            fast_c = float(rng.uniform(0.001, 10.0))
+            cost = CostModel(fast_c, fast_c * float(rng.uniform(1.0, 50.0)),
+                             agg_cost=float(rng.choice([0.0, rng.uniform(0, 3)])))
+            workers = fleet(int(rng.integers(1, 64)), int(rng.integers(1, 64)), cost,
+                            p_f=int(rng.integers(1, 4)), p_s=int(rng.integers(1, 4)))
+            rounds = int(rng.integers(1, 400))
+            timing = round_timing(workers, cost)
+            wall, blocked, walls, blocks = 0.0, 0.0, [], []
+            for _ in range(rounds):
+                wall += timing.round_wall
+                blocked += float(timing.blocking_time.sum())
+                walls.append(wall)
+                blocks.append(blocked)
+            got_wall, got_blocked = clock(workers, cost, rounds)
+            assert got_wall.tolist() == walls
+            assert got_blocked.tolist() == blocks
+
+    def test_overflow_is_left_for_the_caller(self):
+        # no numpy warning: the caller checks for non-finite entries
+        cost = CostModel(1e308, 1e308, agg_cost=1e308)
+        wall, blocked = clock(fleet(4, 4, cost), cost, 3)
+        assert not np.isfinite(wall).any()
+        assert not np.isfinite(blocked).all()

@@ -8,8 +8,25 @@ from hypothesis import strategies as st
 from hetsgd.core import RngStream, log_softmax
 from hetsgd.data import make_synthetic, SyntheticSpec
 from hetsgd.models import Batch, ModelSpec, backward, init_params
-from hetsgd.workers import (DivergenceError, LrSchedule, SystemProfile, WorkerSpec,
-                            derive_tau_s, lr_at, measure_alpha, train_round)
+from hetsgd.config import ConfigError, ExperimentConfig, validate
+from hetsgd.workers import (DivergenceError, SystemProfile, WorkerSpec, derive_tau_s,
+                            lr_schedule, measure_alpha, train_round)
+
+
+def reference_lr_at(kind, base_lr, milestones, decay, total_rounds, round_idx):
+    """One round's learning rate, computed alone: the oracle for ``lr_schedule``."""
+    if round_idx < 0:
+        raise ValueError("round index must be nonnegative")
+    if kind == "constant":
+        lr = base_lr
+    elif kind == "multistep":
+        hits = sum(1 for m in milestones if m <= round_idx)
+        lr = base_lr * decay ** hits
+    elif round_idx >= total_rounds:
+        raise ValueError(f"round {round_idx} beyond cosine horizon {total_rounds}")
+    else:
+        lr = 0.5 * base_lr * (1.0 + np.cos(np.pi * round_idx / total_rounds))
+    return float(lr)
 
 
 def reference_loss_and_grad(spec, params, batch):
@@ -300,31 +317,58 @@ class TestWorkerSpec:
 
 class TestLrSchedules:
     def test_constant(self):
-        s = LrSchedule("constant", 0.1)
-        assert lr_at(s, 0) == lr_at(s, 999) == 0.1
+        lr = lr_schedule("constant", 0.1, (), 0.1, 1000)
+        assert lr.dtype == np.float64 and lr.shape == (1000,)
+        assert lr[0] == lr[999] == 0.1
 
     def test_multistep_table_value(self):
-        s = LrSchedule("multistep", 0.1, milestones=(60, 80))
-        assert lr_at(s, 0) == pytest.approx(0.1)
-        assert lr_at(s, 59) == pytest.approx(0.1)
-        assert lr_at(s, 60) == pytest.approx(0.01)
-        assert lr_at(s, 70) == pytest.approx(0.01)
-        assert lr_at(s, 80) == pytest.approx(0.001)
+        lr = lr_schedule("multistep", 0.1, (60, 80), 0.1, 100)
+        assert lr[0] == pytest.approx(0.1)
+        assert lr[59] == pytest.approx(0.1)
+        assert lr[60] == pytest.approx(0.01)
+        assert lr[70] == pytest.approx(0.01)
+        assert lr[80] == pytest.approx(0.001)
 
     def test_cosine_endpoints(self):
-        s = LrSchedule("cosine", 0.2, total_rounds=100)
-        assert lr_at(s, 0) == pytest.approx(0.2)
-        assert lr_at(s, 50) == pytest.approx(0.1, abs=1e-12)
+        lr = lr_schedule("cosine", 0.2, (), 0.1, 100)
+        assert lr[0] == pytest.approx(0.2)
+        assert lr[50] == pytest.approx(0.1, abs=1e-12)
 
     def test_cosine_horizon_enforced(self):
-        s = LrSchedule("cosine", 0.2, total_rounds=10)
-        with pytest.raises(ValueError, match="horizon"):
-            lr_at(s, 10)
+        # one rate per round of the run, none past its horizon
+        lr = lr_schedule("cosine", 0.2, (), 0.1, 10)
+        assert lr.shape == (10,)
+        with pytest.raises(IndexError):
+            lr[10]
 
     def test_milestones_must_increase(self):
-        with pytest.raises(ValueError, match="increasing"):
-            LrSchedule("multistep", 0.1, milestones=(80, 60))
+        # the rule lives in the config's key table, checked by validate
+        with pytest.raises(ConfigError, match="schedule.milestones must be strictly increasing"):
+            validate(ExperimentConfig(schedule_kind="multistep", milestones=(80, 60)))
 
     def test_positive_everywhere(self):
-        s = LrSchedule("cosine", 1.0, total_rounds=50)
-        assert all(lr_at(s, r) > 0 for r in range(50))
+        assert (lr_schedule("cosine", 1.0, (), 0.1, 50) > 0).all()
+
+    @given(kind=st.sampled_from(["constant", "multistep", "cosine"]),
+           base_lr=st.floats(1e-4, 10.0), decay=st.floats(0.01, 4.0),
+           milestones=st.lists(st.integers(-5, 70), max_size=6, unique=True).map(sorted),
+           rounds=st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_scalar_oracle(self, kind, base_lr, decay, milestones, rounds):
+        lr = lr_schedule(kind, base_lr, tuple(milestones), decay, rounds)
+        assert lr.tolist() == [reference_lr_at(kind, base_lr, milestones, decay, rounds, r)
+                               for r in range(rounds)]
+
+    def test_milestones_beyond_int64_match_the_oracle(self):
+        milestones = (-10**30, 2, 10**30)
+        assert lr_schedule("multistep", 0.5, milestones, 0.5, 4).tolist() == [
+            reference_lr_at("multistep", 0.5, milestones, 0.5, 4, r) for r in range(4)]
+
+    def test_overflowing_rate_is_inf(self):
+        # 0.1 * 1e300 ** 2 overflows, which Python's float ** int raises on
+        lr = lr_schedule("multistep", 0.1, (1, 3), 1e300, 5)
+        assert lr.tolist() == [0.1, 0.1 * 1e300, 0.1 * 1e300, np.inf, np.inf]
+
+    def test_only_reached_milestones_are_computed(self):
+        # two rounds reach milestone 1; milestone 3's rate would overflow
+        assert lr_schedule("multistep", 0.1, (1, 3), 1e300, 2).tolist() == [0.1, 0.1 * 1e300]
