@@ -10,8 +10,10 @@ checks every key against its rule, then the rules that span keys (including
 the ``MAX_ELEMENTS`` cap on the arrays a run sizes and a finite simulated
 clock), and returns the plan a run executes.  ``check_data`` decides whether
 a plan can run on a dataset of a given size and shape, the pool-size check
-for lam and the ``per_round`` arrays the run writes included: ``validate``
-calls it for synthetic data, ``harness.run`` for a file once it is loaded.
+for lam and the learning rates and clock the run writes included:
+``validate`` calls it for synthetic data, ``harness.run`` for a file once it
+is loaded.  ``seed_group`` says how many seeds a run trains at once, so the
+caps also bound what a run holds while its seeds train in lockstep.
 """
 
 from __future__ import annotations
@@ -20,17 +22,17 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
 
 from .aggregation import RULES
 from .data import InvalidLambdaError, share_sizes, val_size
 from .models import MODEL_KINDS, ModelSpec, param_count
-from .simclock import CostModel, clock
-from .workers import SAMPLER_MODES, SCHEDULE_KINDS, SystemProfile, WorkerSpec, lr_schedule
+from .simclock import CostModel, clock, clock_end
+from .workers import (SAMPLER_MODES, SCHEDULE_KINDS, SystemProfile, WorkerSpec, lr_schedule,
+                      multistep_rates)
 
 __all__ = ["ExperimentConfig", "ConfigError", "RunPlan", "plan", "check_data", "per_round",
-           "model_spec", "MAX_ELEMENTS", "MAX_WORKERS", "parse_config", "parse_config_file",
-           "render_config", "config_hash", "ALGORITHMS"]
+           "seed_group", "model_spec", "MAX_ELEMENTS", "MAX_WORKERS", "parse_config",
+           "parse_config_file", "render_config", "config_hash", "ALGORITHMS"]
 
 class ConfigError(ValueError):
     pass
@@ -295,7 +297,7 @@ def validate(cfg: ExperimentConfig) -> RunPlan:
     # the preset's sampler, not the configured one: sync_sgd always samples uniformly
     if run_plan.fast_draw == "epoch" and run_plan.profile.sampler_mode == "unified":
         raise ConfigError("epoch-wise fast draws are not defined for unified sampling")
-    _check_clock(*clock(run_plan.workers, run_plan.cost, 1))  # what `hetsgd timing` prints
+    _check_clock(run_plan, 1)  # what `hetsgd timing` prints
     # a file-backed dataset is checked by run() once it is loaded
     if cfg.data_source == "synthetic":
         _cap("data.n x data.input_dim", cfg.data_n * cfg.data_input_dim)
@@ -306,8 +308,9 @@ def validate(cfg: ExperimentConfig) -> RunPlan:
 # The most elements any one array a run sizes from its config or data may
 # hold: 2**27, 1 GiB of float64.  The benchmark's largest holds 1.6M.
 MAX_ELEMENTS = 2**27
-# The most workers a run may have: each costs a WorkerSpec and, per seed, a
-# random stream of about 0.8 KiB.  The benchmark's largest run has 16.
+# The most workers a run may have, and the most (seed, worker) rows it
+# trains at once: each row costs a random stream of about 0.8 KiB.  The
+# benchmark's largest run has 16 workers.
 MAX_WORKERS = 2**12
 
 
@@ -316,10 +319,11 @@ def _cap(what: str, count: int, where: str = "") -> None:
         raise ConfigError(f"{where}{what} is {count} elements, over the cap of 2**27")
 
 
-def _check_clock(wall: np.ndarray, blocked: np.ndarray, where: str = "") -> None:
-    if not (np.isfinite(wall).all() and np.isfinite(blocked).all()):
+def _check_clock(run_plan: RunPlan, rounds: int, where: str = "") -> None:
+    # clock's entries never fall, so the last ones are finite exactly when all are
+    if not all(map(math.isfinite, clock_end(run_plan.workers, run_plan.cost, rounds))):
         raise ConfigError(f"{where}cost.iter_fast, cost.iter_slow and cost.agg overflow the "
-                          f"simulated clock in {len(wall)} round(s)")
+                          f"simulated clock in {rounds} round(s)")
 
 
 def per_round(cfg: ExperimentConfig, run_plan: RunPlan, n_train: int) -> tuple:
@@ -344,9 +348,10 @@ def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
     ConfigErrors, except that InvalidLambdaError propagates untouched so
     sweeps can mark NA cells.  Then the parameter stack, the activations and
     the ``metrics.csv`` rows (total rounds x seeds) must fit ``MAX_ELEMENTS``,
-    and the run's :func:`per_round` arrays must be finite.  ``validate``
-    checks synthetic data; a run checks a file once it is loaded, ``where``
-    naming it.
+    and the run's :func:`per_round` values must be finite: checked from the
+    clock's last entries and the multistep rates, in memory that does not
+    grow with the round count.  ``validate`` checks synthetic data; a run
+    checks a file once it is loaded, ``where`` naming it.
     """
     n_train = n - val_size(n, cfg.val_fraction)
     try:
@@ -362,10 +367,34 @@ def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
     _cap("max(validation rows, (profile.p_s + profile.p_f) x batch_size) x the widest of "
          "data.input_dim, model.hidden, data.classes",
          rows * max(spec.input_dim, spec.hidden_dim, spec.num_classes), where)
-    _cap("total rounds x seeds", run_plan.total_rounds(n_train) * len(cfg.seeds), where)
-    lr, wall, blocked = per_round(cfg, run_plan, n_train)
-    _check_clock(wall, blocked, where)
-    bad = np.flatnonzero(~np.isfinite(lr))
-    if bad.size:  # only a multistep decay above 1 can overflow
-        hits = sum(1 for m in cfg.milestones if m <= int(bad[0]))
-        raise ConfigError(f"{where}schedule.base_lr x schedule.decay ** {hits} is not finite")
+    rounds = run_plan.total_rounds(n_train)
+    _cap("total rounds x seeds", rounds * len(cfg.seeds), where)
+    _check_clock(run_plan, rounds, where)
+    if cfg.schedule_kind != "multistep":  # constant and cosine rates never pass base_lr
+        return
+    rates, lengths = multistep_rates(cfg.base_lr, cfg.milestones, cfg.decay, rounds)
+    # rate k starts after k milestones, so a run that reaches it has seen k of them
+    bad = [k for k, (rate, length) in enumerate(zip(rates, lengths))
+           if length and not math.isfinite(rate)]
+    if bad:  # only a decay above 1 can overflow
+        raise ConfigError(f"{where}schedule.base_lr x schedule.decay ** {bad[0]} is not finite")
+
+
+def seed_group(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
+               num_classes: int) -> int:
+    """How many consecutive seeds a run on this data trains at once, in lockstep.
+
+    The most, up to all of them, whose (seed, worker) rows stay within
+    ``MAX_WORKERS`` and whose stacked arrays each stay within
+    ``MAX_ELEMENTS``: the synthetic datasets (a file is shared, not
+    stacked), the padded batch ids, the activations and the parameter
+    stack.  One seed always fits a config ``check_data`` accepts.
+    """
+    spec = model_spec(cfg, input_dim, num_classes)
+    workers = len(run_plan.workers)
+    rows = workers * cfg.batch_size
+    width = max(input_dim, spec.hidden_dim, num_classes)
+    per_seed = [rows * run_plan.workers[-1].tau, rows * width, workers * param_count(spec)]
+    if cfg.data_source == "synthetic":
+        per_seed.append(n * input_dim)
+    return min(len(cfg.seeds), MAX_WORKERS // workers, *(MAX_ELEMENTS // c for c in per_seed))

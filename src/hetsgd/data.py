@@ -59,6 +59,7 @@ __all__ = [
     "load_dataset",
     "save_csv",
     "val_size",
+    "split_rows",
     "train_val_split",
 ]
 
@@ -536,15 +537,24 @@ def val_size(n: int, val_fraction: float) -> int:
     return max(1, round_half_up(n * val_fraction))
 
 
-def train_val_split(dataset: Dataset, val_fraction: float, stream: RngStream):
-    """Random held-out split; returns (train, val) datasets."""
+def split_rows(n: int, val_fraction: float, stream: RngStream) -> tuple:
+    """Random held-out split of ``n`` rows: ``(val rows, train rows)``, index arrays.
+
+    Training addresses the train rows through them, so a run keeps no
+    training copy of its data.
+    """
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must be in (0, 1)")
-    n_val = val_size(dataset.n, val_fraction)
-    if n_val >= dataset.n:
+    n_val = val_size(n, val_fraction)
+    if n_val >= n:
         raise ValueError("validation split leaves no training data")
-    perm = stream.permutation(dataset.n)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    perm = stream.permutation(n)
+    return perm[:n_val], perm[n_val:]
+
+
+def train_val_split(dataset: Dataset, val_fraction: float, stream: RngStream):
+    """Random held-out split; returns (train, val) datasets, the rows of :func:`split_rows`."""
+    val_idx, train_idx = split_rows(dataset.n, val_fraction, stream)
     train = Dataset(dataset.features[train_idx], dataset.labels[train_idx], dataset.num_classes)
     val = Dataset(dataset.features[val_idx], dataset.labels[val_idx], dataset.num_classes)
     return train, val

@@ -2,19 +2,31 @@
 
 The run plan that ``config.validate`` returns fixes the algorithm's workers,
 sampler mode and aggregation rule once, and its worker-id order (slow first)
-is the one order of a round from sampler to ledger.  One round: snapshot the
-global model, draw each worker's sample assignment (loss-biased or uniform),
-run every worker's local updates in one lockstep ``workers.train_round``
-call, merge all observed losses into the ledger with one ``record_losses``
-call over them concatenated in worker-id order, aggregate the local models,
-and record the round with the learning rate and simulated clock that
-``config.per_round`` computed once per run.  A training error is re-raised, with its
-type, with the seed and round in front of the worker and step; a
-``DivergenceError`` also carries the rounds finished before it.
+is the one order of a round from sampler to ledger.  A run trains its seeds
+in lockstep, ``config.seed_group`` consecutive seeds at a time.  One round:
+draw each seed's sample assignment (loss-biased or uniform), run every
+(seed, worker) row's local updates in one ``workers.train_round`` call,
+then, seed by seed, merge all the seed's observed losses into its ledger
+with one ``record_losses`` call over them concatenated in worker-id order,
+aggregate its local models, and record the round with the learning rate
+and simulated clock that ``config.per_round`` computed once per run.
+Sampling, ledger, aggregation and evaluation stay per seed, so each seed
+computes the bits of a run of that seed alone.
 
-A data file is read once per :func:`run`, checked once against the plan by
-``config.check_data`` and shared, read-only, by every seed; synthetic data
-is drawn per seed, ``validate`` having checked its size.
+The stack's rows are ordered by tau, then seed, then worker id, so the rows
+still stepping stay a suffix of the stack.  A seed's training rows are
+addressed through a row map into one feature source, never copied: a data
+file, read once per :func:`run`, checked once against the plan by
+``config.check_data`` and shared read-only by every seed, or the group's
+synthetic datasets, drawn per seed and stored one after another.
+
+A seed that fails (a training row turns non-finite, or aggregation
+overflows) leaves the stack with every higher seed, and the lower seeds
+train to their end.  The run then raises the error a seed-by-seed run
+would have raised: the lowest failing seed's, from its first failing round,
+a training error with the seed and round in front of the worker and step.
+A ``DivergenceError`` also carries the rounds a seed-by-seed run would have
+finished before it, in output order.
 
 Stream-id allotment per seed: 11 data synthesis, 12 validation split,
 13 model init, 20 sampler, 40+j fast-worker epoch cursors, 1000+id workers.
@@ -31,12 +43,12 @@ import numpy as np
 
 from .aggregation import aggregate
 from .config import (ExperimentConfig, RunPlan, check_data, config_hash, model_spec, per_round,
-                     validate)
+                     seed_group, validate)
 from .core import RngStream
 from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, load_dataset,
-                   record_losses, SyntheticSpec, train_val_split, val_size)
+                   record_losses, split_rows, SyntheticSpec, val_size)
 from .models import Batch, accuracy, init_params
-from .workers import DivergenceError, train_round
+from .workers import DivergenceError, first_fault, train_round
 
 __all__ = ["RoundRecord", "SeedResult", "RunResult", "run", "render_csv",
            "write_outputs", "write_partial", "bundled_config_path", "CSV_HEADER"]
@@ -91,74 +103,142 @@ def _load_file(cfg: ExperimentConfig) -> Dataset:
     return dataset
 
 
-def _synthesize(cfg: ExperimentConfig, seed: int) -> Dataset:
+def _synthesize(cfg: ExperimentConfig, seeds) -> Dataset:
+    """The seeds' synthetic datasets one after another: seed k's rows start at k x data.n."""
     spec = SyntheticSpec(n=cfg.data_n, input_dim=cfg.data_input_dim,
                          num_classes=cfg.data_classes, separation=cfg.data_separation,
                          sigma=cfg.data_sigma, label_noise=cfg.data_label_noise)
-    return make_synthetic(spec, RngStream(seed, STREAM_DATA))
+    if len(seeds) == 1:
+        return make_synthetic(spec, RngStream(seeds[0], STREAM_DATA))
+    n = cfg.data_n
+    features = np.empty((len(seeds) * n, cfg.data_input_dim))
+    labels = np.empty(len(seeds) * n, dtype=np.int64)
+    for k, seed in enumerate(seeds):  # one seed's dataset at a time besides the stack
+        part = make_synthetic(spec, RngStream(seed, STREAM_DATA))
+        features[k * n:(k + 1) * n] = part.features
+        labels[k * n:(k + 1) * n] = part.labels
+    return Dataset(features, labels, cfg.data_classes)
 
 
-def _run_seed(cfg: ExperimentConfig, run_plan: RunPlan, seed: int, dataset: Dataset | None,
-              rounds: tuple, finished: list) -> SeedResult:
-    """One seed on ``dataset`` (synthesized from the seed when None).
+def _stack(taus: list, active: int) -> tuple:
+    """The rows of one ``train_round`` call over a group's first ``active`` seeds.
 
-    ``rounds`` is ``config.per_round``'s columns as lists.  Appends each
-    round's record to ``finished`` as the round completes.
+    Returns ``(rows, seed_rows)``: row r is ``rows[r]``, a ``(seed position,
+    worker)`` pair, ordered by tau and then, the sort being stable, by seed
+    and worker id, so the taus never decrease; ``seed_rows[k]`` lists seed
+    k's rows in worker-id order.
     """
+    p = len(taus)
+    order = sorted(range(active * p), key=lambda i: taus[i % p])
+    row_of = {i: row for row, i in enumerate(order)}
+    return ([divmod(i, p) for i in order],
+            [[row_of[k * p + w] for w in range(p)] for k in range(active)])
+
+
+class _Seed:
+    """One seed's state: split, model, ledger, streams, cursors and finished rounds.
+
+    Its training rows are ``row_map``, the train split's row indices plus
+    ``offset``, where the seed's data starts in the feature source; only
+    the validation rows are copied.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, run_plan: RunPlan, spec, seed: int,
+                 dataset: Dataset, n: int, offset: int):
+        val_rows, train_rows = split_rows(n, cfg.val_fraction, RngStream(seed, STREAM_SPLIT))
+        val_rows = val_rows + offset
+        self.seed = seed
+        self.row_map = train_rows + offset
+        self.val_batch = Batch(dataset.features[val_rows], dataset.labels[val_rows],
+                               np.arange(val_rows.shape[0]))
+        self.params = init_params(spec, RngStream(seed, STREAM_INIT))
+        self.ledger = LossLedger(train_rows.shape[0])
+        self.sampler = RngStream(seed, STREAM_SAMPLER)
+        self.streams = [RngStream(seed, STREAM_WORKER_BASE + w.id) for w in run_plan.workers]
+        self.cursors = None
+        if run_plan.fast_draw == "epoch":
+            self.cursors = [EpochCursor(train_rows.shape[0],
+                                        RngStream(seed, STREAM_CURSOR_BASE + j))
+                            for j in range(run_plan.profile.p_f)]
+        self.records = []
+
+
+def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: Dataset | None,
+               n: int, rounds: tuple) -> list:
+    """Train ``seeds`` in lockstep on ``dataset`` (synthesized from them when None).
+
+    ``n`` is the rows of one seed's data and ``rounds`` is
+    ``config.per_round``'s columns as lists.  Returns one SeedResult per
+    seed, in order, or raises as the module docstring says, a
+    ``DivergenceError`` carrying this group's finished rounds.
+    """
+    offsets = [0] * len(seeds)
     if dataset is None:
-        dataset = _synthesize(cfg, seed)
-    train, val = train_val_split(dataset, cfg.val_fraction, RngStream(seed, STREAM_SPLIT))
-    spec = model_spec(cfg, train.input_dim, train.num_classes)
-    params = init_params(spec, RngStream(seed, STREAM_INIT))
-    val_batch = Batch(val.features, val.labels, np.arange(val.n))
-
-    workers = run_plan.workers
-    taus = [w.tau for w in workers]
-    ledger = LossLedger(train.n)
-    sampler_stream = RngStream(seed, STREAM_SAMPLER)
-    worker_streams = [RngStream(seed, STREAM_WORKER_BASE + w.id) for w in workers]
-    cursors = None
-    if run_plan.fast_draw == "epoch":
-        cursors = [EpochCursor(train.n, RngStream(seed, STREAM_CURSOR_BASE + j))
-                   for j in range(run_plan.profile.p_f)]
-
+        dataset = _synthesize(cfg, seeds)
+        offsets = [k * n for k in range(len(seeds))]
+    spec = model_spec(cfg, dataset.input_dim, dataset.num_classes)
+    group = [_Seed(cfg, run_plan, spec, seed, dataset, n, offset)
+             for seed, offset in zip(seeds, offsets)]
+    taus = [w.tau for w in run_plan.workers]
     lrs, walls, blocks = rounds
-    rounds_per_epoch = run_plan.rounds_per_epoch(train.n)
-    start = len(finished)
-    steps_done = 0
+    rounds_per_epoch = run_plan.rounds_per_epoch(group[0].ledger.n)
+    steps_per_round = run_plan.steps_per_round
+    active, error = len(group), None  # seeds from `active` on have failed, `error` first
+    rows, seed_rows = _stack(taus, active)
     for r, lr in enumerate(lrs):
-        assignment = assign(ledger, run_plan.profile, sampler_stream,
-                            run_plan.cold_start, cursors)
+        if len(seed_rows) > active:
+            if not active:
+                break
+            rows, seed_rows = _stack(taus, active)
+        shares = [assign(s.ledger, run_plan.profile, s.sampler, run_plan.cold_start, s.cursors)
+                  for s in group[:active]]
+        faults = {}
         try:
             models, seen_ids, seen_losses, steps = train_round(
-                spec, params, train, assignment, taus, lr, run_plan.batch_size,
-                worker_streams, cfg.weight_decay)
-        except ValueError as exc:
-            raise type(exc)(f"seed {seed} round {r} {exc}") from None
-        # concatenated in worker-id order, the last write per sample is the
-        # highest id's, as when merging the workers one at a time
-        losses = np.concatenate(seen_losses)
-        record_losses(ledger, np.concatenate(seen_ids), losses, r)
-        train_loss = sum(float(w.sum()) for w in seen_losses) / losses.shape[0]
-        steps_done += steps
-        params = aggregate(run_plan.aggregation, models, taus, round_start=params)
-        finished.append(RoundRecord(
-            seed=seed,
-            round=r,
-            epoch=r // rounds_per_epoch,
-            lr=lr,
-            train_loss=train_loss,
-            val_acc=accuracy(spec, params, [val_batch]),
-            sim_wall_s=walls[r],
-            sim_block_s=blocks[r],
-            agg_count=r + 1,
-            grad_steps=steps_done,
-        ))
-    expected = len(lrs) * run_plan.steps_per_round
-    if steps_done != expected:
-        raise RuntimeError(f"seed {seed}: expected {expected} gradient steps, "
-                           f"counted {steps_done}")
-    return SeedResult(seed=seed, records=finished[start:], final_params=params)
+                spec, np.stack([group[k].params for k, _ in rows]), dataset,
+                [shares[k][w] for k, w in rows], [taus[w] for _, w in rows], lr,
+                run_plan.batch_size, [group[k].streams[w] for k, w in rows], cfg.weight_decay,
+                [group[k].row_map for k, _ in rows])
+        except DivergenceError as exc:
+            (models, seen_ids, seen_losses, steps), faults = exc.partial, exc.faults
+        except ValueError as exc:  # assignments from `assign` never trip the kernel's checks
+            raise type(exc)(f"round {r} {exc}") from None
+        del shares  # not held beside the next round's
+        if steps != active * steps_per_round:
+            raise RuntimeError(f"round {r}: expected {active * steps_per_round} gradient "
+                               f"steps, counted {steps}")
+        for k, own in enumerate(seed_rows):
+            s = group[k]
+            fault = first_fault(faults, own)
+            if fault is not None:
+                active, error = k, DivergenceError(f"seed {s.seed} round {r} {fault}")
+                break
+            # concatenated in worker-id order, the last write per sample is the
+            # highest id's, as when merging the workers one at a time
+            losses = np.concatenate([seen_losses[row] for row in own])
+            record_losses(s.ledger, np.concatenate([seen_ids[row] for row in own]), losses, r)
+            try:  # finite local models can still overflow their combination
+                s.params = aggregate(run_plan.aggregation, models[own], taus,
+                                     round_start=s.params)
+            except ValueError as exc:
+                active, error = k, exc
+                break
+            s.records.append(RoundRecord(
+                seed=s.seed,
+                round=r,
+                epoch=r // rounds_per_epoch,
+                lr=lr,
+                train_loss=sum(float(seen_losses[row].sum()) for row in own) / losses.shape[0],
+                val_acc=accuracy(spec, s.params, [s.val_batch]),
+                sim_wall_s=walls[r],
+                sim_block_s=blocks[r],
+                agg_count=r + 1,
+                grad_steps=(r + 1) * steps_per_round,
+            ))
+    if error is not None:
+        error.records = [rec for s in group[:active + 1] for rec in s.records]
+        raise error
+    return [SeedResult(seed=s.seed, records=s.records, final_params=s.params) for s in group]
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
@@ -169,15 +249,20 @@ def run(cfg: ExperimentConfig) -> RunResult:
         dataset = _load_file(cfg)
         check_data(cfg, run_plan, dataset.n, dataset.input_dim, dataset.num_classes,
                    f"{cfg.data_path}: ")
-    n = cfg.data_n if dataset is None else dataset.n
+        n, input_dim, num_classes = dataset.n, dataset.input_dim, dataset.num_classes
+    else:
+        n, input_dim, num_classes = cfg.data_n, cfg.data_input_dim, cfg.data_classes
     n_train = n - val_size(n, cfg.val_fraction)
     # Python floats: a np.float64 would render as np.float64(...) in metrics.csv
     rounds = tuple(column.tolist() for column in per_round(cfg, run_plan, n_train))
-    finished = []
+    group = seed_group(cfg, run_plan, n, input_dim, num_classes)
+    per_seed = []
     try:
-        per_seed = [_run_seed(cfg, run_plan, s, dataset, rounds, finished) for s in cfg.seeds]
+        for start in range(0, len(cfg.seeds), group):
+            per_seed += _run_seeds(cfg, run_plan, cfg.seeds[start:start + group], dataset, n,
+                                   rounds)
     except DivergenceError as exc:
-        exc.records = finished
+        exc.records = [rec for sr in per_seed for rec in sr.records] + exc.records
         raise
     finals = [sr.final_acc for sr in per_seed]
     summary = {

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CostModel", "RoundTiming", "clock", "round_timing"]
+__all__ = ["CostModel", "RoundTiming", "clock", "clock_end", "round_timing"]
+
+# rounds per running-sum chunk in clock_end: 512 KiB of float64
+_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,12 @@ def round_timing(workers, cost: CostModel) -> RoundTiming:
     return RoundTiming(compute, blocking, barrier + cost.agg_cost)
 
 
+def _per_round(workers, cost: CostModel) -> tuple:
+    """One round's wall and blocking summed over workers."""
+    timing = round_timing(workers, cost)
+    return timing.round_wall, float(timing.blocking_time.sum())
+
+
 def clock(workers, cost: CostModel, rounds: int) -> tuple:
     """Cumulative simulated wall and blocking (summed over workers) after each round.
 
@@ -58,6 +67,26 @@ def clock(workers, cost: CostModel, rounds: int) -> tuple:
     cost that overflows gives inf or nan entries, for the caller to check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        timing = round_timing(workers, cost)
-        per_round = (timing.round_wall, float(timing.blocking_time.sum()))
-        return tuple(np.cumsum(np.full(rounds, value)) for value in per_round)
+        return tuple(np.cumsum(np.full(rounds, value)) for value in _per_round(workers, cost))
+
+
+def clock_end(workers, cost: CostModel, rounds: int) -> tuple:
+    """The last entries of :func:`clock`'s two arrays, in memory independent of ``rounds``.
+
+    The same running sum, taken ``_CHUNK`` rounds at a time with the total
+    so far carried into the next chunk, so the bits are the last entry's.
+    Every round adds the same nonnegative value, so the sums never fall:
+    the last entry is finite exactly when every entry is.  0.0 for no
+    rounds.
+    """
+    ends = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for value in _per_round(workers, cost):
+            total, left = 0.0, rounds
+            while left:
+                chunk = np.full(min(left, _CHUNK) + 1, value)
+                chunk[0] = total
+                total = float(np.cumsum(chunk)[-1])
+                left -= chunk.shape[0] - 1
+            ends.append(total)
+    return tuple(ends)

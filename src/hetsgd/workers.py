@@ -7,15 +7,19 @@ runs out; a short batch at the permutation boundary is used as-is).  Fast
 workers run ``tau_F`` steps; slow workers run ``tau_S = max(1, round(tau_F /
 alpha))`` where ``alpha`` is the slow/fast per-iteration cost ratio.
 
-:func:`train_round` is the one training kernel.  It steps all of a round's
-workers in lockstep, in the run plan's worker-id order (slow first, so taus
-never decrease): parameters stacked as ``(P, n_params)``, the step-t
-batches gathered as ``(G, b, input_dim)``, one stacked gradient call per
-distinct batch length.  All P workers step for the first ``tau_S`` steps,
-then only the fast ones, a suffix of the stack.  Each worker's stream
-still drives only its own permutations, so the bits match stepping the
-workers one by one; one worker is a one-element call.  A non-finite loss,
-gradient or parameter raises :class:`DivergenceError`.
+:func:`train_round` is the one training kernel.  It steps a stack of rows
+in lockstep, one row per worker, in ascending-tau order: parameters
+stacked as ``(P, n_params)``, the step-t batches gathered as ``(G, b,
+input_dim)``, one stacked gradient call per distinct batch length.  The
+rows still stepping at step t are always a suffix of the stack.  A run
+stacks the workers of several seeds, each row with its own start and its
+own row map into one shared feature source.  Each row's stream drives only
+its own permutations and every row does the arithmetic a lone worker
+would, so the bits match stepping the rows one by one; one worker is a
+one-element call.  A row whose loss, gradient or parameters turn
+non-finite is recorded with its first failing step and the other rows
+step on; once every row has finished, :class:`DivergenceError` reports the
+failures.
 """
 
 from __future__ import annotations
@@ -25,18 +29,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParamVector, RngStream, round_half_up
+from .core import RngStream, round_half_up
 from .data import Dataset
 from .models import ModelSpec, stacked_loss_and_grad
 
 __all__ = [
     "DivergenceError",
+    "first_fault",
     "WorkerSpec",
     "SystemProfile",
     "derive_tau_s",
     "measure_alpha",
     "train_round",
     "lr_schedule",
+    "multistep_rates",
 ]
 
 SAMPLER_MODES = ("separated", "unified", "uniform")
@@ -46,11 +52,32 @@ SCHEDULE_KINDS = ("constant", "multistep", "cosine")
 class DivergenceError(ValueError):
     """Local training produced a non-finite loss, gradient or parameter.
 
-    ``harness.run`` sets ``records`` to the list of rounds it finished
-    before this one, in output order.
+    :func:`train_round` sets ``faults``, each failed row's ``(step, batch
+    length, detail)`` (see :func:`first_fault`), and ``partial``, its
+    result with every row stepped to the end.  ``harness.run`` sets
+    ``records`` to the list of rounds it finished before the failure, in
+    output order.
     """
 
     records = ()
+    faults = {}
+    partial = None
+
+
+def first_fault(faults: dict, rows) -> str | None:
+    """The error a round of only ``rows`` would report, row ``rows[i]`` as worker i.
+
+    That is the first failing step, then the shortest batch among that
+    step's failures (the stack steps its batch lengths shortest first),
+    then the lowest worker; non-finite end parameters come after every
+    step.  None when none of ``rows`` failed.
+    """
+    hits = [(*faults[row][:2], worker, faults[row][2])
+            for worker, row in enumerate(rows) if row in faults]
+    if not hits:
+        return None
+    _, _, worker, detail = min(hits)
+    return f"worker {worker}{detail}"
 
 
 @dataclass(frozen=True)
@@ -129,6 +156,15 @@ def lr_schedule(kind: str, base_lr: float, milestones, decay: float, rounds: int
         return np.full(rounds, base_lr)
     if kind == "cosine":
         return 0.5 * base_lr * (1.0 + np.cos(np.pi * np.arange(rounds) / rounds))
+    return np.repeat(*multistep_rates(base_lr, milestones, decay, rounds))
+
+
+def multistep_rates(base_lr: float, milestones, decay: float, rounds: int) -> tuple:
+    """A multistep schedule as ``(rates, lengths)``: rate k lasts ``lengths[k]`` rounds.
+
+    Rate k is ``base_lr * decay ** k``, inf where it overflows; a length is
+    0 where milestones at or below 0 coincide.
+    """
     starts = [max(m, 0) for m in milestones if m < rounds]
     rates = []
     for k in range(len(starts) + 1):
@@ -136,7 +172,7 @@ def lr_schedule(kind: str, base_lr: float, milestones, decay: float, rounds: int
             rates.append(base_lr * decay ** k)
         except OverflowError:  # float ** int raises where float * float gives inf
             rates.append(math.inf)
-    return np.repeat(rates, np.diff([0, *starts, rounds]))
+    return rates, np.diff([0, *starts, rounds])
 
 
 def _batch_schedule(assigned: np.ndarray, tau: int, batch_size: int, stream: RngStream,
@@ -177,27 +213,33 @@ def _step_groups(lens: np.ndarray, first: int):
     return [(first + np.flatnonzero(active == size), int(size)) for size in sizes]
 
 
-def train_round(spec: ModelSpec, start_params: ParamVector, dataset: Dataset,
+def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
                 assignments, taus, lr: float, batch_size: int, streams,
-                weight_decay: float = 0.0):
-    """Run one communication round of local SGD for every worker at once.
+                weight_decay: float = 0.0, row_maps=None):
+    """Run one communication round of local SGD for a stack of rows at once.
 
-    Worker i (named by its position in ``assignments``, ``taus`` and
-    ``streams``) takes ``taus[i]`` plain-SGD steps from ``start_params`` on
-    mini-batches of ``assignments[i]``, shuffled by ``streams[i]`` alone (see
-    :func:`_batch_schedule`).  ``taus`` must not decrease, as in a run
-    plan's worker order, so the workers still stepping at step t are always
-    a suffix of the ``(P, n_params)`` stack; each step makes one
+    Row i takes ``taus[i]`` plain-SGD steps from its start, ``start_params``
+    if that is one vector or ``start_params[i]`` of a ``(P, n_params)``
+    stack, on mini-batches of ``assignments[i]``, shuffled by ``streams[i]``
+    alone (see :func:`_batch_schedule`).  Sample ids address
+    ``dataset``'s rows directly or, with ``row_maps``, through
+    ``row_maps[i]``: id j of row i is dataset row ``row_maps[i][j]``, so
+    rows of different seeds share one read-only feature source.  ``taus``
+    must not decrease, so the rows still stepping at step t are always a
+    suffix of the stack; each step makes one
     :func:`~hetsgd.models.stacked_loss_and_grad` call per batch length
     among them.  Every row does the arithmetic a lone worker would, so the
-    result is bit-identical to running the workers one after another.
+    result is bit-identical to running the rows one after another.
 
     Returns ``(end_params, observed_ids, observed_losses, steps)``:
-    ``end_params`` is ``(P, n_params)``, the observed arrays are per-worker
+    ``end_params`` is ``(P, n_params)``, the observed arrays are per-row
     lists of every sample id and loss seen (at the pre-step parameters,
     newest last) and ``steps`` counts the gradient steps taken.  Errors
-    name the worker and its 0-based local step; a non-finite loss, gradient
-    or parameter raises :class:`DivergenceError`.
+    name the row as worker i with its 0-based local step.  A row whose
+    loss or gradient turns non-finite keeps stepping, so no other row's
+    bits change; after the last step :class:`DivergenceError` carries every
+    failed row and the full result, and its message is
+    :func:`first_fault`'s over all rows.
     """
     p = len(taus)
     if p == 0:
@@ -221,10 +263,15 @@ def train_round(spec: ModelSpec, start_params: ParamVector, dataset: Dataset,
     if repeats.size:
         i, t = divmod(int(repeats[0]), tau_max)
         raise ValueError(f"worker {i} step {t}: sample ids must be distinct within a batch")
+    # padding entries clip to a valid row; no step reads them
+    data_rows = ids if row_maps is None else np.stack(
+        [np.take(row_maps[i], ids[i], mode="clip") for i in range(p)])
 
-    params = np.repeat(start_params[None, :], p, axis=0)
+    params = np.empty((p, start_params.shape[-1]))
+    params[...] = start_params
     losses = np.empty(ids.shape)
     features, labels = dataset.features, dataset.labels
+    faults = {}
     first, steps = 0, 0
     # overflow is caught by the finiteness checks below, not reported by numpy
     with np.errstate(over="ignore", invalid="ignore"):
@@ -235,15 +282,15 @@ def train_round(spec: ModelSpec, start_params: ParamVector, dataset: Dataset,
             groups = (_step_groups(lens[:, t], first) if any(ragged[first:])
                       else [(slice(first, None), batch_size)])
             for rows, size in groups:
-                batch_ids = ids[rows, t, :size]
+                batch_rows = data_rows[rows, t, :size]
                 current = params[rows]
-                per_sample, grad = stacked_loss_and_grad(spec, current, features[batch_ids],
-                                                         labels[batch_ids])
+                per_sample, grad = stacked_loss_and_grad(spec, current, features[batch_rows],
+                                                         labels[batch_rows])
                 if not (np.isfinite(per_sample).all() and np.isfinite(grad).all()):
                     bad = ~(np.isfinite(per_sample).all(axis=1) & np.isfinite(grad).all(axis=1))
-                    worker = int(np.arange(p)[rows][bad][0])
-                    raise DivergenceError(f"worker {worker} step {t}: "
-                                          "non-finite loss or gradient")
+                    detail = f" step {t}: non-finite loss or gradient"
+                    for row in np.arange(p)[rows][bad].tolist():
+                        faults.setdefault(row, (t, size, detail))
                 losses[rows, t, :size] = per_sample
                 if weight_decay:
                     grad += weight_decay * current
@@ -252,13 +299,16 @@ def train_round(spec: ModelSpec, start_params: ParamVector, dataset: Dataset,
                     current -= grad  # a view: updates the stack in place
                 else:
                     params[rows] = current - grad
-    diverged = np.flatnonzero(~np.isfinite(params).all(axis=1))
-    if diverged.size:
-        raise DivergenceError(f"worker {int(diverged[0])}: local training diverged to "
-                              "non-finite parameters")
+    detail = ": local training diverged to non-finite parameters"
+    for row in np.flatnonzero(~np.isfinite(params).all(axis=1)).tolist():
+        faults.setdefault(row, (tau_max, 0, detail))  # after every step
 
     seen = np.arange(batch_size) < lens[..., None]
     observed_ids = [ids[i][seen[i]] for i in range(p)]
     observed_losses = [losses[i][seen[i]] for i in range(p)]
-    return params, observed_ids, observed_losses, steps
-
+    result = params, observed_ids, observed_losses, steps
+    if faults:
+        error = DivergenceError(first_fault(faults, range(p)))
+        error.faults, error.partial = faults, result
+        raise error
+    return result

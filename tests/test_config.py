@@ -2,6 +2,7 @@
 
 import os
 import re
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -233,6 +234,17 @@ class TestSizeCap:
         half = MAX_WORKERS // 2
         run_plan = validate(minimal(p_s=half, p_f=half, tau_f=1, batch_size=1, data_n=10000))
         assert len(run_plan.workers) == MAX_WORKERS
+
+    def test_validate_memory_does_not_grow_with_rounds(self):
+        # the learning rates and the clock are checked without per-round arrays,
+        # which at 10**7 rounds would take 80 MB each
+        tracemalloc.start()
+        try:
+            validate(minimal(rounds=10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_file_data_model_is_sized_at_load(self):
         # validate cannot count a file's parameters; run checks them once loaded

@@ -156,6 +156,78 @@ class TestDivergence:
         with pytest.raises(DivergenceError, match="^seed 0 round 5 worker 1 step 5: "):
             run(small_cfg(model_kind="mlp2", base_lr=1e3))
 
+    def test_aggregation_failure_waits_for_lower_seeds(self, monkeypatch):
+        # seed 1's round-1 aggregation overflows: seed 0 still trains all 4
+        # rounds, seed 2 stops with seed 1, and the error is raised unchanged
+        calls = []
+        combine = hetsgd.harness.aggregate
+
+        def failing(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 5:  # round 1: seed 0, then seed 1
+                raise ValueError("aggregation produced non-finite entries")
+            return combine(*args, **kwargs)
+
+        monkeypatch.setattr(hetsgd.harness, "aggregate", failing)
+        with pytest.raises(ValueError) as err:
+            run(small_cfg(seeds=(0, 1, 2), rounds=4))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "aggregation produced non-finite entries"
+        assert len(calls) == 3 + 2 + 2  # round 0: all three; round 1: 0 and 1; then 0 alone
+
+    def test_lower_seed_wins_over_an_earlier_higher_seed(self, tmp_path, capfd):
+        # alone, seed 3 diverges in round 2 and seed 4 in round 1; seed by
+        # seed, the run stops at seed 3 and never starts seed 4
+        body = "model.kind = mlp2\nschedule.base_lr = 300\nrounds = 6\n"
+        paths = {}
+        for name, seeds in [("alone", "3"), ("both", "3,4")]:
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(body + f"seeds = {seeds}\n")
+            paths[name] = tmp_path / name
+            assert cli_main(["run", str(cfg_path), "--out", str(paths[name])]) == 2
+        with pytest.raises(DivergenceError) as err:
+            run(parse_config_file(str(tmp_path / "both.cfg")))
+        assert str(err.value) == "seed 3 round 2 worker 0 step 3: non-finite loss or gradient"
+        errors = capfd.readouterr().err.splitlines()
+        assert errors == [f"error: invalid-value: {err.value}"] * 2
+        text = (paths["both"] / "metrics.csv").read_text()
+        assert text == (paths["alone"] / "metrics.csv").read_text()
+        seed_and_round = [line.split(",")[:2] for line in text.splitlines()[1:]]
+        assert seed_and_round == [["3", "0"], ["3", "1"]]
+
+
+@pytest.fixture(scope="module")
+def csv_files(tmp_path_factory):
+    """Two small CSV datasets: 40 rows of 3 features in 3 classes, 150 of 2 in 2."""
+    from hetsgd.core import RngStream
+    from hetsgd.data import SyntheticSpec, make_synthetic, save_csv
+    paths = []
+    for i, (n, dim, classes) in enumerate([(40, 3, 3), (150, 2, 2)]):
+        path = str(tmp_path_factory.mktemp("data") / f"blobs{i}.csv")
+        save_csv(make_synthetic(SyntheticSpec(n=n, input_dim=dim, num_classes=classes,
+                                              separation=5.0, label_noise=0.1),
+                                RngStream(9, i)), path)
+        paths.append(path)
+    return paths
+
+
+def _seed_by_seed(cfg):
+    """``(metrics.csv text, final params, error)`` of running ``cfg``'s seeds one at a time.
+
+    The text is what a run of all of them writes: every finished round, up
+    to the first error a seed raises, which stops the run.
+    """
+    rows, finals = [], []
+    for seed in cfg.seeds:
+        try:
+            result = run(replace(cfg, seeds=(seed,)))
+        except ValueError as exc:
+            rows += getattr(exc, "records", [])
+            return hetsgd.harness._render_records(rows), finals, exc
+        rows += result.per_seed[0].records
+        finals.append(result.per_seed[0].final_params.tobytes())
+    return hetsgd.harness._render_records(rows), finals, None
+
 
 class TestRoundLayout:
     def test_one_ledger_merge_per_round(self, monkeypatch):
@@ -169,6 +241,78 @@ class TestRoundLayout:
         monkeypatch.setattr(hetsgd.harness, "record_losses", counted)
         run(small_cfg(p_s=2, p_f=3, rounds=4))
         assert calls == [0, 1, 2, 3]
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_stacked_seeds_equal_one_seed_runs(self, data, csv_files):
+        draw = data.draw
+        algorithm = draw(st.sampled_from(ALGORITHMS))
+        modes = ["separated", "unified"] + (["uniform"] if algorithm != "biased_local" else [])
+        sampler_mode = draw(st.sampled_from(modes))
+        # epoch draws are rejected with the unified sampler
+        fast_draw = draw(st.sampled_from(["fresh", "epoch"] if algorithm != "biased_local"
+                                         or sampler_mode != "unified" else ["fresh"]))
+        source = draw(st.sampled_from(["synthetic", "file"]))
+        cfg = small_cfg(
+            algorithm=algorithm, sampler_mode=sampler_mode, fast_draw=fast_draw,
+            cold_start=draw(st.sampled_from(["unseen-first", "uniform-first"])),
+            aggregation=draw(st.sampled_from(["tau_weighted", "balanced", "fednova"])),
+            model_kind=draw(st.sampled_from(["logistic_regression", "mlp2"])),
+            model_hidden=3,
+            p_s=draw(st.integers(1, 3)), p_f=draw(st.integers(1, 3)),
+            data_source=source,
+            data_path=draw(st.sampled_from(csv_files)) if source == "file" else "",
+            data_n=draw(st.integers(12, 120)), data_input_dim=draw(st.integers(1, 3)),
+            data_classes=draw(st.integers(2, 3)),
+            alpha=draw(st.sampled_from([1.0, 2.0, 4.0, 8.0])),
+            lam=draw(st.sampled_from([1.0, 1.25, 2.0])),
+            # ragged batches: most batch sizes do not divide the shares
+            tau_f=draw(st.integers(1, 6)), batch_size=draw(st.integers(1, 9)),
+            rounds=draw(st.integers(1, 3)), epochs=draw(st.sampled_from([0, 0, 1])),
+            weight_decay=draw(st.sampled_from([0.0, 0.01])),
+            # 300 makes the mlp diverge in some seeds and not others
+            base_lr=draw(st.sampled_from([0.1, 0.5, 300.0])),
+            seeds=tuple(draw(st.lists(st.integers(0, 7), min_size=1, max_size=4,
+                                      unique=True))))
+        try:
+            validate(cfg)
+        except (ConfigError, InvalidLambdaError):
+            return
+        want, finals, error = _seed_by_seed(cfg)
+        if error is None:
+            result = run(cfg)
+            assert render_csv(result) == want
+            assert [sr.final_params.tobytes() for sr in result.per_seed] == finals
+            return
+        with pytest.raises(type(error)) as got:
+            run(cfg)
+        assert type(got.value) is type(error) and str(got.value) == str(error)
+        assert hetsgd.harness._render_records(getattr(got.value, "records", [])) == want
+
+    @pytest.mark.parametrize("cap, value, stacks", [
+        ("MAX_WORKERS", 4, [4, 4, 2, 2]),  # 2 seeds of 2 workers fill it
+        ("MAX_WORKERS", 3, [2] * 6),
+        ("MAX_ELEMENTS", 1200, [4, 4, 2, 2]),  # 2 synthetic datasets of 300 x 2 fill it
+        ("MAX_ELEMENTS", 1199, [2] * 6),
+    ])
+    def test_seed_groups_stop_at_the_caps(self, monkeypatch, cap, value, stacks):
+        cfg = small_cfg(seeds=(0, 1, 2), rounds=2)
+        want = render_csv(run(cfg))
+        rows = []
+        train = hetsgd.harness.train_round
+
+        def counted(*args):
+            rows.append(len(args[4]))  # taus: one per stacked row
+            return train(*args)
+
+        monkeypatch.setattr(hetsgd.harness, "train_round", counted)
+        run(cfg)
+        assert rows == [6, 6]  # unpatched: every seed in one stack
+        rows.clear()
+        monkeypatch.setattr(hetsgd.config, cap, value)
+        assert render_csv(run(cfg)) == want
+        assert rows == stacks
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None,

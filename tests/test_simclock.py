@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hetsgd.simclock import CostModel, clock, round_timing
+import hetsgd.simclock
+from hetsgd.simclock import CostModel, clock, clock_end, round_timing
 from hetsgd.workers import WorkerSpec
 
 # measured single-iteration costs used throughout the timing checks
@@ -126,6 +127,16 @@ class TestRunTimeline:
             got_wall, got_blocked = clock(workers, cost, rounds)
             assert got_wall.tolist() == walls
             assert got_blocked.tolist() == blocks
+
+    @pytest.mark.parametrize("rounds", [1, 2, 6, 7, 8, 9, 20, 301])
+    def test_end_is_the_last_entry_across_chunks(self, monkeypatch, rounds):
+        monkeypatch.setattr(hetsgd.simclock, "_CHUNK", 4)
+        for fast_c, agg in [(FAST_COST, 0.05), (0.1, 0.0), (1e306, 1e306)]:
+            cost = CostModel(fast_c, fast_c * 33.6, agg_cost=agg)
+            workers = fleet(32, 1, cost, p_f=3)
+            wall, blocked = clock(workers, cost, rounds)
+            got = clock_end(workers, cost, rounds)
+            assert [repr(v) for v in got] == [repr(float(wall[-1])), repr(float(blocked[-1]))]
 
     def test_overflow_is_left_for_the_caller(self):
         # no numpy warning: the caller checks for non-finite entries

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsgd.core import RngStream, log_softmax
-from hetsgd.data import make_synthetic, SyntheticSpec
+from hetsgd.data import Dataset, make_synthetic, SyntheticSpec
 from hetsgd.models import Batch, ModelSpec, backward, init_params
 from hetsgd.config import ConfigError, ExperimentConfig, validate
 from hetsgd.workers import (DivergenceError, SystemProfile, WorkerSpec, derive_tau_s,
-                            lr_schedule, measure_alpha, train_round)
+                            first_fault, lr_schedule, measure_alpha, train_round)
 
 
 def reference_lr_at(kind, base_lr, milestones, decay, total_rounds, round_idx):
@@ -303,6 +303,61 @@ class TestTrainRound:
         with pytest.raises(DivergenceError, match="^worker 0 step 0: non-finite"):
             train_round(spec, huge, ds, [np.arange(8)] * 2, [1, 2], 0.1, 4,
                         [RngStream(0, 0), RngStream(0, 1)])
+
+
+    def test_failed_row_leaves_the_other_rows_alone(self, tiny_task):
+        spec, params, ds = tiny_task
+        taus = [1, 2, 3, 3]
+        assignments = [np.arange(i, 40 + i) for i in range(4)]
+        starts = np.stack([params + 0.1 * i for i in range(4)])
+        starts[1] = np.inf
+        with pytest.raises(DivergenceError, match="^worker 1 step 0: non-finite loss or "
+                                                  "gradient$") as err:
+            train_round(spec, starts, ds, assignments, taus, 0.2, 8,
+                        [RngStream(3, i) for i in range(4)])
+        assert list(err.value.faults) == [1]
+        assert err.value.faults[1][0] == 0  # its first step
+        end, ids, losses, steps = err.value.partial
+        assert steps == sum(taus)
+        keep = [0, 2, 3]
+        want = train_round(spec, starts[keep], ds, [assignments[i] for i in keep],
+                           [taus[i] for i in keep], 0.2, 8, [RngStream(3, i) for i in keep])
+        assert_same_bits(end[keep], want[0])
+        for row, i in enumerate(keep):
+            assert_same_bits(ids[i], want[1][row])
+            assert_same_bits(losses[i], want[2][row])
+
+    def test_first_fault_follows_the_stepping_order(self, tiny_task):
+        # both rows fail at step 0; the stack steps the 2-sample batch before
+        # the 4-sample one, so a lone run of both would report worker 1
+        spec, params, ds = tiny_task
+        with pytest.raises(DivergenceError, match="^worker 1 step 0: ") as err:
+            train_round(spec, np.full((2, params.shape[0]), np.nan), ds,
+                        [np.arange(8), np.arange(2)], [1, 1], 0.1, 4,
+                        [RngStream(0, 0), RngStream(0, 1)])
+        faults = err.value.faults
+        assert first_fault(faults, [0]) == "worker 0 step 0: non-finite loss or gradient"
+        assert first_fault(faults, [1, 0]) == "worker 0 step 0: non-finite loss or gradient"
+        assert first_fault({}, [0, 1]) is None
+
+    def test_row_maps_address_one_feature_source(self, tiny_task):
+        # two datasets one after another, each row reading its own through a map
+        spec, params, ds = tiny_task
+        other = make_synthetic(SyntheticSpec(n=30, input_dim=2, num_classes=2), RngStream(4, 0))
+        both = Dataset(np.concatenate([ds.features, other.features]),
+                       np.concatenate([ds.labels, other.labels]), 2)
+        train = [np.arange(0, 64, 2), np.arange(5, 30)]  # each dataset's train rows
+        maps = [train[0], train[1] + ds.n]
+        assignments = [np.arange(20), np.arange(10, 25)]
+        end, ids, losses, _ = train_round(spec, params, both, assignments, [2, 5], 0.3, 6,
+                                          [RngStream(8, 0), RngStream(8, 1)], 0.01, maps)
+        for i, source in enumerate([ds, other]):
+            copy = Dataset(source.features[train[i]], source.labels[train[i]], 2)
+            want = train_one(spec, params, copy, assignments[i], [2, 5][i], 0.3, 6,
+                             RngStream(8, i), 0.01)
+            assert_same_bits(end[i], want[0])
+            assert_same_bits(ids[i], want[1])
+            assert_same_bits(losses[i], want[2])
 
 
 class TestWorkerSpec:
