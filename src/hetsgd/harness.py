@@ -20,13 +20,13 @@ file, read once per :func:`run`, checked once against the plan by
 ``config.check_data`` and shared read-only by every seed, or the group's
 synthetic datasets, drawn per seed and stored one after another.
 
-A seed that fails (a training row turns non-finite, or aggregation
-overflows) leaves the stack with every higher seed, and the lower seeds
-train to their end.  The run then raises the error a seed-by-seed run
-would have raised: the lowest failing seed's, from its first failing round,
-a training error with the seed and round in front of the worker and step.
-A ``DivergenceError`` also carries the rounds a seed-by-seed run would have
-finished before it, in output order.
+A run stops at its first divergence: a training row turns non-finite, or
+a seed's training loss or aggregate overflows.  A group of several seeds
+that diverges is trained again, with the rest of the run, one seed at a
+time, so the run raises the error a seed-by-seed run raises: ``seed s
+round r``, then the worker and step or what overflowed.  A
+``DivergenceError`` carries the rounds finished before it, in output
+order.  Only a diverging run pays for the rerun.
 
 Stream-id allotment per seed: 11 data synthesis, 12 validation split,
 13 model init, 20 sampler, 40+j fast-worker epoch cursors, 1000+id workers.
@@ -35,6 +35,7 @@ Stream-id allotment per seed: 11 data synthesis, 12 validation split,
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -48,7 +49,7 @@ from .core import RngStream
 from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, load_dataset,
                    record_losses, split_rows, SyntheticSpec, val_size)
 from .models import Batch, accuracy, init_params
-from .workers import DivergenceError, first_fault, train_round
+from .workers import DivergenceError, train_round
 
 __all__ = ["RoundRecord", "SeedResult", "RunResult", "run", "render_csv",
            "write_outputs", "write_partial", "bundled_config_path", "CSV_HEADER"]
@@ -120,8 +121,8 @@ def _synthesize(cfg: ExperimentConfig, seeds) -> Dataset:
     return Dataset(features, labels, cfg.data_classes)
 
 
-def _stack(taus: list, active: int) -> tuple:
-    """The rows of one ``train_round`` call over a group's first ``active`` seeds.
+def _stack(taus: list, seeds: int) -> tuple:
+    """The rows of one ``train_round`` call over ``seeds`` seeds.
 
     Returns ``(rows, seed_rows)``: row r is ``rows[r]``, a ``(seed position,
     worker)`` pair, ordered by tau and then, the sort being stable, by seed
@@ -129,10 +130,10 @@ def _stack(taus: list, active: int) -> tuple:
     k's rows in worker-id order.
     """
     p = len(taus)
-    order = sorted(range(active * p), key=lambda i: taus[i % p])
+    order = sorted(range(seeds * p), key=lambda i: taus[i % p])
     row_of = {i: row for row, i in enumerate(order)}
     return ([divmod(i, p) for i in order],
-            [[row_of[k * p + w] for w in range(p)] for k in range(active)])
+            [[row_of[k * p + w] for w in range(p)] for k in range(seeds)])
 
 
 class _Seed:
@@ -163,14 +164,21 @@ class _Seed:
         self.records = []
 
 
+def _diverged(s: _Seed, r: int, detail: str) -> DivergenceError:
+    """Seed ``s``'s divergence in round ``r``, carrying the rounds it finished."""
+    error = DivergenceError(f"seed {s.seed} round {r}{detail}")
+    error.records = s.records
+    return error
+
+
 def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: Dataset | None,
                n: int, rounds: tuple) -> list:
     """Train ``seeds`` in lockstep on ``dataset`` (synthesized from them when None).
 
     ``n`` is the rows of one seed's data and ``rounds`` is
     ``config.per_round``'s columns as lists.  Returns one SeedResult per
-    seed, in order, or raises as the module docstring says, a
-    ``DivergenceError`` carrying this group's finished rounds.
+    seed, in order.  Raises ``DivergenceError`` at the first divergence;
+    for one seed it is the error the module docstring describes.
     """
     offsets = [0] * len(seeds)
     if dataset is None:
@@ -183,36 +191,28 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
     lrs, walls, blocks = rounds
     rounds_per_epoch = run_plan.rounds_per_epoch(group[0].ledger.n)
     steps_per_round = run_plan.steps_per_round
-    active, error = len(group), None  # seeds from `active` on have failed, `error` first
-    rows, seed_rows = _stack(taus, active)
+    rows, seed_rows = _stack(taus, len(group))
     for r, lr in enumerate(lrs):
-        if len(seed_rows) > active:
-            if not active:
-                break
-            rows, seed_rows = _stack(taus, active)
         shares = [assign(s.ledger, run_plan.profile, s.sampler, run_plan.cold_start, s.cursors)
-                  for s in group[:active]]
-        faults = {}
+                  for s in group]
         try:
             models, seen_ids, seen_losses, steps = train_round(
                 spec, np.stack([group[k].params for k, _ in rows]), dataset,
                 [shares[k][w] for k, w in rows], [taus[w] for _, w in rows], lr,
                 run_plan.batch_size, [group[k].streams[w] for k, w in rows], cfg.weight_decay,
                 [group[k].row_map for k, _ in rows])
-        except DivergenceError as exc:
-            (models, seen_ids, seen_losses, steps), faults = exc.partial, exc.faults
+        except DivergenceError as exc:  # in a one-seed stack, row i is worker i
+            raise _diverged(group[0], r, f" {exc}") from None
         except ValueError as exc:  # assignments from `assign` never trip the kernel's checks
             raise type(exc)(f"round {r} {exc}") from None
         del shares  # not held beside the next round's
-        if steps != active * steps_per_round:
-            raise RuntimeError(f"round {r}: expected {active * steps_per_round} gradient "
+        if steps != len(group) * steps_per_round:
+            raise RuntimeError(f"round {r}: expected {len(group) * steps_per_round} gradient "
                                f"steps, counted {steps}")
-        for k, own in enumerate(seed_rows):
-            s = group[k]
-            fault = first_fault(faults, own)
-            if fault is not None:
-                active, error = k, DivergenceError(f"seed {s.seed} round {r} {fault}")
-                break
+        # per-sample losses are finite, but their sum can overflow
+        with np.errstate(over="ignore"):
+            loss_sums = [sum(float(seen_losses[row].sum()) for row in own) for own in seed_rows]
+        for s, own, loss_sum in zip(group, seed_rows, loss_sums):
             # concatenated in worker-id order, the last write per sample is the
             # highest id's, as when merging the workers one at a time
             losses = np.concatenate([seen_losses[row] for row in own])
@@ -221,23 +221,21 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
                 s.params = aggregate(run_plan.aggregation, models[own], taus,
                                      round_start=s.params)
             except ValueError as exc:
-                active, error = k, exc
-                break
+                raise _diverged(s, r, f": {exc}") from None
+            if not math.isfinite(loss_sum):
+                raise _diverged(s, r, ": training loss overflows")
             s.records.append(RoundRecord(
                 seed=s.seed,
                 round=r,
                 epoch=r // rounds_per_epoch,
                 lr=lr,
-                train_loss=sum(float(seen_losses[row].sum()) for row in own) / losses.shape[0],
+                train_loss=loss_sum / losses.shape[0],
                 val_acc=accuracy(spec, s.params, [s.val_batch]),
                 sim_wall_s=walls[r],
                 sim_block_s=blocks[r],
                 agg_count=r + 1,
                 grad_steps=(r + 1) * steps_per_round,
             ))
-    if error is not None:
-        error.records = [rec for s in group[:active + 1] for rec in s.records]
-        raise error
     return [SeedResult(seed=s.seed, records=s.records, final_params=s.params) for s in group]
 
 
@@ -257,13 +255,15 @@ def run(cfg: ExperimentConfig) -> RunResult:
     rounds = tuple(column.tolist() for column in per_round(cfg, run_plan, n_train))
     group = seed_group(cfg, run_plan, n, input_dim, num_classes)
     per_seed = []
-    try:
-        for start in range(0, len(cfg.seeds), group):
-            per_seed += _run_seeds(cfg, run_plan, cfg.seeds[start:start + group], dataset, n,
-                                   rounds)
-    except DivergenceError as exc:
-        exc.records = [rec for sr in per_seed for rec in sr.records] + exc.records
-        raise
+    while len(per_seed) < len(cfg.seeds):
+        seeds = cfg.seeds[len(per_seed):len(per_seed) + group]
+        try:
+            per_seed += _run_seeds(cfg, run_plan, seeds, dataset, n, rounds)
+        except DivergenceError as exc:
+            if len(seeds) == 1:
+                exc.records = [rec for sr in per_seed for rec in sr.records] + exc.records
+                raise
+            group = 1  # rerun seed by seed for the error a lone seed raises
     finals = [sr.final_acc for sr in per_seed]
     summary = {
         "config_hash": config_hash(cfg),

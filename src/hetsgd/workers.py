@@ -16,10 +16,8 @@ stacks the workers of several seeds, each row with its own start and its
 own row map into one shared feature source.  Each row's stream drives only
 its own permutations and every row does the arithmetic a lone worker
 would, so the bits match stepping the rows one by one; one worker is a
-one-element call.  A row whose loss, gradient or parameters turn
-non-finite is recorded with its first failing step and the other rows
-step on; once every row has finished, :class:`DivergenceError` reports the
-failures.
+one-element call.  The first stacked call with a non-finite loss or
+gradient raises :class:`DivergenceError`, as do non-finite end parameters.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from .models import ModelSpec, stacked_loss_and_grad
 
 __all__ = [
     "DivergenceError",
-    "first_fault",
     "WorkerSpec",
     "SystemProfile",
     "derive_tau_s",
@@ -52,32 +49,12 @@ SCHEDULE_KINDS = ("constant", "multistep", "cosine")
 class DivergenceError(ValueError):
     """Local training produced a non-finite loss, gradient or parameter.
 
-    :func:`train_round` sets ``faults``, each failed row's ``(step, batch
-    length, detail)`` (see :func:`first_fault`), and ``partial``, its
-    result with every row stepped to the end.  ``harness.run`` sets
-    ``records`` to the list of rounds it finished before the failure, in
-    output order.
+    ``harness.run`` also raises it for a training loss or an aggregate that
+    overflows, and sets ``records`` to the list of rounds it finished
+    before the failure, in output order.
     """
 
     records = ()
-    faults = {}
-    partial = None
-
-
-def first_fault(faults: dict, rows) -> str | None:
-    """The error a round of only ``rows`` would report, row ``rows[i]`` as worker i.
-
-    That is the first failing step, then the shortest batch among that
-    step's failures (the stack steps its batch lengths shortest first),
-    then the lowest worker; non-finite end parameters come after every
-    step.  None when none of ``rows`` failed.
-    """
-    hits = [(*faults[row][:2], worker, faults[row][2])
-            for worker, row in enumerate(rows) if row in faults]
-    if not hits:
-        return None
-    _, _, worker, detail = min(hits)
-    return f"worker {worker}{detail}"
 
 
 @dataclass(frozen=True)
@@ -235,11 +212,10 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
     ``end_params`` is ``(P, n_params)``, the observed arrays are per-row
     lists of every sample id and loss seen (at the pre-step parameters,
     newest last) and ``steps`` counts the gradient steps taken.  Errors
-    name the row as worker i with its 0-based local step.  A row whose
-    loss or gradient turns non-finite keeps stepping, so no other row's
-    bits change; after the last step :class:`DivergenceError` carries every
-    failed row and the full result, and its message is
-    :func:`first_fault`'s over all rows.
+    name the row as worker i with its 0-based local step.  The first
+    stacked call with a non-finite loss or gradient raises
+    :class:`DivergenceError` naming its lowest such row, as do non-finite
+    end parameters.
     """
     p = len(taus)
     if p == 0:
@@ -271,7 +247,6 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
     params[...] = start_params
     losses = np.empty(ids.shape)
     features, labels = dataset.features, dataset.labels
-    faults = {}
     first, steps = 0, 0
     # overflow is caught by the finiteness checks below, not reported by numpy
     with np.errstate(over="ignore", invalid="ignore"):
@@ -288,9 +263,9 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
                                                          labels[batch_rows])
                 if not (np.isfinite(per_sample).all() and np.isfinite(grad).all()):
                     bad = ~(np.isfinite(per_sample).all(axis=1) & np.isfinite(grad).all(axis=1))
-                    detail = f" step {t}: non-finite loss or gradient"
-                    for row in np.arange(p)[rows][bad].tolist():
-                        faults.setdefault(row, (t, size, detail))
+                    worker = int(np.arange(p)[rows][bad][0])
+                    raise DivergenceError(f"worker {worker} step {t}: "
+                                          "non-finite loss or gradient")
                 losses[rows, t, :size] = per_sample
                 if weight_decay:
                     grad += weight_decay * current
@@ -299,16 +274,12 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
                     current -= grad  # a view: updates the stack in place
                 else:
                     params[rows] = current - grad
-    detail = ": local training diverged to non-finite parameters"
-    for row in np.flatnonzero(~np.isfinite(params).all(axis=1)).tolist():
-        faults.setdefault(row, (tau_max, 0, detail))  # after every step
+    diverged = np.flatnonzero(~np.isfinite(params).all(axis=1))
+    if diverged.size:
+        raise DivergenceError(f"worker {int(diverged[0])}: local training diverged to "
+                              "non-finite parameters")
 
     seen = np.arange(batch_size) < lens[..., None]
     observed_ids = [ids[i][seen[i]] for i in range(p)]
     observed_losses = [losses[i][seen[i]] for i in range(p)]
-    result = params, observed_ids, observed_losses, steps
-    if faults:
-        error = DivergenceError(first_fault(faults, range(p)))
-        error.faults, error.partial = faults, result
-        raise error
-    return result
+    return params, observed_ids, observed_losses, steps

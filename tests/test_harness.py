@@ -145,6 +145,19 @@ class TestLedgerTrend:
         assert means[-1] < means[0]
 
 
+def _fail_aggregation_after_round_0(monkeypatch, cfg):
+    """Make the aggregation from the model of ``cfg``'s one seed after round 0 overflow."""
+    after_round_0 = run(replace(cfg, rounds=1)).per_seed[0].final_params
+    combine = hetsgd.harness.aggregate
+
+    def failing(rule, models, taus, round_start=None):
+        if np.array_equal(round_start, after_round_0):
+            raise ValueError("aggregation produced non-finite entries")
+        return combine(rule, models, taus, round_start=round_start)
+
+    monkeypatch.setattr(hetsgd.harness, "aggregate", failing)
+
+
 class TestDivergence:
     def test_error_names_seed_round_worker_and_step(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -157,23 +170,30 @@ class TestDivergence:
             run(small_cfg(model_kind="mlp2", base_lr=1e3))
 
     def test_aggregation_failure_waits_for_lower_seeds(self, monkeypatch):
-        # seed 1's round-1 aggregation overflows: seed 0 still trains all 4
-        # rounds, seed 2 stops with seed 1, and the error is raised unchanged
-        calls = []
-        combine = hetsgd.harness.aggregate
+        # seed 1's round-1 aggregation overflows: the run stops there with
+        # every round of seed 0 and round 0 of seed 1, as seed by seed
+        cfg = small_cfg(seeds=(0, 1, 2), rounds=4)
+        want = run(replace(cfg, seeds=(0, 1))).per_seed
+        _fail_aggregation_after_round_0(monkeypatch, replace(cfg, seeds=(1,)))
+        with pytest.raises(DivergenceError) as err:
+            run(cfg)
+        assert str(err.value) == "seed 1 round 1: aggregation produced non-finite entries"
+        assert err.value.records == want[0].records + want[1].records[:1]
 
-        def failing(*args, **kwargs):
-            calls.append(len(calls))
-            if len(calls) == 5:  # round 1: seed 0, then seed 1
-                raise ValueError("aggregation produced non-finite entries")
-            return combine(*args, **kwargs)
-
-        monkeypatch.setattr(hetsgd.harness, "aggregate", failing)
-        with pytest.raises(ValueError) as err:
-            run(small_cfg(seeds=(0, 1, 2), rounds=4))
-        assert type(err.value) is ValueError
-        assert str(err.value) == "aggregation produced non-finite entries"
-        assert len(calls) == 3 + 2 + 2  # round 0: all three; round 1: 0 and 1; then 0 alone
+    @pytest.mark.parametrize("seeds, detail", [
+        ((3, 5), "seed 3 round 1: aggregation produced non-finite entries"),
+        ((5, 3), "seed 5 round 0: training loss overflows")])
+    def test_overflows_stop_the_run_as_seed_by_seed(self, seeds, detail):
+        # alone, seed 3's round-1 aggregate overflows and seed 5's round-0
+        # training loss does; in lockstep seed 5 fails first either way
+        cfg = small_cfg(data_n=40, data_separation=1e-300, data_sigma=1e-300,
+                        aggregation="fednova", alpha=2.0, tau_f=3, batch_size=2,
+                        base_lr=1.7e308, rounds=3, seeds=seeds)
+        want, _, error = _seed_by_seed(cfg)
+        with pytest.raises(DivergenceError) as got:
+            run(cfg)
+        assert str(got.value) == str(error) == detail
+        assert hetsgd.harness._render_records(got.value.records) == want
 
     def test_lower_seed_wins_over_an_earlier_higher_seed(self, tmp_path, capfd):
         # alone, seed 3 diverges in round 2 and seed 4 in round 1; seed by
@@ -254,6 +274,9 @@ class TestRoundLayout:
         fast_draw = draw(st.sampled_from(["fresh", "epoch"] if algorithm != "biased_local"
                                          or sampler_mode != "unified" else ["fresh"]))
         source = draw(st.sampled_from(["synthetic", "file"]))
+        # tiny features at a huge rate: finite per-sample losses whose sum or
+        # aggregate can overflow
+        tiny = source == "synthetic" and draw(st.sampled_from([False, False, True]))
         cfg = small_cfg(
             algorithm=algorithm, sampler_mode=sampler_mode, fast_draw=fast_draw,
             cold_start=draw(st.sampled_from(["unseen-first", "uniform-first"])),
@@ -265,6 +288,7 @@ class TestRoundLayout:
             data_path=draw(st.sampled_from(csv_files)) if source == "file" else "",
             data_n=draw(st.integers(12, 120)), data_input_dim=draw(st.integers(1, 3)),
             data_classes=draw(st.integers(2, 3)),
+            data_separation=1e-300 if tiny else 8.0, data_sigma=1e-300 if tiny else 1.0,
             alpha=draw(st.sampled_from([1.0, 2.0, 4.0, 8.0])),
             lam=draw(st.sampled_from([1.0, 1.25, 2.0])),
             # ragged batches: most batch sizes do not divide the shares
@@ -272,7 +296,7 @@ class TestRoundLayout:
             rounds=draw(st.integers(1, 3)), epochs=draw(st.sampled_from([0, 0, 1])),
             weight_decay=draw(st.sampled_from([0.0, 0.01])),
             # 300 makes the mlp diverge in some seeds and not others
-            base_lr=draw(st.sampled_from([0.1, 0.5, 300.0])),
+            base_lr=draw(st.sampled_from([3e307, 1.7e308] if tiny else [0.1, 0.5, 300.0])),
             seeds=tuple(draw(st.lists(st.integers(0, 7), min_size=1, max_size=4,
                                       unique=True))))
         try:
@@ -747,6 +771,41 @@ class TestCli:
         assert out.out.splitlines() == ["lambda,status,final_acc_mean,final_acc_spread,"
                                         "total_sim_wall_s", "1,diverged,NA,NA,NA",
                                         "2,diverged,NA,NA,NA"]
+
+    def test_training_loss_overflow_keeps_finished_rounds(self, tmp_path, capfd):
+        # every per-sample loss is finite, but round 1's sum overflows
+        cfg_path = tmp_path / "loss.cfg"
+        cfg_path.write_text("data.n = 200\ndata.separation = 1e-300\ndata.sigma = 1e-300\n"
+                            "algorithm = sync_sgd\nschedule.base_lr = 3e307\nbatch_size = 8\n"
+                            "rounds = 4\nseeds = 0,1\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
+        assert capfd.readouterr() == (
+            "", "error: invalid-value: seed 0 round 1: training loss overflows\n")
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["0", "0"]]
+        assert math.isfinite(float(rows[0].split(",")[4]))
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep-lambda"])
+    def test_aggregation_overflow_is_a_divergence(self, tmp_path, capfd, monkeypatch, command):
+        # lambda 1's round-1 aggregation overflows; lambda 2 never meets it
+        cfg = small_cfg(lam=1.0, rounds=3)
+        want = render_csv(run(replace(cfg, rounds=1)))
+        _fail_aggregation_after_round_0(monkeypatch, cfg)
+        cfg_path = tmp_path / "agg.cfg"
+        cfg_path.write_text(hetsgd.config.render_config(cfg))
+        out = tmp_path / "o"
+        if command == "run":
+            assert cli_main(["run", str(cfg_path), "--out", str(out)]) == 2
+            assert capfd.readouterr().err == ("error: invalid-value: seed 0 round 1: "
+                                              "aggregation produced non-finite entries\n")
+            assert (out / "metrics.csv").read_text() == want
+            return
+        assert cli_main(["sweep-lambda", str(cfg_path), "--lambdas", "1", "2"]) == 0
+        lines = capfd.readouterr().out.splitlines()
+        assert lines[1] == "1,diverged,NA,NA,NA"
+        assert lines[2].startswith("2,ok,")
 
     def test_timing_rows(self, capsys):
         rc = cli_main(["timing", bundled_config_path("demo")])
