@@ -43,6 +43,10 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self.gen.permutation(n)
 
+    def shuffle(self, x: np.ndarray) -> None:
+        """Shuffle ``x`` in place: ``x[:] = x[permutation(len(x))]``, same draws."""
+        self.gen.shuffle(x)
+
     def choose(self, n: int, k: int) -> np.ndarray:
         return rng_choose_without_replacement(self, n, k)
 

@@ -373,10 +373,11 @@ class SyntheticSpec:
 def make_synthetic(spec: SyntheticSpec, stream: RngStream) -> Dataset:
     if spec.n < spec.num_classes:
         raise ValueError("need at least one sample per class")
-    means = spec.class_means()
     labels = np.arange(spec.n) % spec.num_classes
     # + 0.0 turns a sigma of -0.0, which numpy's normal rejects, into 0.0
-    features = means[labels] + stream.normal(0.0, spec.sigma + 0.0, (spec.n, spec.input_dim))
+    features = stream.normal(0.0, spec.sigma + 0.0, (spec.n, spec.input_dim))
+    for k, mean in enumerate(spec.class_means()):
+        features[k::spec.num_classes] += mean  # row i is class i % C
     if spec.label_noise > 0:
         flip = stream.uniform(0.0, 1.0, spec.n) < spec.label_noise
         shift = stream.integers(1, spec.num_classes, size=spec.n)

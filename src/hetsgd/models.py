@@ -252,6 +252,31 @@ def relu_crossing_mask(spec: ModelSpec, params: ParamVector, batch: Batch, h: fl
     return mask
 
 
+def _hits(logits: np.ndarray, labels: np.ndarray) -> int:
+    """How many rows of ``(n, c)`` logits have their argmax at the row's label.
+
+    ``np.argmax`` along rows this short pays a loop per row, so under 8
+    classes the logits are copied class-major and each row's maximum is
+    taken with one ``np.maximum`` pass per class; a hit is a row whose
+    label's logit equals its maximum.  If any row has a tie or a NaN, the
+    count falls back to ``np.argmax``, whose first-index rule decides it,
+    so the count is always argmax's.
+    """
+    n, c = logits.shape
+    if c >= 8:
+        return int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
+    by_class = np.ascontiguousarray(logits.T)
+    best = np.maximum(by_class[0], by_class[1])  # propagates NaN
+    for row in by_class[2:]:
+        np.maximum(best, row, out=best)
+    at_best = by_class == best
+    # without NaN every row has a maximum; n of them in all means no ties
+    if np.count_nonzero(at_best) != n or np.isnan(best).any():
+        return int(np.count_nonzero(np.argmax(by_class, axis=0) == labels))
+    at_best &= labels == np.arange(c)[:, None]
+    return int(np.count_nonzero(at_best))
+
+
 def accuracy(spec: ModelSpec, params: ParamVector, batches) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
@@ -263,8 +288,7 @@ def accuracy(spec: ModelSpec, params: ParamVector, batches) -> float:
     for batch in batches:
         with np.errstate(over="ignore", invalid="ignore"):
             logits = forward_logits(spec, params, batch.features)
-        pred = np.argmax(logits, axis=1)
-        correct += int((pred == batch.labels).sum())
+        correct += _hits(logits, batch.labels)
         total += len(batch)
     if total == 0:
         raise ValueError("empty evaluation set")

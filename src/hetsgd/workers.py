@@ -156,7 +156,8 @@ def _batch_schedule(assigned: np.ndarray, tau: int, batch_size: int, stream: Rng
                     ids: np.ndarray, lens: np.ndarray) -> None:
     """Write one worker's ``tau`` batches into ``ids[:tau]`` and ``lens[:tau]``.
 
-    Batches walk a stream-shuffled permutation of ``assigned``; the last
+    Batches walk a copy of ``assigned`` shuffled in place by the stream,
+    which makes the draws of ``stream.permutation(n)``; the last
     batch of a permutation is short when ``batch_size`` does not divide it,
     and the next step draws a fresh permutation.  Draws happen exactly where
     a step-by-step walk would make them.
@@ -166,7 +167,8 @@ def _batch_schedule(assigned: np.ndarray, tau: int, batch_size: int, stream: Rng
     full_per_perm = n // batch_size
     t = 0
     while t < tau:
-        order = assigned[stream.permutation(n)]
+        order = assigned.copy()
+        stream.shuffle(order)
         k = min(per_perm, tau - t)
         full = min(k, full_per_perm)
         ids[t:t + full] = order[:full * batch_size].reshape(full, batch_size)

@@ -123,6 +123,22 @@ class TestShuffle:
         np.testing.assert_array_equal(RngStream(6, 1).permutation(16),
                                       RngStream(6, 1).permutation(16))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 32, 1000, 8000])
+    def test_in_place_shuffle_makes_the_permutation_draws(self, n):
+        shuffled, permuted = RngStream(5, n), RngStream(5, n)
+        ids = np.arange(n)
+        shuffled.shuffle(ids)
+        np.testing.assert_array_equal(ids, permuted.permutation(n))
+        # both streams stand at the same point afterwards
+        np.testing.assert_array_equal(shuffled.permutation(9), permuted.permutation(9))
+        assert shuffled.uniform(0, 1, 3).tobytes() == permuted.uniform(0, 1, 3).tobytes()
+
+    def test_in_place_shuffle_of_ids_gathers_by_the_permutation(self):
+        ids = RngStream(1, 0).choose(10_000, 300)
+        shuffled = ids.copy()
+        RngStream(2, 0).shuffle(shuffled)
+        np.testing.assert_array_equal(shuffled, ids[RngStream(2, 0).permutation(300)])
+
 
 def test_round_half_up():
     assert round_half_up(0.5) == 1

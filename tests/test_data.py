@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -605,7 +606,50 @@ class TestEpochCursor:
                 assert len(set(got.tolist())) == k
 
 
+def reference_make_synthetic(spec, stream):
+    """Every row's class mean gathered, then the noise added: the oracle for ``make_synthetic``."""
+    if spec.n < spec.num_classes:
+        raise ValueError("need at least one sample per class")
+    means = spec.class_means()
+    labels = np.arange(spec.n) % spec.num_classes
+    features = means[labels] + stream.normal(0.0, spec.sigma + 0.0, (spec.n, spec.input_dim))
+    if spec.label_noise > 0:
+        flip = stream.uniform(0.0, 1.0, spec.n) < spec.label_noise
+        shift = stream.integers(1, spec.num_classes, size=spec.n)
+        labels = np.where(flip, (labels + shift) % spec.num_classes, labels)
+    return Dataset(features, labels, spec.num_classes)
+
+
 class TestSyntheticData:
+    @pytest.mark.parametrize("n, input_dim, num_classes, separation, sigma, label_noise", [
+        (103, 3, 4, 6.0, 1.0, 0.0),  # n not a multiple of C
+        (50, 1, 3, 3.0, 0.5, 0.0),  # means on a line
+        (97, 16, 2, 3.0, 1.0, 0.1),  # label noise draws after the features
+        (40, 5, 7, 6.0, -0.0, 0.0),  # no noise: every row is its class mean
+        (61, 2, 5, -4.5, 2.0, 0.3),  # a negative separation
+        (10, 4, 10, 1e-300, 1e-300, 0.0),  # one row per class, tiny values
+    ])
+    def test_matches_the_gather_oracle_byte_for_byte(self, n, input_dim, num_classes,
+                                                      separation, sigma, label_noise):
+        spec = SyntheticSpec(n=n, input_dim=input_dim, num_classes=num_classes,
+                             separation=separation, sigma=sigma, label_noise=label_noise)
+        for seed in range(3):
+            stream, oracle_stream = RngStream(seed, 0), RngStream(seed, 0)
+            got, want = make_synthetic(spec, stream), reference_make_synthetic(spec, oracle_stream)
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert stream.uniform(0, 1, 2).tobytes() == oracle_stream.uniform(0, 1, 2).tobytes()
+
+    def test_peak_memory_is_about_the_feature_matrix(self):
+        spec = SyntheticSpec(n=20_000, input_dim=16, num_classes=4)
+        tracemalloc.start()
+        try:
+            ds = make_synthetic(spec, RngStream(0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.features.nbytes
+
     def test_shapes_and_labels(self):
         spec = SyntheticSpec(n=120, input_dim=3, num_classes=4)
         ds = make_synthetic(spec, RngStream(0, 0))

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsgd.core import RngStream
-from hetsgd.models import (Batch, ModelSpec, _forward, accuracy, backward, finite_diff_grad,
-                           forward_logits, forward_loss, init_params, param_count,
-                           relu_crossing_mask, stacked_loss_and_grad)
+from hetsgd.models import (Batch, ModelSpec, _forward, _hits, accuracy, backward,
+                           finite_diff_grad, forward_logits, forward_loss, init_params,
+                           param_count, relu_crossing_mask, stacked_loss_and_grad)
 
 LOGREG = ModelSpec("logistic_regression", 3, 2)
 MLP = ModelSpec("mlp2", 4, 3, hidden_dim=5)
@@ -199,6 +199,80 @@ class TestFiniteDiff:
             keep = ~relu_crossing_mask(spec, params, batch, h)
             denom = np.maximum(np.abs(analytic[keep]), 1e-8)
             assert np.max(np.abs(analytic[keep] - numeric[keep]) / denom) < 1e-4
+
+
+def reference_hits(logits, labels):
+    """The ``np.argmax`` count: the oracle for the class-major count."""
+    return int((np.argmax(logits, axis=1) == labels).sum())
+
+
+def reference_accuracy(spec, params, batches):
+    """Row-wise ``np.argmax`` over each batch's logits: the oracle for ``accuracy``."""
+    correct = 0
+    total = 0
+    for batch in batches:
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = forward_logits(spec, params, batch.features)
+        correct += reference_hits(logits, batch.labels)
+        total += len(batch)
+    if total == 0:
+        raise ValueError("empty evaluation set")
+    return correct / total
+
+
+# logits that tie, overflow or are not numbers; -0.0 ties with 0.0
+SPECIAL_LOGITS = [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan]
+
+
+class TestAccuracyOracle:
+    @pytest.mark.parametrize("c", range(2, 13))
+    @pytest.mark.parametrize("values", ["normal", "ties", "special", "all_equal", "one_nan"])
+    def test_count_matches_argmax(self, c, values):
+        rng = np.random.default_rng(c)
+        n = 300
+        if values == "normal":  # no ties: the class-major count decides
+            logits = rng.normal(size=(n, c))
+        elif values == "ties":
+            logits = rng.integers(-2, 3, size=(n, c)).astype(np.float64)
+        elif values == "special":
+            logits = rng.choice(SPECIAL_LOGITS, size=(n, c))
+        elif values == "all_equal":
+            logits = np.full((n, c), 0.25)
+        else:  # one NaN among distinct values
+            logits = rng.normal(size=(n, c))
+            logits[n // 2, c // 2] = np.nan
+        for labels in (rng.integers(0, c, n), np.argmax(logits, axis=1),
+                       np.full(n, c - 1)):
+            assert _hits(logits, labels) == reference_hits(logits, labels)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_count_matches_argmax_on_drawn_rows(self, data):
+        c = data.draw(st.integers(2, 12))
+        n = data.draw(st.integers(0, 20))
+        cells = data.draw(st.lists(st.sampled_from(SPECIAL_LOGITS), min_size=n * c,
+                                   max_size=n * c))
+        labels = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)),
+                          dtype=np.int64)
+        logits = np.array(cells, dtype=np.float64).reshape(n, c)
+        assert _hits(logits, labels) == reference_hits(logits, labels)
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("logistic_regression", 16, 4),
+        ModelSpec("logistic_regression", 16, 2),
+        ModelSpec("mlp2", 32, 10, hidden_dim=64),
+        ModelSpec("mlp2", 8, 7, hidden_dim=16),
+    ], ids=["lr-16-4", "lr-16-2", "mlp2-32-64-10", "mlp2-8-16-7"])
+    def test_accuracy_matches_the_oracle_at_benchmark_size(self, spec):
+        stream = RngStream(21, 0)
+        n = 20_000
+        params = stream.normal(0.0, 0.3, param_count(spec))
+        batches = [Batch(stream.normal(0.0, 1.0, (n, spec.input_dim)),
+                         stream.integers(0, spec.num_classes, size=n), np.arange(n)),
+                   Batch(np.zeros((5, spec.input_dim)), np.arange(5) % spec.num_classes,
+                         np.arange(5))]  # zero inputs: every row's logits are the biases
+        for p in (params, np.zeros_like(params), params * 1e300):
+            assert accuracy(spec, p, batches) == reference_accuracy(spec, p, batches)
 
 
 class TestAccuracy:

@@ -284,6 +284,42 @@ class TestTrainRound:
             # both consumed the worker's stream to the same point
             assert_same_bits(streams[i].permutation(8), oracle_stream.permutation(8))
 
+    @pytest.mark.parametrize("kind, d, c, h, g", [
+        ("logistic_regression", 16, 2, 0, 1),
+        ("logistic_regression", 16, 2, 0, 5),
+        ("logistic_regression", 16, 2, 0, 10),
+        ("logistic_regression", 16, 2, 0, 16),
+        ("logistic_regression", 16, 4, 0, 1),
+        ("logistic_regression", 16, 4, 0, 5),
+        ("logistic_regression", 16, 4, 0, 10),
+        ("logistic_regression", 16, 4, 0, 16),
+        ("mlp2", 32, 10, 64, 4),
+        ("mlp2", 32, 10, 64, 8),
+    ])
+    @pytest.mark.parametrize("schedule", ["sync", "local"])
+    def test_matches_per_worker_oracle_at_benchmark_shapes(self, kind, d, c, h, g, schedule):
+        # B = 32 at the shapes the benchmark runs: the stack sizes and BLAS
+        # paths that the small hypothesis shapes above never reach
+        batch_size = 32
+        spec = ModelSpec(kind, d, c, hidden_dim=h)
+        ds = make_synthetic(SyntheticSpec(n=3000, input_dim=d, num_classes=c, separation=3.0,
+                                          label_noise=0.05), RngStream(g, 0))
+        params = init_params(spec, RngStream(g, 1))
+        # slow workers first; shares of 100 end every third step on a short batch
+        taus = [1] * g if schedule == "sync" else sorted([2] * (g // 2) + [8] * (g - g // 2))
+        sizes = [256 if i % 2 else 100 for i in range(g)]
+        assignments = [RngStream(g, 2 + i).choose(ds.n, k) for i, k in enumerate(sizes)]
+        end, ids, losses, steps = train_round(spec, params, ds, assignments, taus, 0.1,
+                                              batch_size, [RngStream(g, 100 + i)
+                                                           for i in range(g)], 1e-4)
+        assert steps == sum(taus)
+        for i in range(g):
+            want = reference_local_train(spec, params, ds, assignments[i], taus[i], 0.1,
+                                         batch_size, RngStream(g, 100 + i), 1e-4)
+            assert_same_bits(end[i], want[0])
+            assert_same_bits(ids[i], want[1])
+            assert_same_bits(losses[i], want[2])
+
     def test_duplicate_id_in_a_batch_rejected(self, tiny_task):
         spec, params, ds = tiny_task
         assignments = [np.arange(4), np.array([5, 5, 6, 7])]
