@@ -255,26 +255,24 @@ def relu_crossing_mask(spec: ModelSpec, params: ParamVector, batch: Batch, h: fl
 def _hits(logits: np.ndarray, labels: np.ndarray) -> int:
     """How many rows of ``(n, c)`` logits have their argmax at the row's label.
 
-    ``np.argmax`` along rows this short pays a loop per row, so under 8
-    classes the logits are copied class-major and each row's maximum is
-    taken with one ``np.maximum`` pass per class; a hit is a row whose
-    label's logit equals its maximum.  If any row has a tie or a NaN, the
-    count falls back to ``np.argmax``, whose first-index rule decides it,
-    so the count is always argmax's.
+    ``np.argmax`` along short rows pays a loop per row, so the logits are
+    copied class-major and each row's maximum is taken with one
+    ``np.maximum`` pass per class; a hit is a row whose label's logit equals
+    its maximum.  If any row has a tie or a NaN, the count falls back to
+    ``np.argmax``, whose first-index rule decides it, so the count is always
+    argmax's.
     """
     n, c = logits.shape
-    if c >= 8:
-        return int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
     by_class = np.ascontiguousarray(logits.T)
     best = np.maximum(by_class[0], by_class[1])  # propagates NaN
     for row in by_class[2:]:
         np.maximum(best, row, out=best)
     at_best = by_class == best
     # without NaN every row has a maximum; n of them in all means no ties
-    if np.count_nonzero(at_best) != n or np.isnan(best).any():
-        return int(np.count_nonzero(np.argmax(by_class, axis=0) == labels))
-    at_best &= labels == np.arange(c)[:, None]
-    return int(np.count_nonzero(at_best))
+    if np.count_nonzero(at_best) == n and not np.isnan(best).any():
+        at_best &= labels == np.arange(c)[:, None]
+        return int(np.count_nonzero(at_best))
+    return int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
 
 
 def accuracy(spec: ModelSpec, params: ParamVector, batches) -> float:
