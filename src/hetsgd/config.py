@@ -387,14 +387,19 @@ def seed_group(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
     The most, up to all of them, whose (seed, worker) rows stay within
     ``MAX_WORKERS`` and whose stacked arrays each stay within
     ``MAX_ELEMENTS``: the synthetic datasets (a file is shared, not
-    stacked), the padded batch ids, the activations and the parameter
-    stack.  One seed always fits a config ``check_data`` accepts.
+    stacked), the padded batch ids, the training and evaluation
+    activations, the parameter stack and the loss ledger.  One seed
+    always runs: a config ``check_data`` accepts fits every cap but the
+    ledger's, which a file of over 2**27 training rows passes alone.
     """
     spec = model_spec(cfg, input_dim, num_classes)
     workers = len(run_plan.workers)
     rows = workers * cfg.batch_size
     width = max(input_dim, spec.hidden_dim, num_classes)
-    per_seed = [rows * run_plan.workers[-1].tau, rows * width, workers * param_count(spec)]
+    n_val = val_size(n, cfg.val_fraction)
+    per_seed = [rows * run_plan.workers[-1].tau, rows * width, n_val * width,
+                workers * param_count(spec), n - n_val]
     if cfg.data_source == "synthetic":
         per_seed.append(n * input_dim)
-    return min(len(cfg.seeds), MAX_WORKERS // workers, *(MAX_ELEMENTS // c for c in per_seed))
+    return max(1, min(len(cfg.seeds), MAX_WORKERS // workers,
+                      *(MAX_ELEMENTS // c for c in per_seed)))

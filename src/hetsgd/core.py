@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "ParamVector",
     "RngStream",
-    "log_softmax",
     "rng_choose_without_replacement",
     "round_half_up",
 ]
@@ -66,13 +65,6 @@ class RngStream:
 def round_half_up(x: float) -> int:
     """Round to nearest integer, halves away from zero (x >= 0 here)."""
     return int(np.floor(x + 0.5))
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax with max-subtraction for stability."""
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def rng_choose_without_replacement(stream: RngStream, n: int, k: int) -> np.ndarray:

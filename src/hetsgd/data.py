@@ -98,13 +98,24 @@ class Dataset:
 
 
 class LossLedger:
-    """Last-observed training loss per sample, plus the round it was seen."""
+    """Last-observed training loss per sample, plus the round it was seen.
 
-    def __init__(self, n: int):
+    A new ledger has seen nothing; given ``last_loss`` and ``last_round``
+    arrays of n entries, it keeps them as they are, without a copy.
+    """
+
+    def __init__(self, n: int, last_loss: np.ndarray | None = None,
+                 last_round: np.ndarray | None = None):
         if n < 1:
             raise ValueError("ledger needs at least one sample")
-        self.last_loss = np.full(n, NEVER_SEEN, dtype=np.float64)
-        self.last_round = np.full(n, -1, dtype=np.int64)
+        if last_loss is None:
+            last_loss = np.full(n, NEVER_SEEN, dtype=np.float64)
+        if last_round is None:
+            last_round = np.full(n, -1, dtype=np.int64)
+        if last_loss.shape != (n,) or last_round.shape != (n,):
+            raise ValueError(f"ledger arrays must hold {n} entries each")
+        self.last_loss = last_loss
+        self.last_round = last_round
 
     @property
     def n(self) -> int:
@@ -112,6 +123,16 @@ class LossLedger:
 
     def seen_mask(self) -> np.ndarray:
         return self.last_round >= 0
+
+    def blocks(self, count: int) -> list:
+        """``count`` ledgers over equal consecutive blocks of these samples, as views.
+
+        Block k's sample j is sample ``k * n / count + j`` here, and a write
+        through either ledger shows in the other.
+        """
+        return [LossLedger(loss.shape[0], loss, last)
+                for loss, last in zip(np.split(self.last_loss, count),
+                                      np.split(self.last_round, count))]
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +349,10 @@ def record_losses(ledger: LossLedger, sample_ids, losses, round_idx: int) -> Los
     # keep the last write per id: the keys id * m + position are distinct,
     # so one unstable sort groups each id's writes in position order and
     # the end of each run is its last.  Keys stay below n * m < 2**63:
-    # config.MAX_ELEMENTS (2**27) caps m, a round's padded batch ids, and a
-    # synthetic n; a binary file's n is a u32, and a CSV file would need
-    # 2**36 rows.
+    # config.MAX_ELEMENTS (2**27) caps m, the padded batch ids of a round of
+    # a seed group, and config.seed_group caps n, the group's ledger, at it
+    # too unless one seed's rows pass it: a binary file's n is a u32, and a
+    # CSV file would need 2**36 rows.
     m = ids.shape[0]
     sorted_ids, pos = np.divmod(np.sort(ids * m + np.arange(m)), m)
     last = np.append(sorted_ids[1:] != sorted_ids[:-1], True)

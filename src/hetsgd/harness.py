@@ -6,19 +6,24 @@ is the one order of a round from sampler to ledger.  A run trains its seeds
 in lockstep, ``config.seed_group`` consecutive seeds at a time.  One round:
 draw each seed's sample assignment (loss-biased or uniform), run every
 (seed, worker) row's local updates in one ``workers.train_round`` call,
-then, seed by seed, merge all the seed's observed losses into its ledger
-with one ``record_losses`` call over them concatenated in worker-id order,
-aggregate its local models, and record the round with the learning rate
-and simulated clock that ``config.per_round`` computed once per run.
-Sampling, ledger, aggregation and evaluation stay per seed, so each seed
-computes the bits of a run of that seed alone.
+merge every observed loss into the group's ledger with one
+``record_losses`` call, aggregate each seed's local models, score every
+seed's model with one ``models.stacked_hits`` call, and record the round
+with the learning rate and simulated clock that ``config.per_round``
+computed once per run.  The group's ledger holds one block of samples per
+seed, each seed's ledger a view of its block, and the merge takes the
+observations seed by seed, each seed's in worker-id order.  Sampling and
+aggregation stay per seed, and every stacked step computes each seed's
+bits alone, so each seed computes the bits of a run of that seed alone.
 
 The stack's rows are ordered by tau, then seed, then worker id, so the rows
 still stepping stay a suffix of the stack.  A seed's training rows are
 addressed through a row map into one feature source, never copied: a data
 file, read once per :func:`run`, checked once against the plan by
 ``config.check_data`` and shared read-only by every seed, or the group's
-synthetic datasets, drawn per seed and stored one after another.
+synthetic datasets, drawn per seed and stored one after another.  Only
+the validation rows are copied, into one ``(seeds, rows, input_dim)``
+stack.
 
 A run stops at its first divergence: a training row turns non-finite, or
 a seed's training loss or aggregate overflows.  A group of several seeds
@@ -48,7 +53,7 @@ from .config import (ExperimentConfig, RunPlan, check_data, config_hash, model_s
 from .core import RngStream
 from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, load_dataset,
                    record_losses, split_rows, SyntheticSpec, val_size)
-from .models import Batch, accuracy, init_params
+from .models import init_params, stacked_hits
 from .workers import DivergenceError, train_round
 
 __all__ = ["RoundRecord", "SeedResult", "RunResult", "run", "render_csv",
@@ -137,29 +142,23 @@ def _stack(taus: list, seeds: int) -> tuple:
 
 
 class _Seed:
-    """One seed's state: split, model, ledger, streams, cursors and finished rounds.
+    """One seed's state: model, ledger, streams, cursors and finished rounds.
 
-    Its training rows are ``row_map``, the train split's row indices plus
-    ``offset``, where the seed's data starts in the feature source; only
-    the validation rows are copied.
+    Its training rows are ``row_map``, the indices of its train split in the
+    feature source; ``ledger`` is its block of the group's ledger.
     """
 
-    def __init__(self, cfg: ExperimentConfig, run_plan: RunPlan, spec, seed: int,
-                 dataset: Dataset, n: int, offset: int):
-        val_rows, train_rows = split_rows(n, cfg.val_fraction, RngStream(seed, STREAM_SPLIT))
-        val_rows = val_rows + offset
+    def __init__(self, run_plan: RunPlan, spec, seed: int, row_map: np.ndarray,
+                 ledger: LossLedger):
         self.seed = seed
-        self.row_map = train_rows + offset
-        self.val_batch = Batch(dataset.features[val_rows], dataset.labels[val_rows],
-                               np.arange(val_rows.shape[0]))
+        self.row_map = row_map
         self.params = init_params(spec, RngStream(seed, STREAM_INIT))
-        self.ledger = LossLedger(train_rows.shape[0])
+        self.ledger = ledger
         self.sampler = RngStream(seed, STREAM_SAMPLER)
         self.streams = [RngStream(seed, STREAM_WORKER_BASE + w.id) for w in run_plan.workers]
         self.cursors = None
         if run_plan.fast_draw == "epoch":
-            self.cursors = [EpochCursor(train_rows.shape[0],
-                                        RngStream(seed, STREAM_CURSOR_BASE + j))
+            self.cursors = [EpochCursor(ledger.n, RngStream(seed, STREAM_CURSOR_BASE + j))
                             for j in range(run_plan.profile.p_f)]
         self.records = []
 
@@ -185,13 +184,24 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
         dataset = _synthesize(cfg, seeds)
         offsets = [k * n for k in range(len(seeds))]
     spec = model_spec(cfg, dataset.input_dim, dataset.num_classes)
-    group = [_Seed(cfg, run_plan, spec, seed, dataset, n, offset)
-             for seed, offset in zip(seeds, offsets)]
+    splits = [split_rows(n, cfg.val_fraction, RngStream(seed, STREAM_SPLIT)) for seed in seeds]
+    # one validation set per seed, stacked: the only rows that are copied
+    val_rows = np.stack([val + offset for (val, _), offset in zip(splits, offsets)])
+    val_x, val_y = dataset.features[val_rows], dataset.labels[val_rows]
+    n_train = splits[0][1].shape[0]
+    ledger = LossLedger(len(seeds) * n_train)  # seed k's samples are block k
+    group = [_Seed(run_plan, spec, seed, train + offset, view)
+             for seed, (_, train), offset, view in zip(seeds, splits, offsets,
+                                                       ledger.blocks(len(seeds)))]
+    del splits, val_rows
     taus = [w.tau for w in run_plan.workers]
     lrs, walls, blocks = rounds
-    rounds_per_epoch = run_plan.rounds_per_epoch(group[0].ledger.n)
+    rounds_per_epoch = run_plan.rounds_per_epoch(n_train)
     steps_per_round = run_plan.steps_per_round
     rows, seed_rows = _stack(taus, len(group))
+    # seed-major, then worker-id order: for each id the last write is the
+    # highest worker id's, as when merging the workers one at a time
+    merge_rows = [row for own in seed_rows for row in own]
     for r, lr in enumerate(lrs):
         shares = [assign(s.ledger, run_plan.profile, s.sampler, run_plan.cold_start, s.cursors)
                   for s in group]
@@ -209,14 +219,16 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
         if steps != len(group) * steps_per_round:
             raise RuntimeError(f"round {r}: expected {len(group) * steps_per_round} gradient "
                                f"steps, counted {steps}")
+        ids = np.concatenate([seen_ids[row] for row in merge_rows])
+        if ids.min() < 0 or ids.max() >= n_train:  # it would land in another seed's block
+            raise ValueError(f"round {r}: sample id out of range of a seed's {n_train} samples")
+        seen = [sum(seen_ids[row].shape[0] for row in own) for own in seed_rows]
+        ids += np.repeat(np.arange(len(group)) * n_train, seen)
+        record_losses(ledger, ids, np.concatenate([seen_losses[row] for row in merge_rows]), r)
         # per-sample losses are finite, but their sum can overflow
         with np.errstate(over="ignore"):
             loss_sums = [sum(float(seen_losses[row].sum()) for row in own) for own in seed_rows]
         for s, own, loss_sum in zip(group, seed_rows, loss_sums):
-            # concatenated in worker-id order, the last write per sample is the
-            # highest id's, as when merging the workers one at a time
-            losses = np.concatenate([seen_losses[row] for row in own])
-            record_losses(s.ledger, np.concatenate([seen_ids[row] for row in own]), losses, r)
             try:  # finite local models can still overflow their combination
                 s.params = aggregate(run_plan.aggregation, models[own], taus,
                                      round_start=s.params)
@@ -224,13 +236,15 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
                 raise _diverged(s, r, f": {exc}") from None
             if not math.isfinite(loss_sum):
                 raise _diverged(s, r, ": training loss overflows")
+        hits = stacked_hits(spec, np.stack([s.params for s in group]), val_x, val_y)
+        for s, count, loss_sum, hit in zip(group, seen, loss_sums, hits):
             s.records.append(RoundRecord(
                 seed=s.seed,
                 round=r,
                 epoch=r // rounds_per_epoch,
                 lr=lr,
-                train_loss=loss_sum / losses.shape[0],
-                val_acc=accuracy(spec, s.params, [s.val_batch]),
+                train_loss=loss_sum / count,
+                val_acc=hit / val_y.shape[1],
                 sim_wall_s=walls[r],
                 sim_block_s=blocks[r],
                 agg_count=r + 1,

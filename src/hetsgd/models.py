@@ -4,10 +4,12 @@ Two model kinds are enough for the optimizer mechanics studied here:
 multinomial logistic regression and a 2-layer ReLU MLP.  Parameters are kept
 in one flat float64 vector (see :mod:`hetsgd.core`) so that every optimizer
 and aggregation rule works on plain arrays.  One forward pass serves a
-single model (evaluation) and a stack of G models (training);
-:func:`stacked_loss_and_grad` is the one analytic gradient and
-:func:`backward` its one-row call.  A central finite-difference gradient is
-provided as an independent oracle for the analytic backward pass.
+single model and a stack of G models: :func:`stacked_loss_and_grad` is the
+one analytic gradient and :func:`backward` its one-row call, and
+:func:`stacked_hits` is the one evaluation and :func:`accuracy` its
+one-model call.  The softmax runs class-major (see :func:`_log_softmax`).
+A central finite-difference gradient is provided as an independent oracle
+for the analytic backward pass.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParamVector, RngStream, log_softmax
+from .core import ParamVector, RngStream
 
 __all__ = [
     "ModelSpec",
@@ -29,6 +31,7 @@ __all__ = [
     "stacked_loss_and_grad",
     "finite_diff_grad",
     "relu_crossing_mask",
+    "stacked_hits",
     "accuracy",
 ]
 
@@ -117,50 +120,114 @@ def init_params(spec: ModelSpec, stream: RngStream) -> ParamVector:
     return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(c)])
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """``(hidden, logits)`` of one model on ``(b, d)`` or of G models on ``(G, b, d)``.
+# numpy runs an elementwise op as one inner loop per row of its last axis;
+# evaluation's output bias adds rows this many elements wide to amortize
+# the loop's fixed cost
+_WIDE_ROW = 64
 
-    ``params`` is one vector or a ``(G, n_params)`` stack; biases add as
-    ``b[..., None, :]``, so both run the same ops in the same order.  ``hidden``
+
+def _add_output_bias(logits: np.ndarray, b: np.ndarray) -> None:
+    """``logits += b[..., None, :]`` for contiguous ``(..., n, c)`` logits, k rows per inner loop.
+
+    Viewing k rows of the logits as one row of k x c elements and adding b
+    tiled k times makes the same additions, so the bits are unchanged, in
+    n / k loops; k is the largest divisor of n up to 64 / c.
+    """
+    n, c = logits.shape[-2:]
+    k = max(k for k in range(1, max(1, _WIDE_ROW // c) + 1) if n % k == 0)
+    if k == 1:
+        logits += b[..., None, :]
+        return
+    wide = logits.reshape(*logits.shape[:-2], n // k, k * c)  # a view: logits is contiguous
+    wide += np.tile(b, k)[..., None, :]
+
+
+def _forward(layers: tuple, x: np.ndarray):
+    """``(hidden, z)`` of one model on ``(b, d)`` or of G models on ``(G, b, d)``.
+
+    ``layers`` is :func:`_unpack` of one vector or of a ``(G, n_params)``
+    stack, so both run the same ops in the same order.  ``z`` is the output
+    layer's product before its bias, which the caller adds; ``hidden``
     (post-ReLU) is None for logistic regression.
     """
-    if spec.kind == "logistic_regression":
-        w, b = _unpack(spec, params)
-        logits = x @ w
-        logits += b[..., None, :]
-        return None, logits
-    w1, b1, w2, b2 = _unpack(spec, params)
+    if len(layers) == 2:
+        return None, x @ layers[0]
+    w1, b1, w2, _ = layers
     hidden = x @ w1
     hidden += b1[..., None, :]
     np.maximum(hidden, 0.0, out=hidden)
-    logits = hidden @ w2
-    logits += b2[..., None, :]
-    return hidden, logits
+    return hidden, hidden @ w2
 
 
-def forward_logits(spec: ModelSpec, params: ParamVector, features: np.ndarray) -> np.ndarray:
-    return _forward(spec, params, np.asarray(features, dtype=np.float64))[1]
+def forward_logits(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Logits of one model on ``(b, d)`` or of G models on ``(G, b, d)`` features."""
+    layers = _unpack(spec, params)
+    logits = _forward(layers, np.asarray(features, dtype=np.float64))[1]
+    _add_output_bias(logits, layers[-1])
+    return logits
+
+
+def _pairwise(e: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of a row, taken down the rows of ``(c, m)`` ``e`` for all m columns.
+
+    Below 8 elements it adds them in order; up to 128, 8 interleaved
+    accumulators combined as a tree, then the rest in order; above that,
+    the halves, split at a multiple of 8, summed apart.
+    """
+    c = e.shape[0]
+    if c < 8:
+        total = e[0] + e[1]
+        for k in range(2, c):
+            total += e[k]
+        return total
+    if c <= 128:
+        acc = e[:8].copy()
+        end = c - c % 8
+        for k in range(8, end, 8):
+            acc += e[k:k + 8]
+        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+        total += (acc[4] + acc[5]) + (acc[6] + acc[7])
+        for k in range(end, c):
+            total += e[k]
+        return total
+    half = c // 2 - c // 2 % 8
+    return _pairwise(e[:half]) + _pairwise(e[half:])
+
+
+def _class_sums(e: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(e.T, axis=-1)`` of class-major ``(c, m)`` ``e``, bit for bit.
+
+    numpy adds each row's pairwise sum to 0; adding 0 last instead changes
+    nothing but the sign of a zero, which ends positive either way.  Where
+    the sum is NaN, which NaN it is may differ.
+    """
+    total = _pairwise(e)
+    total += 0.0
+    return total
+
+
+def _log_softmax(by_class: np.ndarray) -> np.ndarray:
+    """Log-softmax of each column of contiguous class-major ``(c, m)`` logits, in place.
+
+    The row-wise ``z - max(z) - log(sum(exp(z - max(z))))`` of the ``(m, c)``
+    logits, op for op, with each reduction one pass per class row instead of
+    one loop per sample, so the bits are the same: the maximum is the
+    row's (a maximum of 0.0 tied with -0.0 may take the other sign, which
+    changes no result) and :func:`_class_sums` is numpy's sum.
+    """
+    by_class -= by_class.max(axis=0)
+    by_class -= np.log(_class_sums(np.exp(by_class)))
+    return by_class
 
 
 def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch):
     """Mean cross-entropy over the batch plus the per-sample losses."""
     logits = forward_logits(spec, params, batch.features)
-    logp = log_softmax(logits)
-    per_sample = -logp[np.arange(len(batch)), batch.labels]
+    logp = _log_softmax(np.ascontiguousarray(logits.T))
+    per_sample = -logp[batch.labels, np.arange(len(batch))]
     if not np.all(np.isfinite(per_sample)):
         raise ValueError("non-finite loss encountered")
     return float(per_sample.mean()), per_sample
-
-
-def _xent_and_dlogits(logits: np.ndarray, labels: np.ndarray):
-    """Per-sample cross-entropy and its gradient w.r.t. the logits of the mean loss."""
-    logp = log_softmax(logits)
-    picks = labels.ravel() + logp.shape[-1] * np.arange(labels.size)
-    per_sample = -logp.ravel()[picks].reshape(labels.shape)
-    dlogits = np.exp(logp)
-    dlogits.ravel()[picks] -= 1.0
-    dlogits /= labels.shape[-1]
-    return per_sample, dlogits
 
 
 def stacked_loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
@@ -172,11 +239,24 @@ def stacked_loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     ``(G, n_params)``.  Row g depends only on ``params[g]``, ``x[g]`` and
     ``labels[g]``, and every row runs the same BLAS calls and reductions in
     the same order, so a one-row call gives the same bits as row g of a
-    stacked one.  Finiteness is left to the caller, which knows the row's
-    worker and step.
+    stacked one.  The output bias is added while the logits are copied
+    class-major for the softmax, and the logits' gradient is copied back
+    row-major for the matmuls.  Finiteness is left to the caller, which
+    knows the row's worker and step.
     """
-    hidden, logits = _forward(spec, params, x)
-    per_sample, dlogits = _xent_and_dlogits(logits, labels)
+    layers = _unpack(spec, params)
+    hidden, z = _forward(layers, x)
+    g, b, c = z.shape
+    m = g * b
+    by_class = np.empty((c, g, b))
+    np.add(z.transpose(2, 0, 1), layers[-1].T[:, :, None], out=by_class)
+    logp = _log_softmax(by_class.reshape(c, m))
+    picks = labels.ravel() * m + np.arange(m)
+    per_sample = -logp.ravel()[picks].reshape(g, b)
+    dlogits = np.exp(logp, out=logp)
+    dlogits.ravel()[picks] -= 1.0
+    dlogits /= b
+    dlogits = np.ascontiguousarray(dlogits.T).reshape(g, b, c)
     grad = np.empty_like(params)
     xt = x.transpose(0, 2, 1)
     if hidden is None:
@@ -184,11 +264,10 @@ def stacked_loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
         np.matmul(xt, dlogits, out=gw)
         dlogits.sum(axis=1, out=gb)
         return per_sample, grad
-    w2 = _unpack(spec, params)[2]
     gw1, gb1, gw2, gb2 = _unpack(spec, grad)
     np.matmul(hidden.transpose(0, 2, 1), dlogits, out=gw2)
     dlogits.sum(axis=1, out=gb2)
-    dz1 = dlogits @ w2.transpose(0, 2, 1)
+    dz1 = dlogits @ layers[2].transpose(0, 2, 1)
     dz1 *= hidden > 0.0
     np.matmul(xt, dz1, out=gw1)
     dz1.sum(axis=1, out=gb1)
@@ -238,7 +317,7 @@ def relu_crossing_mask(spec: ModelSpec, params: ParamVector, batch: Batch, h: fl
 
     def preact_sign(p):
         # the ReLU output is positive exactly where its input is
-        return _forward(spec, p, batch.features)[0] > 0.0
+        return _forward(_unpack(spec, p), batch.features)[0] > 0.0
 
     p = params.copy()
     for k in range(n_hidden_params):
@@ -275,18 +354,32 @@ def _hits(logits: np.ndarray, labels: np.ndarray) -> int:
     return int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
 
 
-def accuracy(spec: ModelSpec, params: ParamVector, batches) -> float:
-    """Fraction of samples whose argmax logit matches the label.
+def stacked_hits(spec: ModelSpec, params: np.ndarray, features: np.ndarray,
+                 labels: np.ndarray) -> list:
+    """How many samples each of G models classifies right, each on its own set.
 
-    Ties break toward the lowest class index (np.argmax convention).
-    Overflowing logits are scored without a numpy warning, as in training.
+    ``params`` is ``(G, n_params)``, ``features`` ``(G, n, input_dim)`` and
+    ``labels`` ``(G, n)``; returns G counts.  One forward pass scores every
+    model, and row g's count is model g's alone.  A sample is right when
+    its label is its argmax logit; ties break toward the lowest class
+    index (np.argmax convention).  Overflowing logits are scored without a
+    numpy warning, as in training.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward_logits(spec, params, features)
+    return [_hits(z, y) for z, y in zip(logits, labels)]
+
+
+def accuracy(spec: ModelSpec, params: ParamVector, batches) -> float:
+    """Fraction of the batches' samples whose argmax logit matches the label.
+
+    The one-model call of :func:`stacked_hits`.
     """
     correct = 0
     total = 0
     for batch in batches:
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits = forward_logits(spec, params, batch.features)
-        correct += _hits(logits, batch.labels)
+        correct += stacked_hits(spec, params[None], batch.features[None],
+                                batch.labels[None])[0]
         total += len(batch)
     if total == 0:
         raise ValueError("empty evaluation set")

@@ -263,11 +263,14 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
                 current = params[rows]
                 per_sample, grad = stacked_loss_and_grad(spec, current, features[batch_rows],
                                                          labels[batch_rows])
-                if not (np.isfinite(per_sample).all() and np.isfinite(grad).all()):
+                # a finite sum proves every entry finite; only an inf or nan
+                # sum, which finite entries can also overflow to, looks closer
+                if not math.isfinite(per_sample.sum() + grad.sum()):
                     bad = ~(np.isfinite(per_sample).all(axis=1) & np.isfinite(grad).all(axis=1))
-                    worker = int(np.arange(p)[rows][bad][0])
-                    raise DivergenceError(f"worker {worker} step {t}: "
-                                          "non-finite loss or gradient")
+                    if bad.any():
+                        worker = int(np.arange(p)[rows][bad][0])
+                        raise DivergenceError(f"worker {worker} step {t}: "
+                                              "non-finite loss or gradient")
                 losses[rows, t, :size] = per_sample
                 if weight_decay:
                     grad += weight_decay * current

@@ -6,7 +6,8 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from hetsgd.core import RngStream, log_softmax, rng_choose_without_replacement, round_half_up
+from hetsgd.core import RngStream, rng_choose_without_replacement, round_half_up
+from hetsgd.models import _log_softmax
 
 
 def _softmax_ce_decimal(logits, label, digits=50):
@@ -15,6 +16,13 @@ def _softmax_ce_decimal(logits, label, digits=50):
     exps = [Decimal(str(v)).exp() for v in logits]
     total = sum(exps)
     return float(-(exps[label] / total).ln())
+
+
+def log_softmax(logits):
+    """Row-wise log-softmax of one vector or of rows, through the models' class-major kernel."""
+    z = np.asarray(logits, dtype=np.float64)
+    rows = np.atleast_2d(z)
+    return _log_softmax(np.array(rows.T, order="C")).T.reshape(z.shape)
 
 
 def _xent(logits, label):

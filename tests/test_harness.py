@@ -262,6 +262,20 @@ class TestRoundLayout:
         run(small_cfg(p_s=2, p_f=3, rounds=4))
         assert calls == [0, 1, 2, 3]
 
+    def test_out_of_block_sample_id_rejected(self, monkeypatch):
+        # seed 0's first row sees ids one block up, inside the group's
+        # ledger but outside its own seed's samples
+        kernel = hetsgd.harness.train_round
+
+        def shifted(*args):
+            models, ids, losses, steps = kernel(*args)
+            ids[0] = ids[0] + args[-1][0].shape[0]
+            return models, ids, losses, steps
+
+        monkeypatch.setattr(hetsgd.harness, "train_round", shifted)
+        with pytest.raises(ValueError, match="round 0: sample id out of range"):
+            run(small_cfg(seeds=(0, 1)))
+
     @given(data=st.data())
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -314,14 +328,21 @@ class TestRoundLayout:
         assert type(got.value) is type(error) and str(got.value) == str(error)
         assert hetsgd.harness._render_records(getattr(got.value, "records", [])) == want
 
-    @pytest.mark.parametrize("cap, value, stacks", [
-        ("MAX_WORKERS", 4, [4, 4, 2, 2]),  # 2 seeds of 2 workers fill it
-        ("MAX_WORKERS", 3, [2] * 6),
-        ("MAX_ELEMENTS", 1200, [4, 4, 2, 2]),  # 2 synthetic datasets of 300 x 2 fill it
-        ("MAX_ELEMENTS", 1199, [2] * 6),
+    @pytest.mark.parametrize("cap, value, stacks, source", [
+        ("MAX_WORKERS", 4, [4, 4, 2, 2], "synthetic"),  # 2 seeds of 2 workers fill it
+        ("MAX_WORKERS", 3, [2] * 6, "synthetic"),
+        # 2 synthetic datasets of 300 x 2 fill it
+        ("MAX_ELEMENTS", 1200, [4, 4, 2, 2], "synthetic"),
+        ("MAX_ELEMENTS", 1199, [2] * 6, "synthetic"),
+        # a file is shared: 2 seeds' ledgers of 120 training rows fill it
+        ("MAX_ELEMENTS", 240, [4, 4, 2, 2], "file"),
+        ("MAX_ELEMENTS", 239, [2] * 6, "file"),
+        ("MAX_ELEMENTS", 100, [2] * 6, "file"),  # one seed runs even past the cap
     ])
-    def test_seed_groups_stop_at_the_caps(self, monkeypatch, cap, value, stacks):
-        cfg = small_cfg(seeds=(0, 1, 2), rounds=2)
+    def test_seed_groups_stop_at_the_caps(self, monkeypatch, csv_files, cap, value, stacks,
+                                          source):
+        file = dict(data_source="file", data_path=csv_files[1], batch_size=4)
+        cfg = small_cfg(seeds=(0, 1, 2), rounds=2, **(file if source == "file" else {}))
         want = render_csv(run(cfg))
         rows = []
         train = hetsgd.harness.train_round

@@ -9,9 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsgd.core import RngStream
-from hetsgd.models import (Batch, ModelSpec, _forward, _hits, accuracy, backward,
-                           finite_diff_grad, forward_logits, forward_loss, init_params,
-                           param_count, relu_crossing_mask, stacked_loss_and_grad)
+from hetsgd.models import (Batch, ModelSpec, _add_output_bias, _class_sums, _hits, _log_softmax,
+                           accuracy, backward, finite_diff_grad, forward_logits, forward_loss,
+                           init_params, param_count, relu_crossing_mask, stacked_hits,
+                           stacked_loss_and_grad)
+
+
+def reference_log_softmax(logits):
+    """Row-wise log-softmax with max-subtraction: the oracle for the class-major kernel."""
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
 
 LOGREG = ModelSpec("logistic_regression", 3, 2)
 MLP = ModelSpec("mlp2", 4, 3, hidden_dim=5)
@@ -172,9 +181,45 @@ class TestForward:
         stream = RngStream(draw(st.integers(0, 2**16)), 0)
         params = stream.normal(0.0, 1.0, (g_count, param_count(spec)))
         x = stream.normal(0.0, 1.0, (g_count, b, spec.input_dim))
-        stacked = _forward(spec, params, x)[1]
+        stacked = forward_logits(spec, params, x)
         for g in range(g_count):
             assert forward_logits(spec, params[g], x[g]).tobytes() == stacked[g].tobytes()
+
+
+# entries that round, overflow, cancel or are not numbers
+SPECIAL_SUMMANDS = [0.0, -0.0, 1.0, -1.0, 1e-300, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+class TestClassMajorSoftmax:
+    @pytest.mark.parametrize("c", range(2, 301))
+    def test_class_sums_are_numpys_row_sums(self, c):
+        # numpy's own order: sequential below 8, 8 accumulators up to 128,
+        # halves above; rows of scaled normals, zeros, infs and nans
+        rng = np.random.default_rng(c)
+        rows = rng.normal(size=(40, c)) * np.exp(rng.uniform(-40.0, 40.0, (40, c)))
+        rows[:20] = rng.choice(SPECIAL_SUMMANDS, size=(20, c))
+        rows[20] = 0.0
+        rows[21] = -0.0
+        rows[22, :] = 1.0
+        rows[22, ::3] = 1e16  # order-sensitive: 1 + 1e16 rounds
+        rows[23, 0], rows[23, -1] = np.inf, -np.inf
+        rows[24, c // 2] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _class_sums(np.ascontiguousarray(rows.T))
+            want = np.add.reduce(rows, axis=-1)
+        # which NaN comes out of two NaNs depends on the compiled operand order
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("c", [*range(2, 11), 16, 130])
+    def test_log_softmax_matches_the_row_major_oracle(self, c):
+        rng = np.random.default_rng(c)
+        logits = rng.normal(scale=5.0, size=(300, c))
+        logits[:10] = 0.0  # all equal
+        logits[10:20, 0] = 800.0  # other classes' exps underflow
+        got = _log_softmax(np.ascontiguousarray(logits.T)).T
+        assert np.ascontiguousarray(got).tobytes() == reference_log_softmax(logits).tobytes()
 
 
 class TestFiniteDiff:
@@ -206,13 +251,28 @@ def reference_hits(logits, labels):
     return int((np.argmax(logits, axis=1) == labels).sum())
 
 
+def reference_logits(spec, params, x):
+    """One model's logits with row-major bias adds: the oracle for the tiled adds."""
+    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    if spec.kind == "logistic_regression":
+        logits = x @ params[:d * c].reshape(d, c)
+        logits += params[d * c:]
+        return logits
+    hidden = x @ params[:d * h].reshape(d, h)
+    hidden += params[d * h:d * h + h]
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = hidden @ params[d * h + h:d * h + h + h * c].reshape(h, c)
+    logits += params[d * h + h + h * c:]
+    return logits
+
+
 def reference_accuracy(spec, params, batches):
     """Row-wise ``np.argmax`` over each batch's logits: the oracle for ``accuracy``."""
     correct = 0
     total = 0
     for batch in batches:
         with np.errstate(over="ignore", invalid="ignore"):
-            logits = forward_logits(spec, params, batch.features)
+            logits = reference_logits(spec, params, batch.features)
         correct += reference_hits(logits, batch.labels)
         total += len(batch)
     if total == 0:
@@ -273,6 +333,34 @@ class TestAccuracyOracle:
                          np.arange(5))]  # zero inputs: every row's logits are the biases
         for p in (params, np.zeros_like(params), params * 1e300):
             assert accuracy(spec, p, batches) == reference_accuracy(spec, p, batches)
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 97, 20_000])
+    @pytest.mark.parametrize("c", [2, 3, 4, 10, 64, 70])
+    def test_tiled_bias_add_matches_the_row_add(self, n, c):
+        rng = np.random.default_rng(n * c)
+        for lead in ((), (3,)):
+            z = rng.normal(size=(*lead, n, c))
+            b = rng.normal(size=(*lead, c))
+            want = z + b[..., None, :]
+            _add_output_bias(z, b)
+            assert z.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("logistic_regression", 16, 4),
+        ModelSpec("mlp2", 8, 7, hidden_dim=16),
+    ], ids=["lr-16-4", "mlp2-8-16-7"])
+    def test_each_count_is_its_models_alone(self, spec):
+        stream = RngStream(22, 0)
+        g, n = 3, 1000
+        params = stream.normal(0.0, 0.5, (g, param_count(spec)))
+        x = stream.normal(0.0, 1.0, (g, n, spec.input_dim))
+        y = stream.integers(0, spec.num_classes, size=(g, n))
+        hits = stacked_hits(spec, params, x, y)
+        for k in range(g):
+            alone = reference_accuracy(spec, params[k], [Batch(x[k], y[k], np.arange(n))])
+            assert hits[k] / n == alone
 
 
 class TestAccuracy:

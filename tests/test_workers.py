@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetsgd.core import RngStream, log_softmax
+from hetsgd.core import RngStream
 from hetsgd.data import Dataset, make_synthetic, SyntheticSpec
 from hetsgd.models import Batch, ModelSpec, backward, init_params
 from hetsgd.config import ConfigError, ExperimentConfig, validate
 from hetsgd.workers import (DivergenceError, SystemProfile, WorkerSpec, derive_tau_s,
                             lr_schedule, measure_alpha, train_round)
+from test_models import reference_log_softmax
 
 
 def reference_lr_at(kind, base_lr, milestones, decay, total_rounds, round_idx):
@@ -41,7 +42,7 @@ def reference_loss_and_grad(spec, params, batch):
     d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
     if spec.kind == "logistic_regression":
         w, b = params[:d * c].reshape(d, c), params[d * c:]
-        logp = log_softmax(x @ w + b)
+        logp = reference_log_softmax(x @ w + b)
         per_sample = -logp[rows, batch.labels]
         dlogits = np.exp(logp)
         dlogits[rows, batch.labels] -= 1.0
@@ -53,7 +54,7 @@ def reference_loss_and_grad(spec, params, batch):
     b2 = params[d * h + h + h * c:]
     z1 = x @ w1 + b1
     a1 = np.maximum(z1, 0.0)
-    logp = log_softmax(a1 @ w2 + b2)
+    logp = reference_log_softmax(a1 @ w2 + b2)
     per_sample = -logp[rows, batch.labels]
     dlogits = np.exp(logp)
     dlogits[rows, batch.labels] -= 1.0
@@ -263,10 +264,13 @@ class TestTrainRound:
         sizes = data.draw(st.lists(st.integers(1, 3 * batch_size + 2), min_size=p,
                                    max_size=p))
         weight_decay = data.draw(st.sampled_from([0.0, 0.01]))
+        # each path of the class-major softmax's sum: sequential, 8
+        # accumulators, halves
+        c = data.draw(st.sampled_from([*range(2, 11), 16, 130]))
         seed = data.draw(st.integers(0, 2**16))
-        ds = make_synthetic(SyntheticSpec(n=40, input_dim=3, num_classes=3),
+        ds = make_synthetic(SyntheticSpec(n=max(40, c), input_dim=3, num_classes=c),
                             RngStream(seed, 0))
-        spec = ModelSpec(kind, 3, 3, hidden_dim=5 if kind == "mlp2" else 0)
+        spec = ModelSpec(kind, 3, c, hidden_dim=5 if kind == "mlp2" else 0)
         params = init_params(spec, RngStream(seed, 1))
         assignments = [RngStream(seed, 2 + i).choose(ds.n, k) for i, k in enumerate(sizes)]
         streams = [RngStream(seed, 100 + i) for i in range(p)]
@@ -340,6 +344,22 @@ class TestTrainRound:
             train_round(spec, huge, ds, [np.arange(8)] * 2, [1, 2], 0.1, 4,
                         [RngStream(0, 0), RngStream(0, 1)])
 
+
+    def test_finite_steps_whose_sum_overflows_still_train(self):
+        # the bias puts each sample's loss at 0.9e308: finite, but the
+        # screen's sum of a step's losses and gradient overflows to inf
+        spec = ModelSpec("logistic_regression", 2, 2)
+        params = np.array([0.0, 0.0, 0.0, 0.0, 0.9e308, 0.0])
+        ds = Dataset(np.array([[0.5, -1.0], [1.5, 2.0]]), np.array([1, 1]), 2)
+        end, ids, losses, steps = train_one(spec, params, ds, np.arange(2), 2, 0.1, 2,
+                                            RngStream(4, 0))
+        want = reference_local_train(spec, params, ds, np.arange(2), 2, 0.1, 2,
+                                     RngStream(4, 0))
+        assert np.isfinite(losses).all()
+        with np.errstate(over="ignore"):
+            assert losses[:2].sum() == np.inf
+        assert_same_bits(end, want[0])
+        assert_same_bits(losses, want[2])
 
     def test_failed_row_leaves_the_other_rows_alone(self, tiny_task):
         # rows 1 and 3 fail in the first call: it raises, naming the lower,
