@@ -6,14 +6,15 @@ with zero dependencies.  Each key is declared once, in ``_KEYS``: its
 field, its parser and its valid values.  ``plan()`` resolves the algorithm
 preset (sync SGD forces tau=1 and balanced averaging, etc.) into a
 :class:`RunPlan`, the one place the four algorithms differ; ``validate()``
-checks every key against its rule, then the rules that span keys (including
-the ``MAX_ELEMENTS`` cap on the arrays a run sizes and a finite simulated
-clock), and returns the plan a run executes.  ``check_data`` decides whether
-a plan can run on a dataset of a given size and shape, the pool-size check
-for lam and the learning rates and clock the run writes included:
-``validate`` calls it for synthetic data, ``harness.run`` for a file once it
-is loaded.  ``seed_group`` says how many seeds a run trains at once, so the
-caps also bound what a run holds while its seeds train in lockstep.
+checks every key against its rule, then the rules that span keys (the
+``MAX_ELEMENTS`` cap on the arrays a run sizes and a finite simulated clock
+among them), and returns the plan a run executes: no layer below checks a
+setting again.  ``check_data`` decides whether a plan can run on a dataset
+of a given size and shape, the share rule and the learning rates and clock
+the run writes included: ``validate`` calls it for synthetic data,
+``harness.run`` for a file once it is loaded.  ``seed_group`` says how many
+seeds a run trains at once, so the caps also bound what a run holds while
+its seeds train in lockstep.
 """
 
 from __future__ import annotations
@@ -286,8 +287,10 @@ def validate(cfg: ExperimentConfig) -> RunPlan:
         raise ConfigError("need rounds >= 1 or epochs >= 1")
     if cfg.cost_iter_slow < cfg.cost_iter_fast:
         raise ConfigError("cost.iter_slow must be >= cost.iter_fast")
+    # the preset's tau_f, not the configured one: sync_sgd always steps once a round
+    tau_f = _PRESETS[cfg.algorithm].get("tau_f", cfg.tau_f)
     _cap("(profile.p_s + profile.p_f) x profile.tau_f x batch_size",
-         (cfg.p_s + cfg.p_f) * cfg.tau_f * cfg.batch_size)
+         (cfg.p_s + cfg.p_f) * tau_f * cfg.batch_size)
     # before plan(), which builds one WorkerSpec per worker
     if cfg.p_s + cfg.p_f > MAX_WORKERS:
         raise ConfigError(f"profile.p_s + profile.p_f is {cfg.p_s + cfg.p_f} workers, "

@@ -13,12 +13,13 @@ so fast and slow assignments may overlap.  In *unified* mode fast workers
 draw from the complement of the slow selection, giving a globally
 duplicate-free assignment.  *uniform* mode drops step 2 entirely and is the
 unbiased baseline.  :func:`share_sizes` is the one share rule: the pool,
-slow and fast sizes for a dataset of N, and the errors for a profile that
-leaves a worker without samples; ``config.check_data`` and :func:`assign`
-both call it.  :func:`assign` implements all three modes, switching on the
-profile's ``sampler_mode``, and returns one index array per worker in
-worker-id order (slow first).  To pin a mode, pass it
-``replace(profile, sampler_mode=...)``, as ``sample_separated`` does.
+slow and fast sizes for a dataset of N, and the errors for an N too small
+to feed every worker or to hold the pool.  ``config.check_data`` calls it,
+and a run once, handing the sizes to :func:`assign` each round.
+:func:`assign` implements all three modes, switching on the profile's
+``sampler_mode``, and returns one index array per worker in worker-id
+order (slow first).  To pin a mode, pass it ``replace(profile,
+sampler_mode=...)``, as ``sample_separated`` does.
 
 Loss values come from a :class:`LossLedger` holding each sample's loss as
 last observed during local training; never-seen samples carry a +inf
@@ -157,9 +158,6 @@ def pool_size(n: int, p_s: int, p_f: int, alpha: float, lam: float) -> int:
     Validity is decided on the unrounded value, via the equivalent exact
     comparison lam * P_S > P_S + alpha * P_F (no float-division slop).
     """
-    _check_profile_args(p_s, p_f, alpha)
-    if lam < 1:
-        raise ValueError("lam must be >= 1")
     if lam * p_s > p_s + alpha * p_f:
         raise InvalidLambdaError(
             f"candidate pool {pool_size_exact(n, p_s, p_f, alpha, lam):.1f} "
@@ -170,21 +168,12 @@ def pool_size(n: int, p_s: int, p_f: int, alpha: float, lam: float) -> int:
 
 def slow_total(n: int, p_s: int, p_f: int, alpha: float) -> int:
     """Total high-loss samples kept for the slow workers each round."""
-    _check_profile_args(p_s, p_f, alpha)
     return round_half_up(slow_total_exact(n, p_s, p_f, alpha))
 
 
 def fast_per_worker(n: int, p_s: int, p_f: int, alpha: float) -> int:
     """Samples drawn by each fast worker each round."""
-    _check_profile_args(p_s, p_f, alpha)
     return round_half_up(fast_per_worker_exact(n, p_s, p_f, alpha))
-
-
-def _check_profile_args(p_s: int, p_f: int, alpha: float) -> None:
-    if p_s < 1 or p_f < 1:
-        raise ValueError("need P_S >= 1 and P_F >= 1")
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1 (slow/fast cost ratio)")
 
 
 def slow_share_sizes(total: int, p_s: int) -> list:
@@ -242,25 +231,24 @@ def _top_loss_selection(ledger: LossLedger, pool: np.ndarray, k: int,
     return survivors[order[:k]]
 
 
-def assign(ledger: LossLedger, profile, stream: RngStream,
+def assign(ledger: LossLedger, profile, sizes: tuple, stream: RngStream,
            cold_start: str = "unseen-first",
            epoch_cursors: list | None = None) -> list:
     """One round's assignment in the profile's ``sampler_mode``, by worker id.
 
     Returns ``P_S + P_F`` index arrays, slow workers first, sized by
-    :func:`share_sizes`.  Biased modes (separated, unified) give the slow
-    workers the top-loss pool members, round-robin; uniform mode gives each
-    slow worker a uniform draw of its share size.  Fast workers then draw
-    freely (separated, uniform; or from their epoch cursors, if provided) or
-    from the complement of the slow selection (unified).  Stream consumption
-    order: pool draw, then top-loss selection, then fast workers in
-    ascending id.
+    ``sizes``, the ``(pool, slow, fast)`` of ``share_sizes(ledger.n,
+    profile)``.  Biased modes (separated, unified) give the slow workers
+    the top-loss pool members, round-robin; uniform mode gives each slow
+    worker a uniform draw of its share size.  Fast workers then draw freely
+    (separated, uniform; or from their epoch cursors, if provided) or from
+    the complement of the slow selection (unified, which ignores cursors).
+    Stream consumption order: pool draw, then top-loss selection, then fast
+    workers in ascending id.
     """
     n, p_s, p_f = ledger.n, profile.p_s, profile.p_f
     mode = profile.sampler_mode
-    if mode == "unified" and epoch_cursors is not None:
-        raise ValueError("epoch-wise fast draws are not defined for unified sampling")
-    pool_k, slow_sizes, k_fast = share_sizes(n, profile)
+    pool_k, slow_sizes, k_fast = sizes
 
     if mode == "uniform":
         shares = [rng_choose_without_replacement(stream, n, k) for k in slow_sizes]
@@ -287,8 +275,9 @@ def sample_separated(ledger: LossLedger, profile, stream: RngStream,
                      cold_start: str = "unseen-first",
                      epoch_cursors: list | None = None) -> list:
     """Slow workers split the top-loss pool members; fast workers draw freely."""
-    return assign(ledger, replace(profile, sampler_mode="separated"), stream,
-                  cold_start, epoch_cursors)
+    profile = replace(profile, sampler_mode="separated")
+    return assign(ledger, profile, share_sizes(ledger.n, profile), stream, cold_start,
+                  epoch_cursors)
 
 
 class EpochCursor:

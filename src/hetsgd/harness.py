@@ -4,17 +4,18 @@ The run plan that ``config.validate`` returns fixes the algorithm's workers,
 sampler mode and aggregation rule once, and its worker-id order (slow first)
 is the one order of a round from sampler to ledger.  A run trains its seeds
 in lockstep, ``config.seed_group`` consecutive seeds at a time.  One round:
-draw each seed's sample assignment (loss-biased or uniform), run every
-(seed, worker) row's local updates in one ``workers.train_round`` call,
-merge every observed loss into the group's ledger with one
-``record_losses`` call, aggregate each seed's local models, score every
-seed's model with one ``models.stacked_hits`` call, and record the round
-with the learning rate and simulated clock that ``config.per_round``
-computed once per run.  The group's ledger holds one block of samples per
-seed, each seed's ledger a view of its block, and the merge takes the
-observations seed by seed, each seed's in worker-id order.  Sampling and
-aggregation stay per seed, and every stacked step computes each seed's
-bits alone, so each seed computes the bits of a run of that seed alone.
+draw each seed's sample assignment (loss-biased or uniform) at the share
+sizes ``data.share_sizes`` gave once per run, run every (seed, worker)
+row's local updates in one ``workers.train_round`` call, merge every
+observed loss into the group's ledger with one ``record_losses`` call,
+aggregate each seed's local models, score every seed's model with one
+``models.stacked_hits`` call, and record the round with the learning rate
+and simulated clock that ``config.per_round`` also gave once per run.  The
+group's ledger holds one block of samples per seed, each seed's ledger a
+view of its block, and the merge takes the observations seed by seed, each
+seed's in worker-id order.  Sampling and aggregation stay per seed, and
+every stacked step computes each seed's bits alone, so each seed computes
+the bits of a run of that seed alone.
 
 The stack's rows are ordered by tau, then seed, then worker id, so the rows
 still stepping stay a suffix of the stack.  A seed's training rows are
@@ -52,7 +53,7 @@ from .config import (ExperimentConfig, RunPlan, check_data, config_hash, model_s
                      seed_group, validate)
 from .core import RngStream
 from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, load_dataset,
-                   record_losses, split_rows, SyntheticSpec, val_size)
+                   record_losses, share_sizes, split_rows, SyntheticSpec, val_size)
 from .models import init_params, stacked_hits
 from .workers import DivergenceError, train_round
 
@@ -171,13 +172,13 @@ def _diverged(s: _Seed, r: int, detail: str) -> DivergenceError:
 
 
 def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: Dataset | None,
-               n: int, rounds: tuple) -> list:
+               n: int, rounds: tuple, sizes: tuple) -> list:
     """Train ``seeds`` in lockstep on ``dataset`` (synthesized from them when None).
 
-    ``n`` is the rows of one seed's data and ``rounds`` is
-    ``config.per_round``'s columns as lists.  Returns one SeedResult per
-    seed, in order.  Raises ``DivergenceError`` at the first divergence;
-    for one seed it is the error the module docstring describes.
+    ``n`` is the rows of one seed's data; ``rounds`` and ``sizes`` are the
+    run's ``per_round`` columns as lists and ``share_sizes``.  Returns one
+    SeedResult per seed, in order.  Raises ``DivergenceError`` at the first
+    divergence; for one seed it is the error the module docstring describes.
     """
     offsets = [0] * len(seeds)
     if dataset is None:
@@ -203,8 +204,8 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
     # highest worker id's, as when merging the workers one at a time
     merge_rows = [row for own in seed_rows for row in own]
     for r, lr in enumerate(lrs):
-        shares = [assign(s.ledger, run_plan.profile, s.sampler, run_plan.cold_start, s.cursors)
-                  for s in group]
+        shares = [assign(s.ledger, run_plan.profile, sizes, s.sampler, run_plan.cold_start,
+                         s.cursors) for s in group]
         try:
             models, seen_ids, seen_losses, steps = train_round(
                 spec, np.stack([group[k].params for k, _ in rows]), dataset,
@@ -267,12 +268,13 @@ def run(cfg: ExperimentConfig) -> RunResult:
     n_train = n - val_size(n, cfg.val_fraction)
     # Python floats: a np.float64 would render as np.float64(...) in metrics.csv
     rounds = tuple(column.tolist() for column in per_round(cfg, run_plan, n_train))
+    sizes = share_sizes(n_train, run_plan.profile)
     group = seed_group(cfg, run_plan, n, input_dim, num_classes)
     per_seed = []
     while len(per_seed) < len(cfg.seeds):
         seeds = cfg.seeds[len(per_seed):len(per_seed) + group]
         try:
-            per_seed += _run_seeds(cfg, run_plan, seeds, dataset, n, rounds)
+            per_seed += _run_seeds(cfg, run_plan, seeds, dataset, n, rounds, sizes)
         except DivergenceError as exc:
             if len(seeds) == 1:
                 exc.records = [rec for sr in per_seed for rec in sr.records] + exc.records

@@ -67,23 +67,9 @@ class WorkerSpec:
     iter_cost: float  # simulated seconds per local update
     batch_size: int
 
-    def __post_init__(self):
-        if self.role not in ("fast", "slow"):
-            raise ValueError(f"unknown worker role {self.role!r}")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
-        if self.iter_cost <= 0:
-            raise ValueError("iter_cost must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
 
 def derive_tau_s(tau_f: int, alpha: float) -> int:
     """Slow-worker update count: tau_F scaled down by the cost ratio, min 1."""
-    if tau_f < 1:
-        raise ValueError("tau_F must be >= 1")
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1 (fold the ratio so slow/fast >= 1)")
     return max(1, round_half_up(tau_f / alpha))
 
 
@@ -111,14 +97,6 @@ class SystemProfile:
     tau_s: int = field(init=False)
 
     def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
-        if self.p_s < 1 or self.p_f < 1:
-            raise ValueError("need at least one slow and one fast worker")
-        if self.lam < 1:
-            raise ValueError("lam must be >= 1")
-        if self.sampler_mode not in SAMPLER_MODES:
-            raise ValueError(f"sampler_mode must be one of {SAMPLER_MODES}")
         self.tau_s = derive_tau_s(self.tau_f, self.alpha)
 
 

@@ -182,6 +182,17 @@ class TestKeys:
         # a file-backed run never reads data.classes, but its rule still holds
         (dict(data_source="file", data_path="d.csv", data_classes=1),
          "data.classes must be >= 2, got 1"),
+        # rules the profile, workers, costs and share rule take as given
+        (dict(alpha=0.5), "profile.alpha must be >= 1, got 0.5"),
+        (dict(lam=0.5), "profile.lambda must be >= 1, got 0.5"),
+        (dict(p_s=0), "profile.p_s must be >= 1, got 0"),
+        (dict(p_f=0), "profile.p_f must be >= 1, got 0"),
+        (dict(tau_f=0), "profile.tau_f must be >= 1, got 0"),
+        (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+        (dict(cost_iter_fast=0.0), "cost.iter_fast must be > 0, got 0.0"),
+        (dict(cost_iter_slow=0.0), "cost.iter_slow must be > 0, got 0.0"),
+        (dict(sampler_mode="greedy"),
+         "profile.sampler_mode must be one of 'separated', 'unified', 'uniform', got 'greedy'"),
     ])
     def test_rejection_names_the_key_and_its_values(self, overrides, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -214,6 +225,14 @@ class TestSizeCap:
         with pytest.raises(ConfigError, match=f"^{re.escape(what)} is \\d+ elements, "
                                               "over the cap of 2\\*\\*27$"):
             validate(minimal(**overrides))
+
+    def test_sync_cap_counts_the_presets_tau_f(self):
+        # sync_sgd steps once a round whatever profile.tau_f says
+        from hetsgd.harness import run
+        cfg = minimal(algorithm="sync_sgd", sampler_mode="uniform", aggregation="balanced",
+                      tau_f=10**7)
+        assert {w.tau for w in validate(cfg).workers} == {1}
+        assert len(run(cfg).per_seed[0].records) == cfg.rounds
 
     def test_cap_is_inclusive(self):
         validate(minimal(data_n=MAX_ELEMENTS // 2, data_input_dim=2))

