@@ -5,7 +5,8 @@ multinomial logistic regression and a 2-layer ReLU MLP.  Parameters are kept
 in one flat float64 vector (see :mod:`hetsgd.core`) so that every optimizer
 and aggregation rule works on plain arrays.  One forward pass serves a
 single model and a stack of G models: :func:`stacked_loss_and_grad` is the
-one analytic gradient and :func:`backward` its one-row call, and
+one analytic gradient and :func:`backward` its one-row call (a caller that
+steps one stack many times passes it the stack's :func:`stack_views`), and
 :func:`stacked_hits` is the one evaluation and :func:`accuracy` its
 one-model call.  The softmax runs class-major (see :func:`_log_softmax`).
 A central finite-difference gradient is provided as an independent oracle
@@ -28,6 +29,7 @@ __all__ = [
     "forward_logits",
     "forward_loss",
     "backward",
+    "stack_views",
     "stacked_loss_and_grad",
     "finite_diff_grad",
     "relu_crossing_mask",
@@ -215,7 +217,7 @@ def _log_softmax(by_class: np.ndarray) -> np.ndarray:
     row's (a maximum of 0.0 tied with -0.0 may take the other sign, which
     changes no result) and :func:`_class_sums` is numpy's sum.
     """
-    by_class -= by_class.max(axis=0)
+    by_class -= np.maximum.reduce(by_class, axis=0)
     by_class -= np.log(_class_sums(np.exp(by_class)))
     return by_class
 
@@ -230,47 +232,59 @@ def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch):
     return float(per_sample.mean()), per_sample
 
 
+def stack_views(spec: ModelSpec, params: np.ndarray, b: int) -> tuple:
+    """What :func:`stacked_loss_and_grad` derives from a ``(G, n_params)`` stack and batch size b.
+
+    The layer views of ``params``, a fresh gradient buffer, its layer views
+    and the label-pick base ``arange(G * b)``.  They stay valid while
+    ``params`` is updated in place, so a caller stepping one stack many
+    times builds them once; each call overwrites the whole buffer.
+    """
+    grad = np.empty_like(params)
+    return _unpack(spec, params), grad, _unpack(spec, grad), np.arange(params.shape[0] * b)
+
+
 def stacked_loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
-                          labels: np.ndarray):
+                          labels: np.ndarray, views: tuple | None = None):
     """Per-sample losses and mean-loss gradients of G models on G batches at once.
 
     ``params`` is ``(G, n_params)``, ``x`` is ``(G, b, input_dim)`` and
     ``labels`` is ``(G, b)``; returns ``per_sample`` ``(G, b)`` and ``grad``
-    ``(G, n_params)``.  Row g depends only on ``params[g]``, ``x[g]`` and
-    ``labels[g]``, and every row runs the same BLAS calls and reductions in
-    the same order, so a one-row call gives the same bits as row g of a
-    stacked one.  The output bias is added while the logits are copied
-    class-major for the softmax, and the logits' gradient is copied back
-    row-major for the matmuls.  Finiteness is left to the caller, which
-    knows the row's worker and step.
+    ``(G, n_params)``.  ``views``, if given, is :func:`stack_views` of
+    ``params`` and b, and ``grad`` is its buffer.  Row g depends only on
+    ``params[g]``, ``x[g]`` and ``labels[g]``, and every row runs the same
+    BLAS calls and reductions in the same order, so a one-row call gives
+    the same bits as row g of a stacked one.  The output bias is added
+    while the logits are copied class-major for the softmax, and the
+    logits' gradient is copied back row-major for the matmuls.  Finiteness
+    is left to the caller, which knows the row's worker and step.
     """
-    layers = _unpack(spec, params)
+    layers, grad, grad_layers, base = views or stack_views(spec, params, x.shape[1])
     hidden, z = _forward(layers, x)
     g, b, c = z.shape
     m = g * b
     by_class = np.empty((c, g, b))
     np.add(z.transpose(2, 0, 1), layers[-1].T[:, :, None], out=by_class)
     logp = _log_softmax(by_class.reshape(c, m))
-    picks = labels.ravel() * m + np.arange(m)
+    picks = labels.ravel() * m + base
     per_sample = -logp.ravel()[picks].reshape(g, b)
     dlogits = np.exp(logp, out=logp)
     dlogits.ravel()[picks] -= 1.0
     dlogits /= b
     dlogits = np.ascontiguousarray(dlogits.T).reshape(g, b, c)
-    grad = np.empty_like(params)
     xt = x.transpose(0, 2, 1)
     if hidden is None:
-        gw, gb = _unpack(spec, grad)
+        gw, gb = grad_layers
         np.matmul(xt, dlogits, out=gw)
-        dlogits.sum(axis=1, out=gb)
+        np.add.reduce(dlogits, axis=1, out=gb)
         return per_sample, grad
-    gw1, gb1, gw2, gb2 = _unpack(spec, grad)
+    gw1, gb1, gw2, gb2 = grad_layers
     np.matmul(hidden.transpose(0, 2, 1), dlogits, out=gw2)
-    dlogits.sum(axis=1, out=gb2)
+    np.add.reduce(dlogits, axis=1, out=gb2)
     dz1 = dlogits @ layers[2].transpose(0, 2, 1)
     dz1 *= hidden > 0.0
     np.matmul(xt, dz1, out=gw1)
-    dz1.sum(axis=1, out=gb1)
+    np.add.reduce(dz1, axis=1, out=gb1)
     return per_sample, grad
 
 

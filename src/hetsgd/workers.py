@@ -16,8 +16,12 @@ stacks the workers of several seeds, each row with its own start and its
 own row map into one shared feature source.  Each row's stream drives only
 its own permutations and every row does the arithmetic a lone worker
 would, so the bits match stepping the rows one by one; one worker is a
-one-element call.  The first stacked call with a non-finite loss or
-gradient raises :class:`DivergenceError`, as do non-finite end parameters.
+one-element call.  What stays fixed within a round is paid once per round:
+the batch schedule, and the layer views and gradient buffer of each suffix
+of rows still stepping.  Finiteness is screened once too, at the round's
+end; a round that fails the screen replays with every step screened, and
+the first stacked call with a non-finite loss or gradient raises
+:class:`DivergenceError`, as do non-finite end parameters.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from .core import RngStream, round_half_up
 from .data import Dataset
-from .models import ModelSpec, stacked_loss_and_grad
+from .models import ModelSpec, stack_views, stacked_loss_and_grad
 
 __all__ = [
     "DivergenceError",
@@ -183,10 +187,13 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
     ``row_maps[i]``: id j of row i is dataset row ``row_maps[i][j]``, so
     rows of different seeds share one read-only feature source.  ``taus``
     must not decrease, so the rows still stepping at step t are always a
-    suffix of the stack; each step makes one
-    :func:`~hetsgd.models.stacked_loss_and_grad` call per batch length
-    among them.  Every row does the arithmetic a lone worker would, so the
-    result is bit-identical to running the rows one after another.
+    suffix of the stack; each step makes one call of this module's
+    ``stacked_loss_and_grad`` per batch length among them, looked up at
+    call time, and uses the arrays it returns.  A step where every row
+    takes a full batch passes the suffix's :func:`~hetsgd.models.stack_views`,
+    built once per suffix.  Every row does the arithmetic a lone worker
+    would, so the result is bit-identical to running the rows one after
+    another.
 
     Returns ``(end_params, observed_ids, observed_losses, steps)``:
     ``end_params`` is ``(P, n_params)``, the observed arrays are per-row
@@ -195,7 +202,10 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
     name the row as worker i with its 0-based local step.  The first
     stacked call with a non-finite loss or gradient raises
     :class:`DivergenceError` naming its lowest such row, as do non-finite
-    end parameters.
+    end parameters.  Steps are not screened one by one: a non-finite
+    gradient always leaves non-finite end parameters, so the end parameters
+    and every observed loss are checked once, and only a round that fails
+    that check reruns its schedule from the start with each call screened.
     """
     p = len(taus)
     if p == 0:
@@ -224,45 +234,53 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
         [np.take(row_maps[i], ids[i], mode="clip") for i in range(p)])
 
     params = np.empty((p, start_params.shape[-1]))
-    params[...] = start_params
-    losses = np.empty(ids.shape)
+    losses = np.zeros(ids.shape)
     features, labels = dataset.features, dataset.labels
-    first, steps = 0, 0
-    # overflow is caught by the finiteness checks below, not reported by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(tau_max):
-            while taus[first] <= t:
-                first += 1
-            steps += p - first
-            groups = (_step_groups(lens[:, t], first) if any(ragged[first:])
-                      else [(slice(first, None), batch_size)])
-            for rows, size in groups:
-                batch_rows = data_rows[rows, t, :size]
-                current = params[rows]
-                per_sample, grad = stacked_loss_and_grad(spec, current, features[batch_rows],
-                                                         labels[batch_rows])
-                # a finite sum proves every entry finite; only an inf or nan
-                # sum, which finite entries can also overflow to, looks closer
-                if not math.isfinite(per_sample.sum() + grad.sum()):
-                    bad = ~(np.isfinite(per_sample).all(axis=1) & np.isfinite(grad).all(axis=1))
-                    if bad.any():
-                        worker = int(np.arange(p)[rows][bad][0])
-                        raise DivergenceError(f"worker {worker} step {t}: "
-                                              "non-finite loss or gradient")
-                losses[rows, t, :size] = per_sample
-                if weight_decay:
-                    grad += weight_decay * current
-                grad *= lr
-                if isinstance(rows, slice):
-                    current -= grad  # a view: updates the stack in place
-                else:
-                    params[rows] = current - grad
-    diverged = np.flatnonzero(~np.isfinite(params).all(axis=1))
-    if diverged.size:
-        raise DivergenceError(f"worker {int(diverged[0])}: local training diverged to "
-                              "non-finite parameters")
+    # the replay reruns the drawn schedule, so it draws no random numbers
+    for checked in (False, True):
+        params[...] = start_params
+        first, views = 0, None
+        # overflow is caught by the finiteness checks, not reported by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(tau_max):
+                while taus[first] <= t:
+                    first, views = first + 1, None
+                if any(ragged[first:]):
+                    groups, step_views = _step_groups(lens[:, t], first), None
+                else:  # the common case: one call on the suffix, its views built once
+                    views = views or stack_views(spec, params[first:], batch_size)
+                    groups, step_views = [(slice(first, None), batch_size)], views
+                for rows, size in groups:
+                    batch_rows = data_rows[rows, t, :size]
+                    current = params[rows]
+                    per_sample, grad = stacked_loss_and_grad(
+                        spec, current, features.take(batch_rows, axis=0),
+                        labels.take(batch_rows), step_views)
+                    if checked:
+                        bad = ~(np.isfinite(per_sample).all(axis=1)
+                                & np.isfinite(grad).all(axis=1))
+                        if bad.any():
+                            worker = int(np.arange(p)[rows][bad][0])
+                            raise DivergenceError(f"worker {worker} step {t}: "
+                                                  "non-finite loss or gradient")
+                    losses[rows, t, :size] = per_sample
+                    if weight_decay:
+                        grad += weight_decay * current
+                    grad *= lr
+                    if isinstance(rows, slice):
+                        current -= grad  # a view: updates the stack in place
+                    else:
+                        params[rows] = current - grad
+        diverged = np.flatnonzero(~np.isfinite(params).all(axis=1))
+        if not (checked or diverged.size) and np.isfinite(losses).all():
+            break
+        if checked and diverged.size:
+            raise DivergenceError(f"worker {int(diverged[0])}: local training diverged to "
+                                  "non-finite parameters")
+    else:  # a round that failed its end screen must fault in the replay
+        raise RuntimeError("a round that failed its end screen replayed without a fault")
 
     seen = np.arange(batch_size) < lens[..., None]
     observed_ids = [ids[i][seen[i]] for i in range(p)]
     observed_losses = [losses[i][seen[i]] for i in range(p)]
-    return params, observed_ids, observed_losses, steps
+    return params, observed_ids, observed_losses, sum(taus)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import hetsgd.data
 import hetsgd.harness
+import hetsgd.workers
 from hetsgd.config import parse_config_file
 from hetsgd.core import RngStream, rng_choose_without_replacement
 from hetsgd.data import (NEVER_SEEN, Dataset, EpochCursor, InvalidLambdaError, LossLedger,
@@ -23,7 +24,9 @@ from hetsgd.data import (NEVER_SEEN, Dataset, EpochCursor, InvalidLambdaError, L
                          record_losses, sample_separated, save_csv, share_sizes,
                          slow_share_sizes, slow_total, train_val_split, val_size)
 from hetsgd.harness import bundled_config_path, render_csv, run
+from hetsgd.models import Batch
 from hetsgd.workers import SystemProfile
+from test_workers import reference_loss_and_grad
 
 
 def profile(alpha=2.0, p_s=1, p_f=1, lam=2.0, tau_f=32, mode="separated"):
@@ -560,7 +563,10 @@ MLP2 = dict(model_kind="mlp2", data_classes=3, p_s=2, p_f=2)
 class TestOraclesEndToEnd:
     """A run's metrics.csv has the same bytes with the oracles swapped in.
 
-    Both runs use the same BLAS, so the check holds on any platform.
+    The oracles include a row-by-row gradient in place of the round's
+    stacked entry point, so the per-round layer views and gradient buffers
+    change no bit.  Both runs use the same BLAS, so the check holds on any
+    platform.
     Epoch-wise fast draws are not defined for unified sampling, so the
     unified run draws fresh.
     """
@@ -574,9 +580,22 @@ class TestOraclesEndToEnd:
     def test_metrics_csv_unchanged(self, monkeypatch, name, overrides):
         cfg = replace(parse_config_file(bundled_config_path(name)), **overrides)
         fast = render_csv(run(cfg))
+        rows = []
+
+        def rowwise_loss_and_grad(spec, params, x, labels, views=None):
+            # the round's gradient entry point, one model at a time through the oracle
+            rows.append(params.shape[0])
+            out = [reference_loss_and_grad(spec, w, Batch(f, y, np.arange(y.shape[0])))
+                   for w, f, y in zip(params, x, labels)]
+            return np.stack([o[0] for o in out]), np.stack([o[1] for o in out])
+
         monkeypatch.setattr(hetsgd.data, "_top_loss_selection", reference_top_loss)
         monkeypatch.setattr(hetsgd.harness, "record_losses", reference_record_losses)
-        assert render_csv(run(cfg)) == fast
+        monkeypatch.setattr(hetsgd.workers, "stacked_loss_and_grad", rowwise_loss_and_grad)
+        result = run(cfg)
+        assert render_csv(result) == fast
+        # every gradient step of the run went through the entry point
+        assert sum(rows) == sum(s.records[-1].grad_steps for s in result.per_seed)
 
 
 class TestEpochCursor:

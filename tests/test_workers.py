@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hetsgd.workers
 from hetsgd.core import RngStream
 from hetsgd.data import Dataset, make_synthetic, SyntheticSpec
 from hetsgd.models import Batch, ModelSpec, backward, init_params
@@ -66,8 +67,12 @@ def reference_loss_and_grad(spec, params, batch):
 
 
 def reference_local_train(spec, start_params, dataset, assigned, tau, lr, batch_size,
-                          stream, weight_decay=0.0):
-    """One worker's round, one step at a time: the oracle for ``train_round``."""
+                          stream, weight_decay=0.0, finite_steps=None):
+    """One worker's round, one step at a time: the oracle for ``train_round``.
+
+    If ``finite_steps`` is a list, each step appends whether its losses and
+    its gradient before weight decay are all finite.
+    """
     assigned = np.asarray(assigned, dtype=np.int64)
     params = start_params.copy()
     order = assigned[stream.permutation(assigned.shape[0])]
@@ -81,6 +86,8 @@ def reference_local_train(spec, start_params, dataset, assigned, tau, lr, batch_
         pos += ids.shape[0]
         batch = Batch(dataset.features[ids], dataset.labels[ids], ids)
         per_sample, grad = reference_loss_and_grad(spec, params, batch)
+        if finite_steps is not None:
+            finite_steps.append(bool(np.isfinite(per_sample).all() and np.isfinite(grad).all()))
         if weight_decay:
             grad = grad + weight_decay * params
         params -= lr * grad
@@ -383,6 +390,150 @@ class TestTrainRound:
                                                   "non-finite parameters$"):
             train_round(spec, params + 1e300, ds, [np.arange(8)] * 2, [1, 1], 0.1, 4,
                         [RngStream(0, 0), RngStream(0, 1)], weight_decay=1e10)
+
+    @staticmethod
+    def overflowing_gap_round():
+        """A two-row round whose row 1 first faults with an infinite loss but a finite gradient.
+
+        Biases of +-1e308 overflow row 1's logit gap, so its one label-1
+        sample has an infinite loss, while its gradient and end parameters
+        stay finite.  With batch size 1 that sample is stepped at its
+        position ``t`` in the row's permutation.
+        """
+        n = 6
+        ds = Dataset(RngStream(5, 0).normal(0.0, 1.0, (n, 2)), np.array([1] + [0] * (n - 1)), 2)
+        spec = ModelSpec("logistic_regression", 2, 2)
+        starts = np.stack([init_params(spec, RngStream(5, 1))] * 2)
+        starts[1, 4:] = [1e308, -1e308]
+        t = int(np.flatnonzero(RngStream(5, 3).permutation(n) == 0)[0])
+        args = (spec, starts, ds, [np.arange(n)] * 2, [n, n], 0.1, 1)
+        return args, [RngStream(5, 2), RngStream(5, 3)], t
+
+    def test_infinite_loss_with_a_finite_gradient_raises_at_its_step(self):
+        args, streams, t = self.overflowing_gap_round()
+        spec, starts, ds, assignments, taus, lr, batch_size = args
+        assert t >= 1
+        finite_steps = []
+        with np.errstate(all="ignore"):
+            end, _, losses, _ = reference_local_train(spec, starts[1], ds, assignments[1],
+                                                      taus[1], lr, batch_size, RngStream(5, 3),
+                                                      finite_steps=finite_steps)
+        # only the loss shows the fault: the end parameters are finite
+        assert np.isfinite(end).all() and losses[t] == np.inf
+        assert finite_steps.index(False) == t
+        before = starts.copy()
+        with pytest.raises(DivergenceError, match=f"^worker 1 step {t}: non-finite loss or "
+                                                  "gradient$"):
+            train_round(*args, streams)
+        assert_same_bits(starts, before)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_screen_matches_the_per_step_rule(self, data):
+        # rounds as in test_matches_per_worker_oracle, with no ragged step
+        # and some start rows scaled toward overflow or made non-finite
+        kind = data.draw(st.sampled_from(["logistic_regression", "mlp2"]))
+        p = data.draw(st.integers(1, 6))
+        taus = sorted(data.draw(st.lists(st.integers(1, 5), min_size=p, max_size=p)))
+        batch_size = data.draw(st.integers(1, 4))
+        sizes = [batch_size * k for k in data.draw(st.lists(st.integers(1, 3), min_size=p,
+                                                            max_size=p))]
+        lr = data.draw(st.sampled_from([0.3, 1e300]))
+        weight_decay = data.draw(st.sampled_from([0.0, 0.01, 1e10]))
+        c = data.draw(st.sampled_from([2, 3, 10]))
+        seed = data.draw(st.integers(0, 2**16))
+        ds = make_synthetic(SyntheticSpec(n=40, input_dim=3, num_classes=c), RngStream(seed, 0))
+        spec = ModelSpec(kind, 3, c, hidden_dim=5 if kind == "mlp2" else 0)
+        starts = np.stack([init_params(spec, RngStream(seed, 1 + i)) for i in range(p)])
+        faults = data.draw(st.lists(st.sampled_from([1.0, 1e150, 1e300, 1e306, np.inf, np.nan]),
+                                    min_size=p, max_size=p))
+        for row, fault in zip(starts, faults):
+            if np.isfinite(fault):
+                row *= fault
+            else:
+                row[data.draw(st.integers(0, row.shape[0] - 1))] = fault
+        assignments = [RngStream(seed, 50 + i).choose(ds.n, k) for i, k in enumerate(sizes)]
+        # the per-step rule: the first step where a row's loss or gradient is
+        # non-finite names its lowest such row; else non-finite end parameters
+        wants, steps_ok = [], []
+        with np.errstate(all="ignore"):
+            for i in range(p):
+                steps_ok.append([])
+                wants.append(reference_local_train(spec, starts[i], ds, assignments[i], taus[i],
+                                                   lr, batch_size, RngStream(seed, 100 + i),
+                                                   weight_decay, steps_ok[i]))
+        step_faults = [(t, i) for i in range(p) for t, ok in enumerate(steps_ok[i]) if not ok]
+        bad_ends = [i for i in range(p) if not np.isfinite(wants[i][0]).all()]
+        before = starts.copy()
+
+        def run():
+            return train_round(spec, starts, ds, assignments, taus, lr, batch_size,
+                               [RngStream(seed, 100 + i) for i in range(p)], weight_decay)
+
+        if step_faults:
+            t, i = min(step_faults)
+            with pytest.raises(DivergenceError, match=f"^worker {i} step {t}: non-finite loss "
+                                                      "or gradient$"):
+                run()
+        elif bad_ends:
+            with pytest.raises(DivergenceError, match=f"^worker {bad_ends[0]}: local training "
+                                                      "diverged to non-finite parameters$"):
+                run()
+        else:
+            end, ids, losses, _ = run()
+            for i in range(p):
+                assert_same_bits(end[i], wants[i][0])
+                assert_same_bits(ids[i], wants[i][1])
+                assert_same_bits(losses[i], wants[i][2])
+        assert_same_bits(starts, before)
+
+    def test_only_a_diverging_round_replays(self, monkeypatch):
+        calls = []
+        kernel = hetsgd.workers.stacked_loss_and_grad
+
+        def counted(spec, params, x, labels, views=None):
+            calls.append(params.shape[0])
+            return kernel(spec, params, x, labels, views)
+
+        monkeypatch.setattr(hetsgd.workers, "stacked_loss_and_grad", counted)
+        # a finite round with ragged steps: one call per batch length among
+        # the rows still stepping
+        ds = make_synthetic(SyntheticSpec(n=64, input_dim=2, num_classes=2), RngStream(0, 0))
+        spec = ModelSpec("logistic_regression", 2, 2)
+        taus, sizes, b = [2, 5, 7, 7], [16, 20, 13, 24], 8
+        train_round(spec, init_params(spec, RngStream(0, 1)), ds,
+                    [np.arange(k) for k in sizes], taus, 0.1, b,
+                    [RngStream(0, 2 + i) for i in range(4)])
+
+        def length(n, t):  # the batch length a share of n takes at step t
+            return b if t % -(-n // b) < n // b else n % b
+
+        assert len(calls) == sum(len({length(n, t) for n, tau in zip(sizes, taus) if tau > t})
+                                 for t in range(max(taus)))
+        assert sum(calls) == sum(taus)
+        # a round that faults at step t: one full pass, then the checked replay to step t
+        calls.clear()
+        args, streams, t = self.overflowing_gap_round()
+        with pytest.raises(DivergenceError, match=f"^worker 1 step {t}: "):
+            train_round(*args, streams)
+        assert calls == [2] * (args[4][0] + t + 1)
+
+    def test_a_replay_without_a_fault_is_an_error(self, monkeypatch, tiny_task):
+        # an entry point whose fault does not repeat breaks the replay's premise
+        spec, params, ds = tiny_task
+        kernel, calls = hetsgd.workers.stacked_loss_and_grad, []
+
+        def faults_once(*args):
+            per_sample, grad = kernel(*args)
+            calls.append(args[1].shape[0])
+            if len(calls) == 1:
+                per_sample[0, 0] = np.inf
+            return per_sample, grad
+
+        monkeypatch.setattr(hetsgd.workers, "stacked_loss_and_grad", faults_once)
+        with pytest.raises(RuntimeError, match="replayed without a fault"):
+            train_one(spec, params, ds, np.arange(16), 2, 0.1, 8, RngStream(0, 0))
+        assert calls == [1] * 4
 
     def test_row_maps_address_one_feature_source(self, tiny_task):
         # two datasets one after another, each row reading its own through a map
