@@ -33,7 +33,7 @@ from .workers import (SAMPLER_MODES, SCHEDULE_KINDS, SystemProfile, WorkerSpec, 
 
 __all__ = ["ExperimentConfig", "ConfigError", "RunPlan", "plan", "check_data", "per_round",
            "seed_group", "model_spec", "MAX_ELEMENTS", "MAX_WORKERS", "parse_config",
-           "parse_config_file", "render_config", "config_hash", "ALGORITHMS"]
+           "parse_config_file", "render_config", "config_hash", "ALGORITHMS", "validate"]
 
 class ConfigError(ValueError):
     pass

@@ -198,28 +198,26 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
     taus = [w.tau for w in run_plan.workers]
     lrs, walls, blocks = rounds
     rounds_per_epoch = run_plan.rounds_per_epoch(n_train)
-    steps_per_round = run_plan.steps_per_round
     rows, seed_rows = _stack(taus, len(group))
     # seed-major, then worker-id order: for each id the last write is the
     # highest worker id's, as when merging the workers one at a time
     merge_rows = [row for own in seed_rows for row in own]
+    row_taus = [taus[w] for _, w in rows]
+    row_streams = [group[k].streams[w] for k, w in rows]
+    row_maps = [group[k].row_map for k, _ in rows]
     for r, lr in enumerate(lrs):
         shares = [assign(s.ledger, run_plan.profile, sizes, s.sampler, run_plan.cold_start,
                          s.cursors) for s in group]
         try:
-            models, seen_ids, seen_losses, steps = train_round(
+            models, seen_ids, seen_losses, _ = train_round(
                 spec, np.stack([group[k].params for k, _ in rows]), dataset,
-                [shares[k][w] for k, w in rows], [taus[w] for _, w in rows], lr,
-                run_plan.batch_size, [group[k].streams[w] for k, w in rows], cfg.weight_decay,
-                [group[k].row_map for k, _ in rows])
+                [shares[k][w] for k, w in rows], row_taus, lr, run_plan.batch_size,
+                row_streams, cfg.weight_decay, row_maps)
         except DivergenceError as exc:  # in a one-seed stack, row i is worker i
             raise _diverged(group[0], r, f" {exc}") from None
         except ValueError as exc:  # assignments from `assign` never trip the kernel's checks
             raise type(exc)(f"round {r} {exc}") from None
         del shares  # not held beside the next round's
-        if steps != len(group) * steps_per_round:
-            raise RuntimeError(f"round {r}: expected {len(group) * steps_per_round} gradient "
-                               f"steps, counted {steps}")
         ids = np.concatenate([seen_ids[row] for row in merge_rows])
         if ids.min() < 0 or ids.max() >= n_train:  # it would land in another seed's block
             raise ValueError(f"round {r}: sample id out of range of a seed's {n_train} samples")
@@ -249,7 +247,7 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
                 sim_wall_s=walls[r],
                 sim_block_s=blocks[r],
                 agg_count=r + 1,
-                grad_steps=(r + 1) * steps_per_round,
+                grad_steps=(r + 1) * run_plan.steps_per_round,
             ))
     return [SeedResult(seed=s.seed, records=s.records, final_params=s.params) for s in group]
 

@@ -4,13 +4,13 @@ Two model kinds are enough for the optimizer mechanics studied here:
 multinomial logistic regression and a 2-layer ReLU MLP.  Parameters are kept
 in one flat float64 vector (see :mod:`hetsgd.core`) so that every optimizer
 and aggregation rule works on plain arrays.  One forward pass serves a
-single model and a stack of G models: :func:`stacked_loss_and_grad` is the
-one analytic gradient and :func:`backward` its one-row call (a caller that
-steps one stack many times passes it the stack's :func:`stack_views`), and
+stack of G models, one model being a stack of one, and one class-major copy
+adds its output bias (:func:`_class_major`): :func:`stacked_loss_and_grad`
+is the one analytic gradient and :func:`backward` its one-row call (a caller
+stepping one stack many times passes it :func:`stack_views`), and
 :func:`stacked_hits` is the one evaluation and :func:`accuracy` its
-one-model call.  The softmax runs class-major (see :func:`_log_softmax`).
-A central finite-difference gradient is provided as an independent oracle
-for the analytic backward pass.
+one-model call.  A central finite-difference gradient is provided as an
+independent oracle for the analytic backward pass.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "Batch",
     "param_count",
     "init_params",
-    "forward_logits",
     "forward_loss",
     "backward",
     "stack_views",
@@ -89,7 +88,7 @@ def param_count(spec: ModelSpec) -> int:
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray):
-    """Split flat params, one vector or a ``(G, n_params)`` stack, into layer views."""
+    """Split a ``(G, n_params)`` stack of flat params into layer views."""
     if params.shape[-1] != param_count(spec):
         raise ValueError(
             f"expected {param_count(spec)} params for {spec.kind}, got {params.shape[-1]}"
@@ -122,35 +121,14 @@ def init_params(spec: ModelSpec, stream: RngStream) -> ParamVector:
     return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(c)])
 
 
-# numpy runs an elementwise op as one inner loop per row of its last axis;
-# evaluation's output bias adds rows this many elements wide to amortize
-# the loop's fixed cost
-_WIDE_ROW = 64
-
-
-def _add_output_bias(logits: np.ndarray, b: np.ndarray) -> None:
-    """``logits += b[..., None, :]`` for contiguous ``(..., n, c)`` logits, k rows per inner loop.
-
-    Viewing k rows of the logits as one row of k x c elements and adding b
-    tiled k times makes the same additions, so the bits are unchanged, in
-    n / k loops; k is the largest divisor of n up to 64 / c.
-    """
-    n, c = logits.shape[-2:]
-    k = max(k for k in range(1, max(1, _WIDE_ROW // c) + 1) if n % k == 0)
-    if k == 1:
-        logits += b[..., None, :]
-        return
-    wide = logits.reshape(*logits.shape[:-2], n // k, k * c)  # a view: logits is contiguous
-    wide += np.tile(b, k)[..., None, :]
-
-
 def _forward(layers: tuple, x: np.ndarray):
-    """``(hidden, z)`` of one model on ``(b, d)`` or of G models on ``(G, b, d)``.
+    """``(hidden, z)`` of G models on ``(G, b, d)`` features.
 
-    ``layers`` is :func:`_unpack` of one vector or of a ``(G, n_params)``
-    stack, so both run the same ops in the same order.  ``z`` is the output
-    layer's product before its bias, which the caller adds; ``hidden``
-    (post-ReLU) is None for logistic regression.
+    ``layers`` is :func:`_unpack` of a ``(G, n_params)`` stack; a lone model
+    is a stack of one, so it runs the same ops in the same order as its row
+    of a larger stack.  ``z`` is the output layer's product before its bias,
+    which :func:`_class_major` adds; ``hidden`` (post-ReLU) is None for
+    logistic regression.
     """
     if len(layers) == 2:
         return None, x @ layers[0]
@@ -161,12 +139,16 @@ def _forward(layers: tuple, x: np.ndarray):
     return hidden, hidden @ w2
 
 
-def forward_logits(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Logits of one model on ``(b, d)`` or of G models on ``(G, b, d)`` features."""
-    layers = _unpack(spec, params)
-    logits = _forward(layers, np.asarray(features, dtype=np.float64))[1]
-    _add_output_bias(logits, layers[-1])
-    return logits
+def _class_major(z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The logits ``z + b`` of ``(G, n, c)`` output products ``z`` and ``(G, c)`` biases ``b``.
+
+    Returned as one contiguous class-major ``(c, G, n)`` array: the bias is
+    added while the products are copied, each sum the same IEEE add as in
+    the row-major layout.
+    """
+    by_class = np.empty((z.shape[2], *z.shape[:2]))
+    np.add(z.transpose(2, 0, 1), b.T[:, :, None], out=by_class)
+    return by_class
 
 
 def _pairwise(e: np.ndarray) -> np.ndarray:
@@ -224,8 +206,9 @@ def _log_softmax(by_class: np.ndarray) -> np.ndarray:
 
 def forward_loss(spec: ModelSpec, params: ParamVector, batch: Batch):
     """Mean cross-entropy over the batch plus the per-sample losses."""
-    logits = forward_logits(spec, params, batch.features)
-    logp = _log_softmax(np.ascontiguousarray(logits.T))
+    layers = _unpack(spec, params[None])
+    z = _forward(layers, batch.features[None])[1]
+    logp = _log_softmax(_class_major(z, layers[-1])[:, 0])
     per_sample = -logp[batch.labels, np.arange(len(batch))]
     if not np.all(np.isfinite(per_sample)):
         raise ValueError("non-finite loss encountered")
@@ -254,18 +237,16 @@ def stacked_loss_and_grad(spec: ModelSpec, params: np.ndarray, x: np.ndarray,
     ``params`` and b, and ``grad`` is its buffer.  Row g depends only on
     ``params[g]``, ``x[g]`` and ``labels[g]``, and every row runs the same
     BLAS calls and reductions in the same order, so a one-row call gives
-    the same bits as row g of a stacked one.  The output bias is added
-    while the logits are copied class-major for the softmax, and the
-    logits' gradient is copied back row-major for the matmuls.  Finiteness
-    is left to the caller, which knows the row's worker and step.
+    the same bits as row g of a stacked one.  The softmax runs on the
+    class-major logits of :func:`_class_major`, and the logits' gradient is
+    copied back row-major for the matmuls.  Finiteness is left to the
+    caller, which knows the row's worker and step.
     """
     layers, grad, grad_layers, base = views or stack_views(spec, params, x.shape[1])
     hidden, z = _forward(layers, x)
     g, b, c = z.shape
     m = g * b
-    by_class = np.empty((c, g, b))
-    np.add(z.transpose(2, 0, 1), layers[-1].T[:, :, None], out=by_class)
-    logp = _log_softmax(by_class.reshape(c, m))
+    logp = _log_softmax(_class_major(z, layers[-1]).reshape(c, m))
     picks = labels.ravel() * m + base
     per_sample = -logp.ravel()[picks].reshape(g, b)
     dlogits = np.exp(logp, out=logp)
@@ -326,12 +307,11 @@ def relu_crossing_mask(spec: ModelSpec, params: ParamVector, batch: Batch, h: fl
     mask = np.zeros(params.shape[0], dtype=bool)
     if spec.kind != "mlp2":
         return mask
-    w1, b1, _, _ = _unpack(spec, params)
-    n_hidden_params = w1.size + b1.size
+    n_hidden_params = (spec.input_dim + 1) * spec.hidden_dim  # w1 and b1 lead the vector
 
     def preact_sign(p):
         # the ReLU output is positive exactly where its input is
-        return _forward(_unpack(spec, p), batch.features)[0] > 0.0
+        return _forward(_unpack(spec, p[None]), batch.features[None])[0] > 0.0
 
     p = params.copy()
     for k in range(n_hidden_params):
@@ -345,27 +325,23 @@ def relu_crossing_mask(spec: ModelSpec, params: ParamVector, batch: Batch, h: fl
     return mask
 
 
-def _hits(logits: np.ndarray, labels: np.ndarray) -> int:
-    """How many rows of ``(n, c)`` logits have their argmax at the row's label.
+def _hits(by_class: np.ndarray, labels: np.ndarray) -> int:
+    """How many columns of class-major ``(c, n)`` logits have their argmax at the column's label.
 
-    ``np.argmax`` along short rows pays a loop per row, so the logits are
-    copied class-major and each row's maximum is taken with one
-    ``np.maximum`` pass per class; a hit is a row whose label's logit equals
-    its maximum.  If any row has a tie or a NaN, the count falls back to
-    ``np.argmax``, whose first-index rule decides it, so the count is always
-    argmax's.
+    Each sample's maximum is taken with one ``np.maximum`` pass per class,
+    as in :func:`_log_softmax`; a hit is a sample whose label's logit
+    equals its maximum.  If any sample has a tie or a NaN, the count falls
+    back to ``np.argmax``, whose first-index rule decides it, so the count
+    is always argmax's.
     """
-    n, c = logits.shape
-    by_class = np.ascontiguousarray(logits.T)
-    best = np.maximum(by_class[0], by_class[1])  # propagates NaN
-    for row in by_class[2:]:
-        np.maximum(best, row, out=best)
+    c, n = by_class.shape
+    best = np.maximum.reduce(by_class, axis=0)  # propagates NaN
     at_best = by_class == best
-    # without NaN every row has a maximum; n of them in all means no ties
+    # without NaN every sample has a maximum; n of them in all means no ties
     if np.count_nonzero(at_best) == n and not np.isnan(best).any():
         at_best &= labels == np.arange(c)[:, None]
         return int(np.count_nonzero(at_best))
-    return int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
+    return int(np.count_nonzero(np.argmax(by_class, axis=0) == labels))
 
 
 def stacked_hits(spec: ModelSpec, params: np.ndarray, features: np.ndarray,
@@ -374,14 +350,18 @@ def stacked_hits(spec: ModelSpec, params: np.ndarray, features: np.ndarray,
 
     ``params`` is ``(G, n_params)``, ``features`` ``(G, n, input_dim)`` and
     ``labels`` ``(G, n)``; returns G counts.  One forward pass scores every
-    model, and row g's count is model g's alone.  A sample is right when
-    its label is its argmax logit; ties break toward the lowest class
+    model into one class-major copy of the logits, and model g's count,
+    taken on its block of that copy, is its own alone.  A sample is right
+    when its label is its argmax logit; ties break toward the lowest class
     index (np.argmax convention).  Overflowing logits are scored without a
     numpy warning, as in training.
     """
+    layers = _unpack(spec, params)
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = forward_logits(spec, params, features)
-    return [_hits(z, y) for z, y in zip(logits, labels)]
+        # the hidden layer is freed before the class-major copy is allocated
+        z = _forward(layers, np.asarray(features, dtype=np.float64))[1]
+        by_class = _class_major(z, layers[-1])
+    return [_hits(by_class[:, g], y) for g, y in enumerate(labels)]
 
 
 def accuracy(spec: ModelSpec, params: ParamVector, batches) -> float:

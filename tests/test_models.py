@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetsgd.core import RngStream
-from hetsgd.models import (Batch, ModelSpec, _add_output_bias, _class_sums, _hits, _log_softmax,
-                           accuracy, backward, finite_diff_grad, forward_logits, forward_loss,
-                           init_params, param_count, relu_crossing_mask, stacked_hits,
-                           stacked_loss_and_grad)
+from hetsgd.models import (Batch, ModelSpec, _class_major, _class_sums, _forward, _hits,
+                           _log_softmax, _unpack, accuracy, backward, finite_diff_grad,
+                           forward_loss, init_params, param_count, relu_crossing_mask,
+                           stacked_hits, stacked_loss_and_grad)
 
 
 def reference_log_softmax(logits):
@@ -169,6 +169,12 @@ class TestBackward:
             backward(spec, params + np.inf, batch)
 
 
+def class_major_logits(spec, params, x):
+    """Class-major ``(c, G, n)`` logits of a ``(G, n_params)`` stack on ``(G, n, d)`` features."""
+    layers = _unpack(spec, params)
+    return _class_major(_forward(layers, x)[1], layers[-1])
+
+
 class TestForward:
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -181,9 +187,10 @@ class TestForward:
         stream = RngStream(draw(st.integers(0, 2**16)), 0)
         params = stream.normal(0.0, 1.0, (g_count, param_count(spec)))
         x = stream.normal(0.0, 1.0, (g_count, b, spec.input_dim))
-        stacked = forward_logits(spec, params, x)
+        stacked = class_major_logits(spec, params, x)
         for g in range(g_count):
-            assert forward_logits(spec, params[g], x[g]).tobytes() == stacked[g].tobytes()
+            alone = class_major_logits(spec, params[g][None], x[g][None])
+            assert alone.tobytes() == np.ascontiguousarray(stacked[:, g]).tobytes()
 
 
 # entries that round, overflow, cancel or are not numbers
@@ -247,12 +254,12 @@ class TestFiniteDiff:
 
 
 def reference_hits(logits, labels):
-    """The ``np.argmax`` count: the oracle for the class-major count."""
+    """Row-wise ``np.argmax`` count of ``(n, c)`` logits: the oracle for the class-major count."""
     return int((np.argmax(logits, axis=1) == labels).sum())
 
 
 def reference_logits(spec, params, x):
-    """One model's logits with row-major bias adds: the oracle for the tiled adds."""
+    """One model's logits with row-major bias adds: the oracle for the class-major adds."""
     d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
     if spec.kind == "logistic_regression":
         logits = x @ params[:d * c].reshape(d, c)
@@ -303,7 +310,7 @@ class TestAccuracyOracle:
             logits[n // 2, c // 2] = np.nan
         for labels in (rng.integers(0, c, n), np.argmax(logits, axis=1),
                        np.full(n, c - 1)):
-            assert _hits(logits, labels) == reference_hits(logits, labels)
+            assert _hits(np.ascontiguousarray(logits.T), labels) == reference_hits(logits, labels)
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -315,7 +322,7 @@ class TestAccuracyOracle:
         labels = np.array(data.draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)),
                           dtype=np.int64)
         logits = np.array(cells, dtype=np.float64).reshape(n, c)
-        assert _hits(logits, labels) == reference_hits(logits, labels)
+        assert _hits(np.ascontiguousarray(logits.T), labels) == reference_hits(logits, labels)
 
     @pytest.mark.parametrize("spec", [
         ModelSpec("logistic_regression", 16, 4),
@@ -336,16 +343,32 @@ class TestAccuracyOracle:
 
 
 class TestStackedEvaluation:
-    @pytest.mark.parametrize("n", [0, 1, 7, 64, 97, 20_000])
-    @pytest.mark.parametrize("c", [2, 3, 4, 10, 64, 70])
-    def test_tiled_bias_add_matches_the_row_add(self, n, c):
-        rng = np.random.default_rng(n * c)
-        for lead in ((), (3,)):
-            z = rng.normal(size=(*lead, n, c))
-            b = rng.normal(size=(*lead, c))
-            want = z + b[..., None, :]
-            _add_output_bias(z, b)
-            assert z.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("c", [2, 3, 10])
+    @pytest.mark.parametrize("special", ["tie", "nan"])
+    def test_only_the_model_with_a_tie_or_nan_falls_back(self, c, special, monkeypatch):
+        rng = np.random.default_rng(c)
+        g, n, odd = 4, 300, 1
+        logits = rng.normal(size=(g, n, c))
+        labels = rng.integers(0, c, size=(g, n))
+        if special == "tie":  # argmax takes class 0; the fast count would hit class c - 1
+            logits[odd, n // 2] = 0.25
+            labels[odd, n // 2] = c - 1
+        else:  # argmax takes the NaN's class; the fast count would miss it
+            logits[odd, n // 2, c // 2] = np.nan
+            labels[odd, n // 2] = c // 2
+        want = [reference_hits(z, y) for z, y in zip(logits, labels)]
+        calls = []
+        argmax = np.argmax
+
+        def counted_argmax(*args, **kwargs):
+            calls.append(args)
+            return argmax(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argmax", counted_argmax)
+        by_class = np.ascontiguousarray(logits.transpose(2, 0, 1))
+        # strided (c, n) blocks of one (c, G, n) array, as in stacked_hits
+        assert [_hits(by_class[:, k], labels[k]) for k in range(g)] == want
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("spec", [
         ModelSpec("logistic_regression", 16, 4),
