@@ -9,7 +9,9 @@ Subcommands:
   gradcheck              analytic-vs-finite-difference gradient audit
 
 Any validation failure exits nonzero after printing one machine-readable
-line to stderr: ``error: <code>: <detail>``.
+line to stderr: ``error: <code>: <detail>``.  A config or data path that
+does not exist is ``missing-file``; one that cannot be read, such as a
+directory, is ``unreadable-file``.
 """
 
 from __future__ import annotations
@@ -194,6 +196,9 @@ def main(argv=None) -> int:
         return _fail("lambda-too-large", str(exc))
     except FileNotFoundError as exc:
         return _fail("missing-file", str(exc))
+    except OSError as exc:  # a directory, no permission, a read error
+        return _fail("unreadable-file",
+                     f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
     except ValueError as exc:
         return _fail("invalid-value", str(exc))
 

@@ -441,7 +441,7 @@ def _raise_located(path: str, row: np.dtype) -> NoReturn:
     valid file never pays for it.
     """
     width = 1 + row["features"].shape[0]
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         fh.readline()
         for lineno, line in enumerate(fh, start=2):
             if len(_split_fields(line)) != width:
@@ -461,7 +461,7 @@ def _load_csv(path: str) -> Dataset:
     that does not parse is rejected as ``path:line``, found by re-scanning
     only after the parse fails.
     """
-    with open(path) as fh:  # universal newlines: a line may end in \r\n or \r
+    with open(path, encoding="utf-8") as fh:  # universal newlines: \n, \r\n or \r
         header = fh.readline()
         if not header:
             raise ValueError(f"{path}: empty dataset file")
@@ -484,6 +484,19 @@ def _load_csv(path: str) -> Dataset:
         raise ValueError(f"{path}:{int(bad[0]) + 2}: non-finite feature")
     labels = np.ascontiguousarray(table["label"])
     return _bounded(path, features, labels, int(labels.max()) + 1)
+
+
+def _undecodable(path: str) -> ValueError:
+    """The first byte of ``path`` that is not UTF-8, as ``path:line`` (the header is line 1)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]  # lines end as universal newlines split them
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ValueError(f"{path}:{line}: not valid UTF-8")
+    return ValueError(f"{path}: not valid UTF-8")  # it changed since the parse
 
 
 def _bounded(path: str, features: np.ndarray, labels: np.ndarray, num_classes: int) -> Dataset:
@@ -538,7 +551,10 @@ def load_dataset(path: str, format: str | None = None) -> Dataset:
         with open(path, "rb") as fh:
             format = "binary" if fh.read(4) == _BINARY_MAGIC else "csv"
     if format == "csv":
-        return _load_csv(path)
+        try:
+            return _load_csv(path)
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
     if format == "binary":
         return _load_binary(path)
     raise ValueError(f"unknown dataset format {format!r}")

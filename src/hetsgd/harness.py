@@ -20,9 +20,11 @@ the bits of a run of that seed alone.
 The stack's rows are ordered by tau, then seed, then worker id, so the rows
 still stepping stay a suffix of the stack.  A seed's training rows are
 addressed through a row map into one feature source, never copied: a data
-file, read once per :func:`run`, checked once against the plan by
-``config.check_data`` and shared read-only by every seed, or the group's
-synthetic datasets, drawn per seed and stored one after another.  Only
+file, or the group's synthetic datasets, drawn per seed and stored one
+after another.  A data file is parsed once per process per content: the
+last file's arrays stay in memory, read-only, until a different file is
+run.  Each :func:`run` checks it once against the plan with
+``config.check_data``, and every seed shares it read-only.  Only
 the validation rows are copied, into one ``(seeds, rows, input_dim)``
 stack.
 
@@ -40,6 +42,7 @@ Stream-id allotment per seed: 11 data synthesis, 12 validation split,
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -102,11 +105,32 @@ class RunResult:
     summary: dict
 
 
+# the last data file parsed: {(data.format, sha256 of its bytes): read-only Dataset}
+_FILE_CACHE = {}
+
+
 def _load_file(cfg: ExperimentConfig) -> Dataset:
-    """The config's data file, read-only: every seed of a run shares it."""
+    """The config's data file, read-only: every seed of a run shares it.
+
+    A file whose format and bytes match the last one parsed is not parsed
+    again.  It is kept only if its size and mtime did not change while it
+    was hashed and parsed.
+    """
+    digest = hashlib.sha256()
+    with open(cfg.data_path, "rb") as fh:
+        before = os.fstat(fh.fileno())
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    key = (cfg.data_format, digest.hexdigest())
+    if key in _FILE_CACHE:
+        return _FILE_CACHE[key]
+    _FILE_CACHE.clear()  # never two datasets held at once
     dataset = load_dataset(cfg.data_path, cfg.data_format or None)
     dataset.features.flags.writeable = False
     dataset.labels.flags.writeable = False
+    after = os.stat(cfg.data_path)
+    if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
+        _FILE_CACHE[key] = dataset
     return dataset
 
 

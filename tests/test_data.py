@@ -770,6 +770,19 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match=f"^{re.escape(path)}:4: non-finite feature$"):
             load_dataset(path, "csv")
 
+    @pytest.mark.parametrize("data, line", [
+        (b"lab\xffel,f0\n0,1.5\n1,2.5\n", 1),  # the header is line 1
+        (b"label,f0\n0,1.5\n1,2\xff\n0,3.5\n", 3),
+        (b"label,f0\r\n0,1.5\r\n1,2.5\r\n0,\xc3\r\n", 4),  # a cut-off multibyte sequence
+        (b"label,f0\r0,1.5\r1,\xe9\r", 3),
+    ], ids=["header", "data-line", "cut-off-crlf", "cr-lines"])
+    def test_non_utf8_csv_located(self, tmp_path, data, line):
+        path = str(tmp_path / "latin1.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:{line}: not valid UTF-8$"):
+            load_dataset(path)
+
     def test_non_finite_binary_feature_rejected(self, tmp_path):
         ds = make_synthetic(SyntheticSpec(n=25, input_dim=2, num_classes=2), RngStream(1, 0))
         ds.features[7, 1] = np.inf

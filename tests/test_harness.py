@@ -1,11 +1,14 @@
 """End-to-end driver behavior: determinism, reductions, metrics, CLI."""
 
+import gc
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -474,13 +477,46 @@ def _assert_columns_match_the_oracle(cfg, run_plan, text):
     assert [[row[3], row[6], row[7]] for row in rows] == expected * len(cfg.seeds)
 
 
+def _blobs(seed=5, relabel=0):
+    from hetsgd.core import RngStream
+    from hetsgd.data import Dataset, SyntheticSpec, make_synthetic
+    ds = make_synthetic(SyntheticSpec(n=240, input_dim=3, num_classes=3, separation=8.0),
+                        RngStream(seed, 0))
+    return Dataset(ds.features, (ds.labels + relabel) % 3, 3)
+
+
+def _blobs_csv(path, seed=5, relabel=0) -> str:
+    """Write 240 rows of 3 features in 3 classes to ``path``; returns it as a str."""
+    from hetsgd.data import save_csv
+    save_csv(_blobs(seed, relabel), str(path))
+    return str(path)
+
+
+def _file_cfg(path, **overrides):
+    return small_cfg(**{"data_source": "file", "data_path": path, "rounds": 2, **overrides})
+
+
+def _count_loads(monkeypatch) -> list:
+    """Route the harness's parses through a wrapper; each is listed as [path, weakref].
+
+    The weakref is None for a parse that raised.
+    """
+    loads = []
+    load = hetsgd.harness.load_dataset
+
+    def counted(*args):
+        loads.append([args[0], None])
+        dataset = load(*args)
+        loads[-1][1] = weakref.ref(dataset)
+        return dataset
+
+    monkeypatch.setattr(hetsgd.harness, "load_dataset", counted)
+    return loads
+
+
 class TestFileData:
     def test_file_is_read_once_and_shared_read_only(self, tmp_path, monkeypatch):
-        from hetsgd.core import RngStream
-        from hetsgd.data import SyntheticSpec, make_synthetic, save_csv
-        path = str(tmp_path / "blobs.csv")
-        save_csv(make_synthetic(SyntheticSpec(n=240, input_dim=3, num_classes=3,
-                                              separation=8.0), RngStream(5, 0)), path)
+        path = _blobs_csv(tmp_path / "blobs.csv")
         loaded = []
         load = hetsgd.harness.load_dataset
 
@@ -502,11 +538,7 @@ class TestFileData:
 
     @pytest.mark.parametrize("source", ["synthetic", "file"])
     def test_data_is_checked_once_per_run(self, tmp_path, monkeypatch, source):
-        from hetsgd.core import RngStream
-        from hetsgd.data import SyntheticSpec, make_synthetic, save_csv
-        path = str(tmp_path / "blobs.csv")
-        save_csv(make_synthetic(SyntheticSpec(n=240, input_dim=3, num_classes=3,
-                                              separation=8.0), RngStream(5, 0)), path)
+        path = _blobs_csv(tmp_path / "blobs.csv")
         calls = []
         check = hetsgd.config.check_data
 
@@ -520,6 +552,97 @@ class TestFileData:
         run(small_cfg(seeds=(0, 1, 2), rounds=2, data_source=source, data_path=path,
                       data_n=240, data_input_dim=3, data_classes=3))
         assert calls == [(240, 3, 3)]
+
+    def test_two_runs_of_one_file_parse_it_once(self, tmp_path, monkeypatch):
+        path = _blobs_csv(tmp_path / "blobs.csv")
+        loads = _count_loads(monkeypatch)
+        cfg = _file_cfg(path)
+        first = render_csv(run(cfg))
+        assert render_csv(run(replace(cfg, lam=3.0))) != first  # each run checks and trains anew
+        assert render_csv(run(cfg)) == first
+        assert [p for p, _ in loads] == [path]
+
+    def test_same_bytes_at_two_paths_parse_once(self, tmp_path, monkeypatch):
+        path = _blobs_csv(tmp_path / "a.csv")
+        copy = tmp_path / "b.csv"
+        copy.write_bytes((tmp_path / "a.csv").read_bytes())
+        loads = _count_loads(monkeypatch)
+        first = render_csv(run(_file_cfg(path)))
+        assert render_csv(run(_file_cfg(str(copy)))) == first
+        assert [p for p, _ in loads] == [path]
+
+    def test_same_size_rewrite_is_parsed_again(self, tmp_path, monkeypatch):
+        path = _blobs_csv(tmp_path / "blobs.csv")
+        before = os.stat(path)
+        loads = _count_loads(monkeypatch)
+        old = render_csv(run(_file_cfg(path)))
+        _blobs_csv(path, relabel=1)  # same length, other labels
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))  # and the same mtime
+        assert os.stat(path).st_size == before.st_size
+        new = render_csv(run(_file_cfg(path)))
+        assert [p for p, _ in loads] == [path, path]
+        assert new != old
+        hetsgd.harness._FILE_CACHE.clear()
+        assert render_csv(run(_file_cfg(path))) == new
+
+    def test_failed_load_caches_nothing(self, tmp_path, monkeypatch):
+        good = _blobs_csv(tmp_path / "good.csv")
+        bad = str(tmp_path / "bad.csv")
+        with open(bad, "w") as fh:
+            fh.write("label,f0\n0,1.5\n1,abc\n")
+        loads = _count_loads(monkeypatch)
+        run(_file_cfg(good))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=re.escape(f"{bad}:3: could not convert")):
+                run(_file_cfg(bad))
+            assert hetsgd.harness._FILE_CACHE == {}
+        run(_file_cfg(good))
+        assert [p for p, _ in loads] == [good, bad, bad, good]
+
+    def test_file_changed_during_the_parse_is_not_kept(self, tmp_path, monkeypatch):
+        path = _blobs_csv(tmp_path / "blobs.csv")
+        load = hetsgd.harness.load_dataset
+        loads = []
+
+        def touched(*args):
+            loads.append(args[0])
+            mtime = os.stat(path).st_mtime_ns + 10**9
+            os.utime(path, ns=(mtime, mtime))
+            return load(*args)
+
+        monkeypatch.setattr(hetsgd.harness, "load_dataset", touched)
+        first = render_csv(run(_file_cfg(path)))
+        assert hetsgd.harness._FILE_CACHE == {}
+        assert render_csv(run(_file_cfg(path))) == first
+        assert loads == [path, path]
+
+    def test_last_file_replaces_the_one_before(self, tmp_path, monkeypatch):
+        a = _blobs_csv(tmp_path / "a.csv")
+        b = _blobs_csv(tmp_path / "b.csv", seed=6)
+        loads = _count_loads(monkeypatch)
+        run(_file_cfg(a))
+        run(_file_cfg(b))
+        gc.collect()
+        (_, dataset_a), (_, dataset_b) = loads
+        assert dataset_a() is None
+        assert dataset_b() is not None
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_cached_run_matches_a_fresh_parse(self, tmp_path, monkeypatch, fmt):
+        from test_data import save_binary
+        path = str(tmp_path / f"blobs.{fmt}")
+        if fmt == "csv":
+            _blobs_csv(path)
+        else:
+            save_binary(_blobs(), path)
+        loads = _count_loads(monkeypatch)
+        cfg = _file_cfg(path, data_format=fmt, seeds=(0, 1, 2))
+        texts = []
+        for name in ("fresh", "cached"):
+            write_outputs(run(cfg), str(tmp_path / name))
+            texts.append((tmp_path / name / "metrics.csv").read_bytes())
+        assert len(loads) == 1
+        assert texts[0] == texts[1]
 
 
 class TestBudgetAccounting:
@@ -658,6 +781,36 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[1].startswith("2,ok")
         assert lines[2] == "8,NA,NA,NA,NA"  # bound is 1 + alpha = 5
+
+    def test_sweep_lambda_parses_a_file_once(self, tmp_path, monkeypatch):
+        data_path = _blobs_csv(tmp_path / "blobs.csv")
+        cfg_path = tmp_path / "file.cfg"
+        cfg_path.write_text(
+            f"data.source = file\ndata.path = {data_path}\n"
+            "profile.alpha = 32.0\nprofile.tau_f = 8\nprofile.p_s = 1\nprofile.p_f = 1\n"
+            "rounds = 2\nschedule.base_lr = 0.3\nbatch_size = 4\nseeds = 0,1\n")
+        loads = _count_loads(monkeypatch)
+
+        def sweep(tag):
+            out = tmp_path / f"{tag}.csv"
+            assert cli_main(["sweep-lambda", str(cfg_path), "--lambdas", "1", "2", "40", "9",
+                             "--out", str(out), "--quiet"]) == 0
+            return out.read_bytes()
+
+        cached = sweep("cached")
+        assert len(loads) == 1
+        lines = cached.decode().splitlines()
+        assert lines[3] == "40,NA,NA,NA,NA"  # bound is 1 + alpha = 33
+        assert [line.split(",")[1] for line in lines[1:]] == ["ok", "ok", "NA", "ok"]
+        run_cell = hetsgd.cli.run
+
+        def fresh_cell(cfg):
+            hetsgd.harness._FILE_CACHE.clear()
+            return run_cell(cfg)
+
+        monkeypatch.setattr(hetsgd.cli, "run", fresh_cell)
+        assert sweep("fresh") == cached
+        assert len(loads) == 5  # the lambda-40 cell loads before it is rejected
 
     def test_run_file_data_too_small_fails_before_training(self, tmp_path, capsys):
         # validate cannot see a file's size; run checks the shares once loaded
@@ -878,6 +1031,27 @@ class TestCli:
         rc = cli_main(["run", "/nonexistent/path.cfg"])
         assert rc != 0
         assert "error: missing-file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep-lambda", "validate"])
+    def test_directory_config_path_is_one_error_line(self, tmp_path, capsys, command):
+        extra = ["--lambdas", "2"] if command == "sweep-lambda" else []
+        rc = cli_main([command, str(tmp_path), "--out", str(tmp_path / "o"), *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: unreadable-file: {tmp_path}: Is a directory\n")
+
+    @pytest.mark.parametrize("command", ["run", "sweep-lambda"])
+    def test_directory_data_path_is_one_error_line(self, tmp_path, capsys, command):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        cfg_path = tmp_path / "file.cfg"
+        cfg_path.write_text(f"data.source = file\ndata.path = {data_dir}\nrounds = 1\n")
+        extra = ["--lambdas", "2"] if command == "sweep-lambda" else []
+        rc = cli_main([command, str(cfg_path), "--out", str(tmp_path / "o"), *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: unreadable-file: {data_dir}: Is a directory\n")
+        assert not os.path.exists(tmp_path / "o")
 
 
 # hostile values for raw config text; sizes are small or invalid, never a
