@@ -8,7 +8,7 @@ machine whose slow resource is ~33.6x slower per iteration than its fast one
 import numpy as np
 
 from hetsgd.simclock import CostModel, clock, round_timing
-from hetsgd.workers import WorkerSpec, derive_tau_s, measure_alpha
+from hetsgd.workers import WorkerSpec, derive_tau_s
 
 FAST, SLOW = 0.1940, 6.5230
 cost = CostModel(FAST, SLOW, agg_cost=0.05)
@@ -19,7 +19,7 @@ def fleet(tau_f, tau_s):
             WorkerSpec(1, "fast", tau_f, FAST, 32)]
 
 
-alpha = measure_alpha([FAST], [SLOW])
+alpha = SLOW / FAST
 print(f"measured cost ratio alpha = {alpha:.2f}")
 tau_f = 32
 tau_s = derive_tau_s(tau_f, alpha)

@@ -15,10 +15,10 @@ from .data import (Dataset, EpochCursor, InvalidLambdaError, LossLedger, Synthet
                    record_losses, sample_separated, save_csv, share_sizes,
                    slow_total, train_val_split)
 from .harness import RoundRecord, RunResult, bundled_config_path, render_csv, run, write_outputs
-from .models import (Batch, ModelSpec, accuracy, backward, finite_diff_grad, forward_loss,
-                     init_params, param_count)
+from .models import (Batch, ModelSpec, backward, finite_diff_grad, forward_loss, init_params,
+                     param_count)
 from .simclock import CostModel, RoundTiming, clock, round_timing
 from .workers import (DivergenceError, SystemProfile, WorkerSpec, derive_tau_s, lr_schedule,
-                      measure_alpha, train_round)
+                      train_round)
 
 __version__ = "0.1.0"

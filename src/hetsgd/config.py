@@ -6,15 +6,15 @@ with zero dependencies.  Each key is declared once, in ``_KEYS``: its
 field, its parser and its valid values.  ``plan()`` resolves the algorithm
 preset (sync SGD forces tau=1 and balanced averaging, etc.) into a
 :class:`RunPlan`, the one place the four algorithms differ; ``validate()``
-checks every key against its rule, then the rules that span keys (the
-``MAX_ELEMENTS`` cap on the arrays a run sizes and a finite simulated clock
-among them), and returns the plan a run executes: no layer below checks a
-setting again.  ``check_data`` decides whether a plan can run on a dataset
-of a given size and shape, the share rule and the learning rates and clock
-the run writes included: ``validate`` calls it for synthetic data,
-``harness.run`` for a file once it is loaded.  ``seed_group`` says how many
-seeds a run trains at once, so the caps also bound what a run holds while
-its seeds train in lockstep.
+checks every key against its rule, then the rules that span keys (a finite
+simulated clock among them), and returns the plan a run executes: no layer
+below checks a setting again.  ``check_data`` decides whether a plan can
+run on a dataset of a given size and shape, the share rule, the
+``MAX_ELEMENTS`` cap on each array of :func:`array_sizes` and the learning
+rates and clock the run writes included: ``validate`` calls it for
+synthetic data, ``harness.run`` for a file once it is loaded.
+``seed_group`` says how many seeds a run trains at once, so the same sizes
+also bound what a run holds while its seeds train in lockstep.
 """
 
 from __future__ import annotations
@@ -25,15 +25,16 @@ from dataclasses import dataclass, replace
 
 
 from .aggregation import RULES
-from .data import InvalidLambdaError, share_sizes, val_size
+from .core import STREAM_CURSOR_BASE, STREAM_WORKER_BASE
+from .data import InvalidLambdaError, _undecodable, share_sizes, val_size
 from .models import MODEL_KINDS, ModelSpec, param_count
 from .simclock import CostModel, clock, clock_end
 from .workers import (SAMPLER_MODES, SCHEDULE_KINDS, SystemProfile, WorkerSpec, lr_schedule,
                       multistep_rates)
 
 __all__ = ["ExperimentConfig", "ConfigError", "RunPlan", "plan", "check_data", "per_round",
-           "seed_group", "model_spec", "MAX_ELEMENTS", "MAX_WORKERS", "parse_config",
-           "parse_config_file", "render_config", "config_hash", "ALGORITHMS", "validate"]
+           "array_sizes", "seed_group", "model_spec", "MAX_ELEMENTS", "MAX_WORKERS", "validate",
+           "parse_config", "parse_config_file", "render_config", "config_hash", "ALGORITHMS"]
 
 class ConfigError(ValueError):
     pass
@@ -157,17 +158,28 @@ def _int_list(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
+def _rule(test, need):
+    """A key's rule, ``(check, need)``: check(v) is the part of need v fails, or ""."""
+    return (lambda v: "" if test(v) else need), need
+
+
+def _all(*rules):
+    """Rules that must all hold, as one: a value that fails names the first it fails."""
+    return ((lambda v: next(filter(None, (check(v) for check, _ in rules)), "")),
+            ", ".join(need for _, need in rules))
+
+
 def _one_of(*options):
-    return (lambda v: v in options), "one of " + ", ".join(repr(o) for o in options)
+    return _rule(lambda v: v in options, "one of " + ", ".join(repr(o) for o in options))
 
 
 def _bound(op, lo):
-    return (lambda v: v > lo if op == ">" else v >= lo), f"{op} {lo}"
+    return _rule(lambda v: v > lo if op == ">" else v >= lo, f"{op} {lo}")
 
 
-_ANY = (lambda v: True), "any value"
+_ANY = _rule(lambda v: True, "any value")
 
-# dotted key -> (ExperimentConfig field, parser, (rule, what the rule asks)).
+# dotted key -> (ExperimentConfig field, parser, (check, what the rule asks)).
 # A key's rule holds whether or not a run reads the key; rules that span
 # keys are in validate().
 _KEYS = {
@@ -179,7 +191,7 @@ _KEYS = {
     "data.classes": ("data_classes", int, _bound(">=", 2)),
     "data.separation": ("data_separation", float, _ANY),
     "data.sigma": ("data_sigma", float, _bound(">=", 0)),
-    "data.label_noise": ("data_label_noise", float, ((lambda v: 0 <= v <= 1), "in [0, 1]")),
+    "data.label_noise": ("data_label_noise", float, _rule(lambda v: 0 <= v <= 1, "in [0, 1]")),
     "model.kind": ("model_kind", str, _one_of(*MODEL_KINDS)),
     "model.hidden": ("model_hidden", int, _ANY),
     "algorithm": ("algorithm", str, _one_of(*ALGORITHMS)),
@@ -194,15 +206,19 @@ _KEYS = {
     "sampling.cold_start": ("cold_start", str, _one_of("unseen-first", "uniform-first")),
     "schedule.kind": ("schedule_kind", str, _one_of(*SCHEDULE_KINDS)),
     "schedule.base_lr": ("base_lr", float, _bound(">", 0)),
-    "schedule.milestones": ("milestones", _int_list, (
-        (lambda v: all(a < b for a, b in zip(v, v[1:]))), "strictly increasing")),
+    "schedule.milestones": ("milestones", _int_list, _rule(
+        lambda v: all(a < b for a, b in zip(v, v[1:])), "strictly increasing")),
     "schedule.decay": ("decay", float, _bound(">", 0)),
     "batch_size": ("batch_size", int, _bound(">=", 1)),
     "rounds": ("rounds", int, _bound(">=", 0)),
     "epochs": ("epochs", int, _bound(">=", 0)),
     "weight_decay": ("weight_decay", float, _bound(">=", 0)),
-    "val_fraction": ("val_fraction", float, ((lambda v: 0 < v < 1), "in (0, 1)")),
-    "seeds": ("seeds", _int_list, ((lambda v: len(v) > 0), "non-empty")),
+    "val_fraction": ("val_fraction", float, _rule(lambda v: 0 < v < 1, "in (0, 1)")),
+    # RngStream keys a stream by the seed's low 64 bits: no two seeds may share them
+    "seeds": ("seeds", _int_list, _all(
+        _rule(lambda v: len(v) > 0, "non-empty"),
+        _rule(lambda v: len(set(v)) == len(v), "distinct"),
+        _rule(lambda v: all(-2**63 <= s < 2**63 for s in v), "in [-2**63, 2**63)"))),
     "cost.iter_fast": ("cost_iter_fast", float, _bound(">", 0)),
     "cost.iter_slow": ("cost_iter_slow", float, _bound(">", 0)),
     "cost.agg": ("cost_agg", float, _bound(">=", 0)),
@@ -212,7 +228,8 @@ _KEYS = {
 
 def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only \n ends a line, as a file read with universal newlines has them
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -233,8 +250,12 @@ def parse_config(text: str, source: str = "<string>") -> ExperimentConfig:
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read(), source=path)
+    try:  # UTF-8 whatever the locale
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ConfigError(*_undecodable(path).args) from None
+    return parse_config(text, source=path)
 
 
 def render_config(cfg: ExperimentConfig) -> str:
@@ -264,12 +285,13 @@ def validate(cfg: ExperimentConfig) -> RunPlan:
     ConfigError for general problems; InvalidLambdaError specifically when
     the candidate pool would exceed the dataset (the sweep's NA condition).
     """
-    for key, (attr, parser, (rule, need)) in _KEYS.items():
+    for key, (attr, parser, (check, _)) in _KEYS.items():
         value = getattr(cfg, attr)
         if parser is float and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite")
-        if not rule(value):
-            raise ConfigError(f"{key} must be {need}, got {value!r}")
+        unmet = check(value)
+        if unmet:
+            raise ConfigError(f"{key} must be {unmet}, got {value!r}")
     if cfg.algorithm == "biased_local" and cfg.sampler_mode == "uniform":
         raise ConfigError("biased_local requires sampler_mode separated or unified")
     if cfg.data_source == "file" and not cfg.data_path:
@@ -287,10 +309,8 @@ def validate(cfg: ExperimentConfig) -> RunPlan:
         raise ConfigError("need rounds >= 1 or epochs >= 1")
     if cfg.cost_iter_slow < cfg.cost_iter_fast:
         raise ConfigError("cost.iter_slow must be >= cost.iter_fast")
-    # the preset's tau_f, not the configured one: sync_sgd always steps once a round
-    tau_f = _PRESETS[cfg.algorithm].get("tau_f", cfg.tau_f)
-    _cap("(profile.p_s + profile.p_f) x profile.tau_f x batch_size",
-         (cfg.p_s + cfg.p_f) * tau_f * cfg.batch_size)
+    # the one array whose size the data shape does not change, capped before the workers
+    _cap(_PADDED_IDS, array_sizes(cfg, 1, 1, 2)[_PADDED_IDS])
     # before plan(), which builds one WorkerSpec per worker
     if cfg.p_s + cfg.p_f > MAX_WORKERS:
         raise ConfigError(f"profile.p_s + profile.p_f is {cfg.p_s + cfg.p_f} workers, "
@@ -300,10 +320,13 @@ def validate(cfg: ExperimentConfig) -> RunPlan:
     # the preset's sampler, not the configured one: sync_sgd always samples uniformly
     if run_plan.fast_draw == "epoch" and run_plan.profile.sampler_mode == "unified":
         raise ConfigError("epoch-wise fast draws are not defined for unified sampling")
+    cursors = STREAM_WORKER_BASE - STREAM_CURSOR_BASE  # fast worker j's is CURSOR_BASE + j
+    if run_plan.fast_draw == "epoch" and cfg.p_f > cursors:
+        raise ConfigError(f"sampling.fast_draw = epoch allows at most {cursors} fast workers, "
+                          f"got profile.p_f = {cfg.p_f}")
     _check_clock(run_plan, 1)  # what `hetsgd timing` prints
     # a file-backed dataset is checked by run() once it is loaded
     if cfg.data_source == "synthetic":
-        _cap("data.n x data.input_dim", cfg.data_n * cfg.data_input_dim)
         check_data(cfg, run_plan, cfg.data_n, cfg.data_input_dim, cfg.data_classes)
     return run_plan
 
@@ -315,6 +338,7 @@ MAX_ELEMENTS = 2**27
 # trains at once: each row costs a random stream of about 0.8 KiB.  The
 # benchmark's largest run has 16 workers.
 MAX_WORKERS = 2**12
+_PADDED_IDS = "(profile.p_s + profile.p_f) x profile.tau_f x batch_size"
 
 
 def _cap(what: str, count: int, where: str = "") -> None:
@@ -342,6 +366,28 @@ def model_spec(cfg: ExperimentConfig, input_dim: int, num_classes: int) -> Model
                      cfg.model_hidden if cfg.model_kind == "mlp2" else 0)
 
 
+def array_sizes(cfg: ExperimentConfig, n: int, input_dim: int, num_classes: int) -> dict:
+    """The elements of each array one seed of a run on this data holds, by what sizes it.
+
+    The padded batch ids of a round at the preset's tau_f, the synthetic
+    dataset (a file is shared, not stacked), the parameter stack and the
+    larger of a step's and evaluation's activations.  The loss ledger is
+    left out: one seed may hold more rows than the cap.
+    """
+    spec = model_spec(cfg, input_dim, num_classes)
+    workers = cfg.p_s + cfg.p_f
+    rows = max(val_size(n, cfg.val_fraction), workers * cfg.batch_size)
+    tau_f = _PRESETS[cfg.algorithm].get("tau_f", cfg.tau_f)
+    sizes = {_PADDED_IDS: workers * tau_f * cfg.batch_size}
+    if cfg.data_source == "synthetic":
+        sizes["data.n x data.input_dim"] = n * input_dim
+    sizes["(profile.p_s + profile.p_f) x model parameters"] = workers * param_count(spec)
+    sizes["max(validation rows, (profile.p_s + profile.p_f) x batch_size) x the widest of "
+          "data.input_dim, model.hidden, data.classes"] = rows * max(
+              spec.input_dim, spec.hidden_dim, spec.num_classes)
+    return sizes
+
+
 def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
                num_classes: int, where: str = "") -> None:
     """Raise unless ``run_plan`` can run on a dataset of ``n`` rows of this shape.
@@ -349,8 +395,8 @@ def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
     The training split must feed every worker each round by
     ``data.share_sizes``, the rule the sampler applies: its errors become
     ConfigErrors, except that InvalidLambdaError propagates untouched so
-    sweeps can mark NA cells.  Then the parameter stack, the activations and
-    the ``metrics.csv`` rows (total rounds x seeds) must fit ``MAX_ELEMENTS``,
+    sweeps can mark NA cells.  Then each of :func:`array_sizes` and the
+    ``metrics.csv`` rows (total rounds x seeds) must fit ``MAX_ELEMENTS``,
     and the run's :func:`per_round` values must be finite: checked from the
     clock's last entries and the multistep rates, in memory that does not
     grow with the round count.  ``validate`` checks synthetic data; a run
@@ -363,13 +409,8 @@ def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    spec = model_spec(cfg, input_dim, num_classes)
-    workers = cfg.p_s + cfg.p_f
-    _cap("(profile.p_s + profile.p_f) x model parameters", workers * param_count(spec), where)
-    rows = max(val_size(n, cfg.val_fraction), workers * cfg.batch_size)
-    _cap("max(validation rows, (profile.p_s + profile.p_f) x batch_size) x the widest of "
-         "data.input_dim, model.hidden, data.classes",
-         rows * max(spec.input_dim, spec.hidden_dim, spec.num_classes), where)
+    for what, count in array_sizes(cfg, n, input_dim, num_classes).items():
+        _cap(what, count, where)
     rounds = run_plan.total_rounds(n_train)
     _cap("total rounds x seeds", rounds * len(cfg.seeds), where)
     _check_clock(run_plan, rounds, where)
@@ -389,20 +430,11 @@ def seed_group(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
 
     The most, up to all of them, whose (seed, worker) rows stay within
     ``MAX_WORKERS`` and whose stacked arrays each stay within
-    ``MAX_ELEMENTS``: the synthetic datasets (a file is shared, not
-    stacked), the padded batch ids, the training and evaluation
-    activations, the parameter stack and the loss ledger.  One seed
-    always runs: a config ``check_data`` accepts fits every cap but the
-    ledger's, which a file of over 2**27 training rows passes alone.
+    ``MAX_ELEMENTS``: each of :func:`array_sizes` and the loss ledger.
+    One seed always runs: a config ``check_data`` accepts fits every cap
+    but the ledger's, which a file of over 2**27 training rows passes alone.
     """
-    spec = model_spec(cfg, input_dim, num_classes)
-    workers = len(run_plan.workers)
-    rows = workers * cfg.batch_size
-    width = max(input_dim, spec.hidden_dim, num_classes)
-    n_val = val_size(n, cfg.val_fraction)
-    per_seed = [rows * run_plan.workers[-1].tau, rows * width, n_val * width,
-                workers * param_count(spec), n - n_val]
-    if cfg.data_source == "synthetic":
-        per_seed.append(n * input_dim)
-    return max(1, min(len(cfg.seeds), MAX_WORKERS // workers,
+    per_seed = [*array_sizes(cfg, n, input_dim, num_classes).values(),
+                n - val_size(n, cfg.val_fraction)]
+    return max(1, min(len(cfg.seeds), MAX_WORKERS // len(run_plan.workers),
                       *(MAX_ELEMENTS // c for c in per_seed)))

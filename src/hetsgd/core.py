@@ -23,6 +23,15 @@ ParamVector = np.ndarray
 
 _MASK64 = (1 << 64) - 1
 
+# A run's stream ids per seed.  Fast worker j's epoch cursor takes CURSOR_BASE + j
+# and worker i WORKER_BASE + i; config.validate keeps the cursors below the workers.
+STREAM_DATA = 11
+STREAM_SPLIT = 12
+STREAM_INIT = 13
+STREAM_SAMPLER = 20
+STREAM_CURSOR_BASE = 40
+STREAM_WORKER_BASE = 1000
+
 
 class RngStream:
     """A named, independent random stream.
@@ -57,9 +66,6 @@ class RngStream:
 
     def integers(self, low: int, high: int, size=None):
         return self.gen.integers(low, high, size=size)
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
 def round_half_up(x: float) -> int:

@@ -338,10 +338,9 @@ def record_losses(ledger: LossLedger, sample_ids, losses, round_idx: int) -> Los
     # keep the last write per id: the keys id * m + position are distinct,
     # so one unstable sort groups each id's writes in position order and
     # the end of each run is its last.  Keys stay below n * m < 2**63:
-    # config.MAX_ELEMENTS (2**27) caps m, the padded batch ids of a round of
-    # a seed group, and config.seed_group caps n, the group's ledger, at it
-    # too unless one seed's rows pass it: a binary file's n is a u32, and a
-    # CSV file would need 2**36 rows.
+    # config.seed_group caps m, a group's padded batch ids (config.array_sizes),
+    # and n, its ledger, at config.MAX_ELEMENTS (2**27), unless one seed's rows
+    # pass it: a binary file's n is a u32, and a CSV file would need 2**36 rows.
     m = ids.shape[0]
     sorted_ids, pos = np.divmod(np.sort(ids * m + np.arange(m)), m)
     last = np.append(sorted_ids[1:] != sorted_ids[:-1], True)

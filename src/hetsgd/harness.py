@@ -35,9 +35,6 @@ time, so the run raises the error a seed-by-seed run raises: ``seed s
 round r``, then the worker and step or what overflowed.  A
 ``DivergenceError`` carries the rounds finished before it, in output
 order.  Only a diverging run pays for the rerun.
-
-Stream-id allotment per seed: 11 data synthesis, 12 validation split,
-13 model init, 20 sampler, 40+j fast-worker epoch cursors, 1000+id workers.
 """
 
 from __future__ import annotations
@@ -54,7 +51,8 @@ import numpy as np
 from .aggregation import aggregate
 from .config import (ExperimentConfig, RunPlan, check_data, config_hash, model_spec, per_round,
                      seed_group, validate)
-from .core import RngStream
+from .core import (STREAM_CURSOR_BASE, STREAM_DATA, STREAM_INIT, STREAM_SAMPLER, STREAM_SPLIT,
+                   STREAM_WORKER_BASE, RngStream)
 from .data import (Dataset, EpochCursor, LossLedger, assign, make_synthetic, load_dataset,
                    record_losses, share_sizes, split_rows, SyntheticSpec, val_size)
 from .models import init_params, stacked_hits
@@ -62,13 +60,6 @@ from .workers import DivergenceError, train_round
 
 __all__ = ["RoundRecord", "SeedResult", "RunResult", "run", "render_csv",
            "write_outputs", "write_partial", "bundled_config_path", "CSV_HEADER"]
-
-STREAM_DATA = 11
-STREAM_SPLIT = 12
-STREAM_INIT = 13
-STREAM_SAMPLER = 20
-STREAM_CURSOR_BASE = 40
-STREAM_WORKER_BASE = 1000
 
 CSV_HEADER = "seed,round,epoch,lr,train_loss,val_acc,sim_wall_s,sim_block_s,agg_count,grad_steps"
 

@@ -8,9 +8,8 @@ stack of G models, one model being a stack of one, and one class-major copy
 adds its output bias (:func:`_class_major`): :func:`stacked_loss_and_grad`
 is the one analytic gradient and :func:`backward` its one-row call (a caller
 stepping one stack many times passes it :func:`stack_views`), and
-:func:`stacked_hits` is the one evaluation and :func:`accuracy` its
-one-model call.  A central finite-difference gradient is provided as an
-independent oracle for the analytic backward pass.
+:func:`stacked_hits` is the one evaluation.  A central finite-difference
+gradient is provided as an independent oracle for the analytic backward pass.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "finite_diff_grad",
     "relu_crossing_mask",
     "stacked_hits",
-    "accuracy",
 ]
 
 
@@ -362,19 +360,3 @@ def stacked_hits(spec: ModelSpec, params: np.ndarray, features: np.ndarray,
         z = _forward(layers, np.asarray(features, dtype=np.float64))[1]
         by_class = _class_major(z, layers[-1])
     return [_hits(by_class[:, g], y) for g, y in enumerate(labels)]
-
-
-def accuracy(spec: ModelSpec, params: ParamVector, batches) -> float:
-    """Fraction of the batches' samples whose argmax logit matches the label.
-
-    The one-model call of :func:`stacked_hits`.
-    """
-    correct = 0
-    total = 0
-    for batch in batches:
-        correct += stacked_hits(spec, params[None], batch.features[None],
-                                batch.labels[None])[0]
-        total += len(batch)
-    if total == 0:
-        raise ValueError("empty evaluation set")
-    return correct / total

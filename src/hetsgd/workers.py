@@ -40,7 +40,6 @@ __all__ = [
     "WorkerSpec",
     "SystemProfile",
     "derive_tau_s",
-    "measure_alpha",
     "train_round",
     "lr_schedule",
     "multistep_rates",
@@ -75,17 +74,6 @@ class WorkerSpec:
 def derive_tau_s(tau_f: int, alpha: float) -> int:
     """Slow-worker update count: tau_F scaled down by the cost ratio, min 1."""
     return max(1, round_half_up(tau_f / alpha))
-
-
-def measure_alpha(iter_costs_fast, iter_costs_slow) -> float:
-    """Cost ratio from measured average iteration times: mean(slow)/mean(fast)."""
-    fast = np.asarray(iter_costs_fast, dtype=np.float64)
-    slow = np.asarray(iter_costs_slow, dtype=np.float64)
-    if fast.size == 0 or slow.size == 0:
-        raise ValueError("need at least one measurement per class")
-    if np.any(fast <= 0) or np.any(slow <= 0):
-        raise ValueError("iteration costs must be positive")
-    return float(slow.mean() / fast.mean())
 
 
 @dataclass

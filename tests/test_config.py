@@ -2,16 +2,25 @@
 
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hetsgd.config
+import hetsgd.harness
+from hetsgd.cli import main as cli_main
 from hetsgd.config import (_KEYS, ALGORITHMS, MAX_ELEMENTS, MAX_WORKERS, ConfigError,
-                           ExperimentConfig, config_hash, parse_config, parse_config_file, plan,
-                           render_config, validate)
-from hetsgd.data import InvalidLambdaError
+                           ExperimentConfig, check_data, config_hash, model_spec, parse_config,
+                           parse_config_file, plan, render_config, seed_group, validate)
+from hetsgd.core import STREAM_CURSOR_BASE, STREAM_WORKER_BASE, RngStream
+from hetsgd.data import InvalidLambdaError, val_size
+from hetsgd.harness import bundled_config_path, run
+from hetsgd.models import MODEL_KINDS, param_count
 
 
 def minimal(**overrides):
@@ -54,6 +63,117 @@ rounds = 3
     def test_seed_list(self):
         cfg = parse_config("seeds = 0, 1, 2")
         assert cfg.seeds == (0, 1, 2)
+
+
+def cli_error(capsys, *argv):
+    """The one line ``hetsgd validate`` prints to stderr for a config it rejects."""
+    capsys.readouterr()
+    assert cli_main(["validate", *argv]) == 2
+    return capsys.readouterr().err
+
+
+def demo_with(tmp_path, line):
+    """The bundled demo config with one more ``key = value`` line, as a file."""
+    with open(bundled_config_path("demo")) as fh:
+        kept = [l for l in fh.read().splitlines() if l.split(" =")[0] != line.split(" =")[0]]
+    path = tmp_path / "demo.cfg"
+    path.write_text("\n".join(kept + [line]) + "\n")
+    return str(path)
+
+
+class TestConfigFileText:
+    def test_a_byte_that_is_not_utf8_is_located(self, tmp_path, capsys):
+        path = tmp_path / "cafe.cfg"
+        path.write_bytes(b"rounds = 2\n# caf\xe9\n")
+        assert cli_error(capsys, str(path)) == \
+            f"error: invalid-config: {path}:2: not valid UTF-8\n"
+
+    def test_utf8_is_read_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "cafe.cfg"
+        path.write_bytes("# caf\u00e9\nrounds = 2\n".encode())
+        # the C locale, kept ASCII: no coercion to C.UTF-8 and no UTF-8 mode
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        proc = subprocess.run([sys.executable, "-m", "hetsgd", "validate", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{path}: ok\n", "")
+
+    def test_only_newlines_end_a_line(self, tmp_path, capsys):
+        # str.splitlines would also break at the form feed, and count 3 lines
+        path = tmp_path / "ff.cfg"
+        path.write_bytes(b"rounds = 2\f\nbogus\n")
+        assert cli_error(capsys, str(path)) == \
+            f"error: invalid-config: {path}:2: expected 'key = value'\n"
+
+    @pytest.mark.parametrize("ending", [b"\r", b"\r\n"])
+    def test_lines_are_counted_as_universal_newlines_end_them(self, tmp_path, capsys, ending):
+        path = tmp_path / "cr.cfg"
+        path.write_bytes(ending.join([b"rounds = 2", "# \u2028".encode(), b"bogus", b"\xe9", b""]))
+        assert cli_error(capsys, str(path)) == \
+            f"error: invalid-config: {path}:4: not valid UTF-8\n"
+        path.write_bytes(ending.join([b"rounds = 2", "# \u2028".encode(), b"bogus", b""]))
+        assert cli_error(capsys, str(path)) == \
+            f"error: invalid-config: {path}:3: expected 'key = value'\n"
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seeds, detail", [
+        ("0,0", "seeds must be distinct, got (0, 0)"),
+        ("3, 1, 3", "seeds must be distinct, got (3, 1, 3)"),
+        # each of these keys the streams of a seed inside the range
+        ("9223372036854775808", "seeds must be in [-2**63, 2**63), got (9223372036854775808,)"),
+        ("-9223372036854775809",
+         "seeds must be in [-2**63, 2**63), got (-9223372036854775809,)"),
+        ("18446744073709551616",
+         "seeds must be in [-2**63, 2**63), got (18446744073709551616,)"),
+        ("0, -18446744073709551616",
+         "seeds must be in [-2**63, 2**63), got (0, -18446744073709551616)"),
+    ])
+    def test_rejected_seed_lists(self, tmp_path, capsys, seeds, detail):
+        assert cli_error(capsys, demo_with(tmp_path, f"seeds = {seeds}")) == \
+            f"error: invalid-config: {detail}\n"
+
+    def test_a_seed_override_meets_the_rule(self, capsys):
+        assert cli_error(capsys, bundled_config_path("demo"), "--seed", str(2**64)) == \
+            "error: invalid-config: seeds must be in [-2**63, 2**63), got (18446744073709551616,)\n"
+
+    def test_the_range_edges_are_accepted(self):
+        validate(minimal(seeds=(-2**63, 2**63 - 1, 0)))
+
+
+class TestStreams:
+    CURSORS = STREAM_WORKER_BASE - STREAM_CURSOR_BASE
+
+    def test_epoch_cursors_stop_below_the_worker_streams(self, tmp_path, capsys):
+        path = tmp_path / "wide.cfg"
+        path.write_text(f"data.n = 6000\nprofile.p_f = {self.CURSORS + 1}\nprofile.tau_f = 1\n"
+                        "batch_size = 1\nsampling.fast_draw = epoch\n")
+        assert cli_error(capsys, str(path)) == \
+            "error: invalid-config: sampling.fast_draw = epoch allows at most 960 fast " \
+            "workers, got profile.p_f = 961\n"
+        # fresh draws have no cursors
+        validate(parse_config(path.read_text().replace("epoch", "fresh")))
+
+    @pytest.mark.parametrize("workers", [
+        dict(p_s=2, p_f=CURSORS, fast_draw="epoch"),  # the most cursors
+        dict(p_s=MAX_WORKERS // 2, p_f=MAX_WORKERS // 2, fast_draw="fresh"),  # the most workers
+    ], ids=["epoch", "fresh"])
+    def test_every_stream_key_of_a_run_is_distinct(self, monkeypatch, workers):
+        keys = []
+
+        class Recorded(RngStream):
+            def __init__(self, seed, stream_id=0):
+                super().__init__(seed, stream_id)
+                keys.append((seed % 2**64, stream_id % 2**64))  # the Philox key's halves
+
+        monkeypatch.setattr(hetsgd.harness, "RngStream", Recorded)
+        cfg = minimal(tau_f=1, batch_size=1, rounds=1, data_n=20000,
+                      seeds=(0, -2**63, 2**63 - 1), **workers)
+        run(cfg)
+        # data, split, init and sampler, then a cursor per fast worker and a stream per worker
+        cursors = cfg.p_f if cfg.fast_draw == "epoch" else 0
+        assert len(keys) == 3 * (4 + cursors + cfg.p_s + cfg.p_f)
+        assert len(set(keys)) == len(keys)
 
 
 class TestAlgorithmOverrides:
@@ -269,6 +389,91 @@ class TestSizeCap:
         # validate cannot count a file's parameters; run checks them once loaded
         validate(minimal(data_source="file", data_path="d.csv", model_kind="mlp2",
                          model_hidden=10**12))
+
+
+def reference_caps(cfg, n, input_dim, num_classes):
+    """The size caps as ``validate`` and ``check_data`` wrote them out one by one.
+
+    Returns the arrays over ``MAX_ELEMENTS``: the oracle for the caps on
+    ``config.array_sizes``.  ``n`` and the shape are the data's, the
+    config's own for synthetic data.
+    """
+    tau_f = 1 if cfg.algorithm == "sync_sgd" else cfg.tau_f
+    workers = cfg.p_s + cfg.p_f
+    counts = {"padded ids": workers * tau_f * cfg.batch_size}
+    if cfg.data_source == "synthetic":
+        counts["synthetic data"] = cfg.data_n * cfg.data_input_dim
+    spec = model_spec(cfg, input_dim, num_classes)
+    counts["parameters"] = workers * param_count(spec)
+    rows = max(val_size(n, cfg.val_fraction), workers * cfg.batch_size)
+    counts["activations"] = rows * max(spec.input_dim, spec.hidden_dim, spec.num_classes)
+    if workers <= MAX_WORKERS:  # plan() builds one WorkerSpec per worker
+        n_train = n - val_size(n, cfg.val_fraction)
+        counts["rounds x seeds"] = plan(cfg).total_rounds(n_train) * len(cfg.seeds)
+    return [what for what, count in counts.items() if count > MAX_ELEMENTS]
+
+
+def reference_seed_group(cfg, run_plan, n, input_dim, num_classes):
+    """Consecutive seeds per lockstep group, each stacked array written out apart."""
+    spec = model_spec(cfg, input_dim, num_classes)
+    workers = len(run_plan.workers)
+    rows = workers * cfg.batch_size
+    width = max(input_dim, spec.hidden_dim, num_classes)
+    n_val = val_size(n, cfg.val_fraction)
+    per_seed = [rows * run_plan.workers[-1].tau, rows * width, n_val * width,
+                workers * param_count(spec), n - n_val]
+    if cfg.data_source == "synthetic":
+        per_seed.append(n * input_dim)
+    return max(1, min(len(cfg.seeds), MAX_WORKERS // workers,
+                      *(MAX_ELEMENTS // c for c in per_seed)))
+
+
+def _accepted(cfg, shape):
+    """The plan if ``validate`` and, for a file of this shape, ``check_data`` accept ``cfg``."""
+    try:
+        run_plan = validate(cfg)
+        if cfg.data_source == "file":
+            check_data(cfg, run_plan, *shape)
+    except (ConfigError, InvalidLambdaError):
+        return None
+    return run_plan
+
+
+# small sizes half the time, so that a run's other arrays fit; else any scale
+# from 1 to far past the caps, a group's share of the cap among them
+_SIZES = st.one_of(st.integers(1, 16), st.integers(1, 256),
+                   st.integers(0, 44).flatmap(lambda e: st.integers(1, 2**e)),
+                   st.integers(2**14, 2**26))
+_WORKERS = st.one_of(st.integers(1, 4), st.integers(1, 64), st.integers(1, 2**13))
+_ROWS = st.one_of(st.integers(64, 4096), st.integers(2**16, 2**28), _SIZES)
+
+
+class TestArraySizes:
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_caps_and_groups_match_the_arrays_written_apart(self, data):
+        draw = data.draw
+        source = draw(st.sampled_from(["synthetic", "file"]))
+        cfg = minimal(
+            data_source=source, data_path="d.csv", algorithm=draw(st.sampled_from(ALGORITHMS)),
+            p_s=draw(_WORKERS), p_f=draw(_WORKERS), tau_f=draw(_SIZES), batch_size=draw(_SIZES),
+            model_kind=draw(st.sampled_from(MODEL_KINDS)), model_hidden=draw(_SIZES),
+            data_n=draw(_ROWS), data_input_dim=draw(_SIZES), data_classes=draw(st.integers(2, 64)),
+            alpha=draw(st.sampled_from([1.0, 2.0, 8.0])), lam=1.0, rounds=2,
+            val_fraction=draw(st.sampled_from([0.01, 0.2, 0.5])),
+            seeds=tuple(range(draw(st.integers(1, 40)))))
+        shape = (cfg.data_n, cfg.data_input_dim, cfg.data_classes)
+        if source == "file":
+            shape = (draw(_ROWS), draw(_SIZES), draw(st.integers(2, 64)))
+        # every other rule decides alone when no array is capped
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hetsgd.config, "MAX_ELEMENTS", 10**100)
+            other_rules = _accepted(cfg, shape) is not None
+        run_plan = _accepted(cfg, shape)
+        assert (run_plan is not None) == (other_rules and not reference_caps(cfg, *shape))
+        if run_plan is not None:
+            assert seed_group(cfg, run_plan, *shape) == \
+                reference_seed_group(cfg, run_plan, *shape)
 
 
 class TestHash:

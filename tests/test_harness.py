@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -1225,3 +1226,40 @@ class TestDataFileText:
         err = capsys.readouterr().err
         assert not caught, [str(w.message) for w in caught]
         _assert_one_outcome(rc, err, out, data_path)
+
+
+_MLP2_CFG = """data.n = 20000
+data.input_dim = 32
+data.classes = 10
+model.kind = mlp2
+model.hidden = 64
+profile.p_s = 2
+profile.p_f = 4
+profile.tau_f = 8
+batch_size = 64
+rounds = 3
+seeds = 0,1
+"""
+
+
+class TestBlasThreads:
+    """The determinism contract holds for any BLAS thread count, not only the benchmark's 1."""
+
+    @pytest.mark.parametrize("config", ["demo", "mlp2"])
+    def test_metrics_do_not_depend_on_the_thread_count(self, tmp_path, config):
+        cfg_path = bundled_config_path("demo")
+        if config == "mlp2":
+            cfg_path = tmp_path / "mlp2.cfg"
+            cfg_path.write_text(_MLP2_CFG)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "hetsgd", "run", str(cfg_path),
+                                   "--out", str(out), "--quiet"],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "metrics.csv").read_bytes())
+        assert outputs[0] == outputs[1]

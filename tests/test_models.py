@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hetsgd.core import RngStream
 from hetsgd.models import (Batch, ModelSpec, _class_major, _class_sums, _forward, _hits,
-                           _log_softmax, _unpack, accuracy, backward, finite_diff_grad,
+                           _log_softmax, _unpack, backward, finite_diff_grad,
                            forward_loss, init_params, param_count, relu_crossing_mask,
                            stacked_hits, stacked_loss_and_grad)
 
@@ -274,7 +274,7 @@ def reference_logits(spec, params, x):
 
 
 def reference_accuracy(spec, params, batches):
-    """Row-wise ``np.argmax`` over each batch's logits: the oracle for ``accuracy``."""
+    """Row-wise ``np.argmax`` over each batch's logits: the oracle for ``stacked_hits``."""
     correct = 0
     total = 0
     for batch in batches:
@@ -285,6 +285,11 @@ def reference_accuracy(spec, params, batches):
     if total == 0:
         raise ValueError("empty evaluation set")
     return correct / total
+
+
+def one_model_hits(spec, params, batch):
+    """``stacked_hits`` of one model on one batch: a stack of one."""
+    return stacked_hits(spec, params[None], batch.features[None], batch.labels[None])[0]
 
 
 # logits that tie, overflow or are not numbers; -0.0 ties with 0.0
@@ -339,7 +344,9 @@ class TestAccuracyOracle:
                    Batch(np.zeros((5, spec.input_dim)), np.arange(5) % spec.num_classes,
                          np.arange(5))]  # zero inputs: every row's logits are the biases
         for p in (params, np.zeros_like(params), params * 1e300):
-            assert accuracy(spec, p, batches) == reference_accuracy(spec, p, batches)
+            for batch in batches:
+                assert (one_model_hits(spec, p, batch) / len(batch)
+                        == reference_accuracy(spec, p, [batch]))
 
 
 class TestStackedEvaluation:
@@ -393,14 +400,14 @@ class TestAccuracy:
         params = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
         feats = np.array([[2.0, 0.0], [-2.0, 0.0]])
         batch = Batch(feats, np.array([0, 1]), np.arange(2))
-        assert accuracy(spec, params, [batch]) == 1.0
+        assert one_model_hits(spec, params, batch) == 2
 
     def test_all_wrong(self):
         spec = ModelSpec("logistic_regression", 2, 2)
         params = np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
         feats = np.array([[2.0, 0.0], [-2.0, 0.0]])
         batch = Batch(feats, np.array([1, 0]), np.arange(2))
-        assert accuracy(spec, params, [batch]) == 0.0
+        assert one_model_hits(spec, params, batch) == 0
 
     def test_random_labels_near_chance(self):
         c, n = 4, 20_000
@@ -409,7 +416,7 @@ class TestAccuracy:
         params = stream.normal(0.0, 1.0, param_count(spec))
         feats = stream.normal(0.0, 1.0, (n, 3))
         labels = stream.integers(0, c, size=n)
-        acc = accuracy(spec, params, [Batch(feats, labels, np.arange(n))])
+        acc = one_model_hits(spec, params, Batch(feats, labels, np.arange(n))) / n
         p = 1.0 / c
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(acc - p) < 3 * sigma
@@ -418,12 +425,12 @@ class TestAccuracy:
         spec = ModelSpec("logistic_regression", 1, 3)
         params = np.zeros(param_count(spec))  # all logits equal
         batch = Batch(np.ones((4, 1)), np.array([0, 0, 1, 2]), np.arange(4))
-        assert accuracy(spec, params, [batch]) == 0.5  # predicts class 0 always
+        assert one_model_hits(spec, params, batch) == 2  # predicts class 0 always
 
-    def test_empty_rejected(self):
+    def test_empty_set_scores_no_hits(self):
         spec = ModelSpec("logistic_regression", 1, 2)
-        with pytest.raises(ValueError, match="empty"):
-            accuracy(spec, np.zeros(param_count(spec)), [])
+        params = np.zeros((2, param_count(spec)))
+        assert stacked_hits(spec, params, np.zeros((2, 0, 1)), np.zeros((2, 0), int)) == [0, 0]
 
     def test_overflowing_logits_scored_without_a_warning(self):
         # huge but finite params: the evaluation forward pass overflows
@@ -431,7 +438,7 @@ class TestAccuracy:
         batch = Batch(np.full((3, 2), 1e10), np.array([0, 1, 0]), np.arange(3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            accuracy(spec, np.full(param_count(spec), 1e300), [batch])
+            one_model_hits(spec, np.full(param_count(spec), 1e300), batch)
 
 
 class TestBatchInvariants:

@@ -11,7 +11,7 @@ from hetsgd.data import Dataset, make_synthetic, SyntheticSpec
 from hetsgd.models import Batch, ModelSpec, backward, init_params
 from hetsgd.config import ConfigError, ExperimentConfig, validate
 from hetsgd.workers import (DivergenceError, SystemProfile, derive_tau_s, lr_schedule,
-                            measure_alpha, train_round)
+                            train_round)
 from test_models import reference_log_softmax
 
 
@@ -130,22 +130,6 @@ class TestDeriveTauS:
 
     def test_rounding_half_up(self):
         assert derive_tau_s(32, 12.8) == 3  # 2.5 rounds up
-
-
-class TestMeasureAlpha:
-    def test_measured_iteration_times(self):
-        got = measure_alpha([0.1940], [6.5230])
-        assert got == pytest.approx(33.62, abs=0.01)
-
-    def test_equal_means(self):
-        assert measure_alpha([0.3, 0.5], [0.4, 0.4]) == pytest.approx(1.0)
-
-    def test_two_sample_means(self):
-        assert measure_alpha([0.1, 0.3], [0.4, 0.4]) == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="measurement"):
-            measure_alpha([], [0.1])
 
 
 class TestSystemProfile:
