@@ -33,8 +33,9 @@ from .workers import (SAMPLER_MODES, SCHEDULE_KINDS, SystemProfile, WorkerSpec, 
                       multistep_rates)
 
 __all__ = ["ExperimentConfig", "ConfigError", "RunPlan", "plan", "check_data", "per_round",
-           "array_sizes", "seed_group", "model_spec", "MAX_ELEMENTS", "MAX_WORKERS", "validate",
-           "parse_config", "parse_config_file", "render_config", "config_hash", "ALGORITHMS"]
+           "array_sizes", "seed_group", "model_spec", "MAX_ELEMENTS", "ROW_ELEMENTS",
+           "MAX_WORKERS", "validate", "parse_config", "parse_config_file", "render_config",
+           "config_hash", "ALGORITHMS"]
 
 class ConfigError(ValueError):
     pass
@@ -334,6 +335,10 @@ def validate(cfg: ExperimentConfig) -> RunPlan:
 # The most elements any one array a run sizes from its config or data may
 # hold: 2**27, 1 GiB of float64.  The benchmark's largest holds 1.6M.
 MAX_ELEMENTS = 2**27
+# The elements one metrics.csv row costs a run at its peak: its RoundRecord,
+# its per_round entries and its rendered text, 662 B (tracemalloc, one seed
+# of demo.cfg at 2,000 and 20,000 rounds), about 83 float64.
+ROW_ELEMENTS = 83
 # The most workers a run may have, and the most (seed, worker) rows it
 # trains at once: each row costs a random stream of about 0.8 KiB.  The
 # benchmark's largest run has 16 workers.
@@ -396,11 +401,12 @@ def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
     ``data.share_sizes``, the rule the sampler applies: its errors become
     ConfigErrors, except that InvalidLambdaError propagates untouched so
     sweeps can mark NA cells.  Then each of :func:`array_sizes` and the
-    ``metrics.csv`` rows (total rounds x seeds) must fit ``MAX_ELEMENTS``,
-    and the run's :func:`per_round` values must be finite: checked from the
-    clock's last entries and the multistep rates, in memory that does not
-    grow with the round count.  ``validate`` checks synthetic data; a run
-    checks a file once it is loaded, ``where`` naming it.
+    ``metrics.csv`` rows (total rounds x seeds, ``ROW_ELEMENTS`` each) must
+    fit ``MAX_ELEMENTS``, and the run's :func:`per_round` values must be
+    finite: checked from the clock's last entries and the multistep rates,
+    in memory that does not grow with the round count.  ``validate`` checks
+    synthetic data; a run checks a file once it is loaded, ``where`` naming
+    it.
     """
     n_train = n - val_size(n, cfg.val_fraction)
     try:
@@ -412,7 +418,7 @@ def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
     for what, count in array_sizes(cfg, n, input_dim, num_classes).items():
         _cap(what, count, where)
     rounds = run_plan.total_rounds(n_train)
-    _cap("total rounds x seeds", rounds * len(cfg.seeds), where)
+    _cap(f"total rounds x seeds x {ROW_ELEMENTS}", rounds * len(cfg.seeds) * ROW_ELEMENTS, where)
     _check_clock(run_plan, rounds, where)
     if cfg.schedule_kind != "multistep":  # constant and cosine rates never pass base_lr
         return

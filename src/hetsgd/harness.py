@@ -20,10 +20,10 @@ the bits of a run of that seed alone.
 The stack's rows are ordered by tau, then seed, then worker id, so the rows
 still stepping stay a suffix of the stack.  A seed's training rows are
 addressed through a row map into one feature source, never copied: a data
-file, or the group's synthetic datasets, drawn per seed and stored one
-after another.  A data file is parsed once per process per content: the
-last file's arrays stay in memory, read-only, until a different file is
-run.  Each :func:`run` checks it once against the plan with
+file, or the group's synthetic datasets stored one after another.  A run's
+dataset, file or synthetic, is built once per process per content: the
+last one built stays in memory, read-only, until a different dataset is
+run.  Each :func:`run` checks a file once against the plan with
 ``config.check_data``, and every seed shares it read-only.  Only
 the validation rows are copied, into one ``(seeds, rows, input_dim)``
 stack.
@@ -96,50 +96,68 @@ class RunResult:
     summary: dict
 
 
-# the last data file parsed: {(data.format, sha256 of its bytes): read-only Dataset}
-_FILE_CACHE = {}
+# the last dataset a run used, read-only: {key: Dataset}, keyed by
+# (data.format, sha256 of a file's bytes) or (repr of a SyntheticSpec, seeds)
+_DATASET_CACHE = {}
+
+
+def _cached(key, build, keep=lambda: True) -> Dataset:
+    """The dataset cached under ``key``, else ``build()``'s, read-only and kept if ``keep()``."""
+    if key in _DATASET_CACHE:
+        return _DATASET_CACHE[key]
+    _DATASET_CACHE.clear()  # never two datasets held at once
+    dataset = build()
+    dataset.features.flags.writeable = False
+    dataset.labels.flags.writeable = False
+    if keep():
+        _DATASET_CACHE[key] = dataset
+    return dataset
 
 
 def _load_file(cfg: ExperimentConfig) -> Dataset:
     """The config's data file, read-only: every seed of a run shares it.
 
-    A file whose format and bytes match the last one parsed is not parsed
-    again.  It is kept only if its size and mtime did not change while it
-    was hashed and parsed.
+    A file whose format and bytes match the last dataset built is not
+    parsed again.  It is kept only if its size and mtime did not change
+    while it was hashed and parsed.
     """
     digest = hashlib.sha256()
     with open(cfg.data_path, "rb") as fh:
         before = os.fstat(fh.fileno())
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    key = (cfg.data_format, digest.hexdigest())
-    if key in _FILE_CACHE:
-        return _FILE_CACHE[key]
-    _FILE_CACHE.clear()  # never two datasets held at once
-    dataset = load_dataset(cfg.data_path, cfg.data_format or None)
-    dataset.features.flags.writeable = False
-    dataset.labels.flags.writeable = False
-    after = os.stat(cfg.data_path)
-    if (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns):
-        _FILE_CACHE[key] = dataset
-    return dataset
+
+    def unchanged():
+        after = os.stat(cfg.data_path)
+        return (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+    return _cached((cfg.data_format, digest.hexdigest()),
+                   lambda: load_dataset(cfg.data_path, cfg.data_format or None), unchanged)
 
 
 def _synthesize(cfg: ExperimentConfig, seeds) -> Dataset:
-    """The seeds' synthetic datasets one after another: seed k's rows start at k x data.n."""
+    """The seeds' synthetic datasets, read-only, drawn unless the last dataset built was theirs.
+
+    The spec is keyed by its repr, in which 0.0 and -0.0 differ.
+    """
     spec = SyntheticSpec(n=cfg.data_n, input_dim=cfg.data_input_dim,
                          num_classes=cfg.data_classes, separation=cfg.data_separation,
                          sigma=cfg.data_sigma, label_noise=cfg.data_label_noise)
+    return _cached((repr(spec), tuple(seeds)), lambda: _draw(spec, seeds))
+
+
+def _draw(spec: SyntheticSpec, seeds) -> Dataset:
+    """The seeds' datasets one after another: seed k's rows start at k x data.n."""
     if len(seeds) == 1:
         return make_synthetic(spec, RngStream(seeds[0], STREAM_DATA))
-    n = cfg.data_n
-    features = np.empty((len(seeds) * n, cfg.data_input_dim))
+    n = spec.n
+    features = np.empty((len(seeds) * n, spec.input_dim))
     labels = np.empty(len(seeds) * n, dtype=np.int64)
     for k, seed in enumerate(seeds):  # one seed's dataset at a time besides the stack
         part = make_synthetic(spec, RngStream(seed, STREAM_DATA))
         features[k * n:(k + 1) * n] = part.features
         labels[k * n:(k + 1) * n] = part.labels
-    return Dataset(features, labels, cfg.data_classes)
+    return Dataset(features, labels, spec.num_classes)
 
 
 def _stack(taus: list, seeds: int) -> tuple:

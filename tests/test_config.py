@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 import hetsgd.config
 import hetsgd.harness
 from hetsgd.cli import main as cli_main
-from hetsgd.config import (_KEYS, ALGORITHMS, MAX_ELEMENTS, MAX_WORKERS, ConfigError,
-                           ExperimentConfig, check_data, config_hash, model_spec, parse_config,
-                           parse_config_file, plan, render_config, seed_group, validate)
+from hetsgd.config import (_KEYS, ALGORITHMS, MAX_ELEMENTS, MAX_WORKERS, ROW_ELEMENTS,
+                           ConfigError, ExperimentConfig, check_data, config_hash, model_spec,
+                           parse_config, parse_config_file, plan, render_config, seed_group,
+                           validate)
 from hetsgd.core import STREAM_CURSOR_BASE, STREAM_WORKER_BASE, RngStream
 from hetsgd.data import InvalidLambdaError, val_size
 from hetsgd.harness import bundled_config_path, run
@@ -337,9 +338,9 @@ class TestSizeCap:
          "max(validation rows, (profile.p_s + profile.p_f) x batch_size) x the widest of "
          "data.input_dim, model.hidden, data.classes"),
         # the rows of metrics.csv, before any per-round array is built
-        (dict(rounds=10**12), "total rounds x seeds"),
-        (dict(epochs=10**12), "total rounds x seeds"),
-        (dict(rounds=MAX_ELEMENTS // 2 + 1, seeds=(0, 1)), "total rounds x seeds"),
+        (dict(rounds=10**12), "total rounds x seeds x 83"),
+        (dict(epochs=10**12), "total rounds x seeds x 83"),
+        (dict(rounds=MAX_ELEMENTS // 2 + 1, seeds=(0, 1)), "total rounds x seeds x 83"),
     ])
     def test_oversized_array_rejected(self, overrides, what):
         with pytest.raises(ConfigError, match=f"^{re.escape(what)} is \\d+ elements, "
@@ -359,6 +360,17 @@ class TestSizeCap:
         with pytest.raises(ConfigError, match="data.n x data.input_dim"):
             validate(minimal(data_n=MAX_ELEMENTS // 2 + 1, data_input_dim=2))
 
+    def test_row_cap_is_inclusive(self):
+        # each metrics.csv row weighs ROW_ELEMENTS: 1,617,081 one-seed rounds fit
+        rounds = MAX_ELEMENTS // ROW_ELEMENTS
+        validate(minimal(rounds=rounds))
+        validate(minimal(rounds=rounds // 3, seeds=(0, 1, 2)))
+        with pytest.raises(ConfigError, match="^total rounds x seeds x 83 is 134217806 "
+                                              "elements, over the cap of 2\\*\\*27$"):
+            validate(minimal(rounds=rounds + 1))
+        with pytest.raises(ConfigError, match="^total rounds x seeds x 83 is 134217972 "):
+            validate(minimal(rounds=rounds // 3 + 1, seeds=(0, 1, 2)))
+
     def test_worker_count_capped_before_the_plan(self, monkeypatch):
         # every array fits, but plan() would build 8,388,608 WorkerSpecs
         def no_plan(cfg):
@@ -376,10 +388,10 @@ class TestSizeCap:
 
     def test_validate_memory_does_not_grow_with_rounds(self):
         # the learning rates and the clock are checked without per-round arrays,
-        # which at 10**7 rounds would take 80 MB each
+        # which at the cap of 1,617,081 rounds would take 13 MB each
         tracemalloc.start()
         try:
-            validate(minimal(rounds=10**7))
+            validate(minimal(rounds=MAX_ELEMENTS // ROW_ELEMENTS))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -409,7 +421,8 @@ def reference_caps(cfg, n, input_dim, num_classes):
     counts["activations"] = rows * max(spec.input_dim, spec.hidden_dim, spec.num_classes)
     if workers <= MAX_WORKERS:  # plan() builds one WorkerSpec per worker
         n_train = n - val_size(n, cfg.val_fraction)
-        counts["rounds x seeds"] = plan(cfg).total_rounds(n_train) * len(cfg.seeds)
+        counts["rounds x seeds"] = (plan(cfg).total_rounds(n_train) * len(cfg.seeds)
+                                    * ROW_ELEMENTS)
     return [what for what, count in counts.items() if count > MAX_ELEMENTS]
 
 

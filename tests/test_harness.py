@@ -384,6 +384,7 @@ class TestRoundLayout:
         assert rows == [6, 6]  # unpatched: every seed in one stack
         rows.clear()
         monkeypatch.setattr(hetsgd.config, cap, value)
+        monkeypatch.setattr(hetsgd.config, "ROW_ELEMENTS", 1)  # else the row cap stops these runs
         assert render_csv(run(cfg)) == want
         assert rows == stacks
 
@@ -583,7 +584,7 @@ class TestFileData:
         new = render_csv(run(_file_cfg(path)))
         assert [p for p, _ in loads] == [path, path]
         assert new != old
-        hetsgd.harness._FILE_CACHE.clear()
+        hetsgd.harness._DATASET_CACHE.clear()
         assert render_csv(run(_file_cfg(path))) == new
 
     def test_failed_load_caches_nothing(self, tmp_path, monkeypatch):
@@ -596,7 +597,7 @@ class TestFileData:
         for _ in range(2):
             with pytest.raises(ValueError, match=re.escape(f"{bad}:3: could not convert")):
                 run(_file_cfg(bad))
-            assert hetsgd.harness._FILE_CACHE == {}
+            assert hetsgd.harness._DATASET_CACHE == {}
         run(_file_cfg(good))
         assert [p for p, _ in loads] == [good, bad, bad, good]
 
@@ -613,7 +614,7 @@ class TestFileData:
 
         monkeypatch.setattr(hetsgd.harness, "load_dataset", touched)
         first = render_csv(run(_file_cfg(path)))
-        assert hetsgd.harness._FILE_CACHE == {}
+        assert hetsgd.harness._DATASET_CACHE == {}
         assert render_csv(run(_file_cfg(path))) == first
         assert loads == [path, path]
 
@@ -644,6 +645,87 @@ class TestFileData:
             texts.append((tmp_path / name / "metrics.csv").read_bytes())
         assert len(loads) == 1
         assert texts[0] == texts[1]
+
+
+def _count_draws(monkeypatch) -> list:
+    """Route the harness's synthetic draws through a wrapper; each lists its stream's seed."""
+    draws = []
+    draw = hetsgd.harness.make_synthetic
+
+    def counted(spec, stream):
+        draws.append(stream.seed)
+        return draw(spec, stream)
+
+    monkeypatch.setattr(hetsgd.harness, "make_synthetic", counted)
+    return draws
+
+
+class TestDatasetCache:
+    @pytest.mark.parametrize("seeds", [(0,), (0, 1, 2)])
+    def test_cached_draw_matches_a_fresh_one(self, tmp_path, monkeypatch, seeds):
+        draws = _count_draws(monkeypatch)
+        cfg = small_cfg(seeds=seeds)  # one group of every seed
+        texts = []
+        for name in ("first", "cached", "emptied"):
+            if name == "emptied":
+                hetsgd.harness._DATASET_CACHE.clear()
+            write_outputs(run(cfg), str(tmp_path / name))
+            texts.append((tmp_path / name / "metrics.csv").read_bytes())
+        assert draws == list(seeds) * 2
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_negative_zero_separation_is_another_key(self, monkeypatch):
+        # equal as floats, but a config that says -0.0 is not the one that says 0.0
+        draws = _count_draws(monkeypatch)
+        for separation in (0.0, -0.0, 0.0):
+            run(small_cfg(data_separation=separation))
+        assert draws == [0, 0, 0]
+
+    def test_cached_arrays_are_read_only(self):
+        run(small_cfg(seeds=(0, 1)))
+        (dataset,) = hetsgd.harness._DATASET_CACHE.values()
+        assert dataset.n == 2 * 300
+        for array in (dataset.features, dataset.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_diverging_group_reruns_as_with_an_empty_cache(self, monkeypatch):
+        # seed 0 finishes its 4 rounds; seed 1 diverges in round 2
+        cfg = hetsgd.config.parse_config("model.kind = mlp2\nschedule.base_lr = 100\n"
+                                         "rounds = 4\nseeds = 0,1\n")
+        draws = _count_draws(monkeypatch)
+        errors = []
+        for cached in (True, False):
+            run(replace(cfg, base_lr=0.1))  # the group's data, cached
+            assert len(draws) == 2
+            if not cached:
+                hetsgd.harness._DATASET_CACHE.clear()
+            draws.clear()
+            with pytest.raises(DivergenceError) as err:
+                run(cfg)
+            # the group, then seed by seed
+            assert draws == ([] if cached else [0, 1]) + [0, 1]
+            draws.clear()
+            errors.append((str(err.value), hetsgd.harness._render_records(err.value.records)))
+        assert errors[0] == errors[1]
+        assert errors[0][0].startswith("seed 1 round 2 worker ")
+        assert [line.split(",")[:2] for line in errors[0][1].splitlines()[1:]] == [
+            ["0", "0"], ["0", "1"], ["0", "2"], ["0", "3"], ["1", "0"], ["1", "1"]]
+
+    def test_file_then_synthetic_then_file_holds_one_dataset(self, tmp_path, monkeypatch):
+        a = _blobs_csv(tmp_path / "a.csv")
+        b = _blobs_csv(tmp_path / "b.csv", seed=6)
+        loads = _count_loads(monkeypatch)
+        run(_file_cfg(a))
+        run(small_cfg())
+        (synthetic,) = map(weakref.ref, hetsgd.harness._DATASET_CACHE.values())
+        gc.collect()
+        assert loads[0][1]() is None
+        run(_file_cfg(b))
+        gc.collect()
+        assert synthetic() is None
+        assert list(hetsgd.harness._DATASET_CACHE.values()) == [loads[1][1]()]
 
 
 class TestBudgetAccounting:
@@ -806,12 +888,41 @@ class TestCli:
         run_cell = hetsgd.cli.run
 
         def fresh_cell(cfg):
-            hetsgd.harness._FILE_CACHE.clear()
+            hetsgd.harness._DATASET_CACHE.clear()
             return run_cell(cfg)
 
         monkeypatch.setattr(hetsgd.cli, "run", fresh_cell)
         assert sweep("fresh") == cached
         assert len(loads) == 5  # the lambda-40 cell loads before it is rejected
+
+    def test_sweep_lambda_draws_synthetic_data_once_per_seed(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "synthetic.cfg"
+        cfg_path.write_text(
+            "data.n = 240\ndata.input_dim = 3\ndata.classes = 3\n"
+            "profile.alpha = 32.0\nprofile.tau_f = 8\nprofile.p_s = 1\nprofile.p_f = 1\n"
+            "rounds = 2\nschedule.base_lr = 0.3\nbatch_size = 4\nseeds = 0,1\n")
+        draws = _count_draws(monkeypatch)
+
+        def sweep(tag):
+            out = tmp_path / f"{tag}.csv"
+            assert cli_main(["sweep-lambda", str(cfg_path), "--lambdas", "1", "2", "40", "9",
+                             "--out", str(out), "--quiet"]) == 0
+            return out.read_bytes()
+
+        cached = sweep("cached")
+        assert draws == [0, 1]
+        lines = cached.decode().splitlines()
+        assert lines[3] == "40,NA,NA,NA,NA"  # bound is 1 + alpha = 33
+        assert [line.split(",")[1] for line in lines[1:]] == ["ok", "ok", "NA", "ok"]
+        run_cell = hetsgd.cli.run
+
+        def fresh_cell(cfg):
+            hetsgd.harness._DATASET_CACHE.clear()
+            return run_cell(cfg)
+
+        monkeypatch.setattr(hetsgd.cli, "run", fresh_cell)
+        assert sweep("fresh") == cached
+        assert draws == [0, 1] * 4  # validate rejects the lambda-40 cell before any draw
 
     def test_run_file_data_too_small_fails_before_training(self, tmp_path, capsys):
         # validate cannot see a file's size; run checks the shares once loaded
@@ -860,7 +971,7 @@ class TestCli:
          "rounds = 5\n", "schedule.base_lr x schedule.decay ** 2 is not finite"),
         # metrics.csv would hold 200,000,000 rows
         ("rounds = 100000000\nseeds = 0,1\n",
-         "total rounds x seeds is 200000000 elements, over the cap of 2**27"),
+         "total rounds x seeds x 83 is 16600000000 elements, over the cap of 2**27"),
     ], ids=["iter cost", "agg cost", "workers", "learning rate", "rounds x seeds"])
     def test_unrunnable_plan_fails_before_any_output(self, tmp_path, capfd, command, text,
                                                      detail):
