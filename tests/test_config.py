@@ -386,12 +386,13 @@ class TestSizeCap:
         run_plan = validate(minimal(p_s=half, p_f=half, tau_f=1, batch_size=1, data_n=10000))
         assert len(run_plan.workers) == MAX_WORKERS
 
-    def test_validate_memory_does_not_grow_with_rounds(self):
+    def test_validate_memory_does_not_grow_with_rounds(self, monkeypatch):
         # the learning rates and the clock are checked without per-round arrays,
-        # which at the cap of 1,617,081 rounds would take 13 MB each
+        # which at 10**7 rounds would take 80 MB each
+        monkeypatch.setattr(hetsgd.config, "ROW_ELEMENTS", 1)  # else the row cap stops 10**7
         tracemalloc.start()
         try:
-            validate(minimal(rounds=MAX_ELEMENTS // ROW_ELEMENTS))
+            validate(minimal(rounds=10**7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
