@@ -51,9 +51,8 @@ def _cmd_run(args) -> int:
     try:
         result = run(cfg)
     except DivergenceError as exc:
-        # keep the finished rounds; main prints the one error line
-        if exc.records:
-            write_partial(exc.records, out_dir)
+        # keep the finished rounds, drop an earlier run's; main prints the one error line
+        write_partial(exc.records, out_dir)
         raise
     csv_path, json_path = write_outputs(result, out_dir)
     if not args.quiet:
@@ -119,6 +118,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.trials < 1:
+        return _fail("invalid-value", f"--trials must be >= 1, got {args.trials}")
     rng = RngStream(args.seed if args.seed is not None else 0, 99)
     worst = 0.0
     for trial in range(args.trials):

@@ -3,19 +3,21 @@
 The run plan that ``config.validate`` returns fixes the algorithm's workers,
 sampler mode and aggregation rule once, and its worker-id order (slow first)
 is the one order of a round from sampler to ledger.  A run trains its seeds
-in lockstep, ``config.seed_group`` consecutive seeds at a time.  One round:
-draw each seed's sample assignment (loss-biased or uniform) at the share
-sizes ``data.share_sizes`` gave once per run, run every (seed, worker)
-row's local updates in one ``workers.train_round`` call, merge every
-observed loss into the group's ledger with one ``record_losses`` call,
-aggregate each seed's local models, score every seed's model with one
-``models.stacked_hits`` call, and record the round with the learning rate
-and simulated clock that ``config.per_round`` also gave once per run.  The
-group's ledger holds one block of samples per seed, each seed's ledger a
-view of its block, and the merge takes the observations seed by seed, each
-seed's in worker-id order.  Sampling and aggregation stay per seed, and
-every stacked step computes each seed's bits alone, so each seed computes
-the bits of a run of that seed alone.
+in lockstep, ``config.seed_group`` consecutive seeds at a time, and a
+``_Group`` built once per group holds their state as stacked arrays: one
+``(seeds, n_params)`` model stack, one ledger with a block of samples per
+seed, the samplers and cursors, the rows' taus, streams and row maps, the
+validation stack and the records.  One round is a fixed sequence of this
+module's global calls: ``assign`` draws each seed's sample assignment
+(loss-biased or uniform) at the share sizes ``data.share_sizes`` gave once
+per run; ``train_round`` runs every (seed, worker) row's local updates;
+``record_losses`` merges every observed loss into the group's ledger, seed
+by seed and each seed's in worker-id order; ``aggregate`` combines each
+seed's local models; ``stacked_hits`` scores the model stack; and a
+``RoundRecord`` per seed takes the learning rate and simulated clock that
+``per_round`` also gave once per run.  Sampling and aggregation stay per
+seed, and every stacked step computes each seed's bits alone, so each seed
+computes the bits of a run of that seed alone.
 
 The stack's rows are ordered by tau, then seed, then worker id, so the rows
 still stepping stay a suffix of the stack.  A seed's training rows are
@@ -160,48 +162,54 @@ def _draw(spec: SyntheticSpec, seeds) -> Dataset:
     return Dataset(features, labels, spec.num_classes)
 
 
-def _stack(taus: list, seeds: int) -> tuple:
-    """The rows of one ``train_round`` call over ``seeds`` seeds.
+class _Group:
+    """A seed group's state, built once: ``seeds`` trained in lockstep on ``dataset``.
 
-    Returns ``(rows, seed_rows)``: row r is ``rows[r]``, a ``(seed position,
-    worker)`` pair, ordered by tau and then, the sort being stable, by seed
-    and worker id, so the taus never decrease; ``seed_rows[k]`` lists seed
-    k's rows in worker-id order.
-    """
-    p = len(taus)
-    order = sorted(range(seeds * p), key=lambda i: taus[i % p])
-    row_of = {i: row for row, i in enumerate(order)}
-    return ([divmod(i, p) for i in order],
-            [[row_of[k * p + w] for w in range(p)] for k in range(seeds)])
-
-
-class _Seed:
-    """One seed's state: model, ledger, streams, cursors and finished rounds.
-
-    Its training rows are ``row_map``, the indices of its train split in the
-    feature source; ``ledger`` is its block of the group's ledger.
+    ``params[k]`` is seed k's model and ``blocks[k]`` its block of the group
+    ``ledger``.  Row r of a ``train_round`` call is worker ``workers[r]`` of
+    seed position ``row_seed[r]``, with tau ``taus[r]`` and stream
+    ``streams[r]``; the rows are ordered by tau and then, the sort being
+    stable, by seed and worker id, and ``seed_rows[k]`` lists seed k's rows
+    in worker-id order.  ``maps[r]`` is the seed's one map of its training
+    rows into the feature source, shared by all of that seed's rows.
     """
 
-    def __init__(self, run_plan: RunPlan, spec, seed: int, row_map: np.ndarray,
-                 ledger: LossLedger):
-        self.seed = seed
-        self.row_map = row_map
-        self.params = init_params(spec, RngStream(seed, STREAM_INIT))
-        self.ledger = ledger
-        self.sampler = RngStream(seed, STREAM_SAMPLER)
-        self.streams = [RngStream(seed, STREAM_WORKER_BASE + w.id) for w in run_plan.workers]
-        self.cursors = None
+    def __init__(self, cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple,
+                 dataset: Dataset | None, n: int):
+        offsets = [0] * len(seeds)
+        if dataset is None:
+            dataset = _synthesize(cfg, seeds)
+            offsets = [k * n for k in range(len(seeds))]
+        self.dataset = dataset
+        self.spec = model_spec(cfg, dataset.input_dim, dataset.num_classes)
+        splits = [split_rows(n, cfg.val_fraction, RngStream(seed, STREAM_SPLIT)) for seed in seeds]
+        # one validation set per seed, stacked: the only rows that are copied
+        val_rows = np.stack([val + offset for (val, _), offset in zip(splits, offsets)])
+        self.val_x, self.val_y = dataset.features[val_rows], dataset.labels[val_rows]
+        self.n_train = splits[0][1].shape[0]
+        self.ledger = LossLedger(len(seeds) * self.n_train)  # seed k's samples are block k
+        self.blocks = self.ledger.blocks(len(seeds))
+        self.params = np.stack([init_params(self.spec, RngStream(seed, STREAM_INIT))
+                                for seed in seeds])
+        self.samplers = [RngStream(seed, STREAM_SAMPLER) for seed in seeds]
+        self.cursors = [None] * len(seeds)
         if run_plan.fast_draw == "epoch":
-            self.cursors = [EpochCursor(ledger.n, RngStream(seed, STREAM_CURSOR_BASE + j))
-                            for j in range(run_plan.profile.p_f)]
-        self.records = []
-
-
-def _diverged(s: _Seed, r: int, detail: str) -> DivergenceError:
-    """Seed ``s``'s divergence in round ``r``, carrying the rounds it finished."""
-    error = DivergenceError(f"seed {s.seed} round {r}{detail}")
-    error.records = s.records
-    return error
+            self.cursors = [[EpochCursor(self.n_train, RngStream(seed, STREAM_CURSOR_BASE + j))
+                             for j in range(run_plan.profile.p_f)] for seed in seeds]
+        taus = [w.tau for w in run_plan.workers]
+        p = len(taus)
+        order = sorted(range(len(seeds) * p), key=lambda i: taus[i % p])
+        self.row_seed, self.workers = [i // p for i in order], [i % p for i in order]
+        # the inverse permutation: np.argsort would page in ~0.4 MiB more of numpy's code
+        rows = np.empty(len(order), dtype=np.intp)
+        rows[order] = np.arange(len(order))
+        self.seed_rows = rows.reshape(len(seeds), p)
+        self.taus = [taus[w] for w in self.workers]
+        self.streams = [RngStream(seeds[k], STREAM_WORKER_BASE + run_plan.workers[w].id)
+                        for k, w in zip(self.row_seed, self.workers)]
+        maps = [train + offset for (_, train), offset in zip(splits, offsets)]
+        self.maps = [maps[k] for k in self.row_seed]
+        self.records = [[] for _ in seeds]
 
 
 def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: Dataset | None,
@@ -213,76 +221,59 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
     SeedResult per seed, in order.  Raises ``DivergenceError`` at the first
     divergence; for one seed it is the error the module docstring describes.
     """
-    offsets = [0] * len(seeds)
-    if dataset is None:
-        dataset = _synthesize(cfg, seeds)
-        offsets = [k * n for k in range(len(seeds))]
-    spec = model_spec(cfg, dataset.input_dim, dataset.num_classes)
-    splits = [split_rows(n, cfg.val_fraction, RngStream(seed, STREAM_SPLIT)) for seed in seeds]
-    # one validation set per seed, stacked: the only rows that are copied
-    val_rows = np.stack([val + offset for (val, _), offset in zip(splits, offsets)])
-    val_x, val_y = dataset.features[val_rows], dataset.labels[val_rows]
-    n_train = splits[0][1].shape[0]
-    ledger = LossLedger(len(seeds) * n_train)  # seed k's samples are block k
-    group = [_Seed(run_plan, spec, seed, train + offset, view)
-             for seed, (_, train), offset, view in zip(seeds, splits, offsets,
-                                                       ledger.blocks(len(seeds)))]
-    del splits, val_rows
+    g = _Group(cfg, run_plan, seeds, dataset, n)
     taus = [w.tau for w in run_plan.workers]
     lrs, walls, blocks = rounds
-    rounds_per_epoch = run_plan.rounds_per_epoch(n_train)
-    rows, seed_rows = _stack(taus, len(group))
-    # seed-major, then worker-id order: for each id the last write is the
-    # highest worker id's, as when merging the workers one at a time
-    merge_rows = [row for own in seed_rows for row in own]
-    row_taus = [taus[w] for _, w in rows]
-    row_streams = [group[k].streams[w] for k, w in rows]
-    row_maps = [group[k].row_map for k, _ in rows]
+    rounds_per_epoch = run_plan.rounds_per_epoch(g.n_train)
     for r, lr in enumerate(lrs):
-        shares = [assign(s.ledger, run_plan.profile, sizes, s.sampler, run_plan.cold_start,
-                         s.cursors) for s in group]
+        shares = [assign(block, run_plan.profile, sizes, sampler, run_plan.cold_start, cursors)
+                  for block, sampler, cursors in zip(g.blocks, g.samplers, g.cursors)]
         try:
             models, seen_ids, seen_losses, _ = train_round(
-                spec, np.stack([group[k].params for k, _ in rows]), dataset,
-                [shares[k][w] for k, w in rows], row_taus, lr, run_plan.batch_size,
-                row_streams, cfg.weight_decay, row_maps)
+                g.spec, g.params[g.row_seed], g.dataset,
+                [shares[k][w] for k, w in zip(g.row_seed, g.workers)], g.taus, lr,
+                run_plan.batch_size, g.streams, cfg.weight_decay, g.maps)
         except DivergenceError as exc:  # in a one-seed stack, row i is worker i
-            raise _diverged(group[0], r, f" {exc}") from None
+            raise DivergenceError(f"seed {seeds[0]} round {r} {exc}", g.records[0]) from None
         except ValueError as exc:  # assignments from `assign` never trip the kernel's checks
             raise type(exc)(f"round {r} {exc}") from None
         del shares  # not held beside the next round's
-        ids = np.concatenate([seen_ids[row] for row in merge_rows])
-        if ids.min() < 0 or ids.max() >= n_train:  # it would land in another seed's block
-            raise ValueError(f"round {r}: sample id out of range of a seed's {n_train} samples")
-        seen = [sum(seen_ids[row].shape[0] for row in own) for own in seed_rows]
-        ids += np.repeat(np.arange(len(group)) * n_train, seen)
-        record_losses(ledger, ids, np.concatenate([seen_losses[row] for row in merge_rows]), r)
+        # seed-major, then worker-id order: for each id the last write is the
+        # highest worker id's, as when merging the workers one at a time
+        ids = np.concatenate([seen_ids[i] for i in g.seed_rows.flat])
+        if ids.min() < 0 or ids.max() >= g.n_train:  # it would land in another seed's block
+            raise ValueError(f"round {r}: sample id out of range of a seed's {g.n_train} samples")
+        seen = [sum(seen_ids[row].shape[0] for row in own) for own in g.seed_rows]
+        ids += np.repeat(np.arange(len(seeds)) * g.n_train, seen)
+        record_losses(g.ledger, ids, np.concatenate([seen_losses[i] for i in g.seed_rows.flat]), r)
         # per-sample losses are finite, but their sum can overflow
         with np.errstate(over="ignore"):
-            loss_sums = [sum(float(seen_losses[row].sum()) for row in own) for own in seed_rows]
-        for s, own, loss_sum in zip(group, seed_rows, loss_sums):
+            loss_sums = [sum(float(seen_losses[row].sum()) for row in own) for own in g.seed_rows]
+        for k, own in enumerate(g.seed_rows):
             try:  # finite local models can still overflow their combination
-                s.params = aggregate(run_plan.aggregation, models[own], taus,
-                                     round_start=s.params)
+                g.params[k] = aggregate(run_plan.aggregation, models[own], taus,
+                                        round_start=g.params[k])
             except ValueError as exc:
-                raise _diverged(s, r, f": {exc}") from None
-            if not math.isfinite(loss_sum):
-                raise _diverged(s, r, ": training loss overflows")
-        hits = stacked_hits(spec, np.stack([s.params for s in group]), val_x, val_y)
-        for s, count, loss_sum, hit in zip(group, seen, loss_sums, hits):
-            s.records.append(RoundRecord(
-                seed=s.seed,
+                raise DivergenceError(f"seed {seeds[k]} round {r}: {exc}", g.records[k]) from None
+            if not math.isfinite(loss_sums[k]):
+                raise DivergenceError(f"seed {seeds[k]} round {r}: training loss overflows",
+                                      g.records[k])
+        hits = stacked_hits(g.spec, g.params, g.val_x, g.val_y)
+        for seed, records, count, loss_sum, hit in zip(seeds, g.records, seen, loss_sums, hits):
+            records.append(RoundRecord(
+                seed=seed,
                 round=r,
                 epoch=r // rounds_per_epoch,
                 lr=lr,
                 train_loss=loss_sum / count,
-                val_acc=hit / val_y.shape[1],
+                val_acc=hit / g.val_y.shape[1],
                 sim_wall_s=walls[r],
                 sim_block_s=blocks[r],
                 agg_count=r + 1,
                 grad_steps=(r + 1) * run_plan.steps_per_round,
             ))
-    return [SeedResult(seed=s.seed, records=s.records, final_params=s.params) for s in group]
+    return [SeedResult(seed=seed, records=records, final_params=params)
+            for seed, records, params in zip(seeds, g.records, g.params)]
 
 
 def run(cfg: ExperimentConfig) -> RunResult:
@@ -356,17 +347,18 @@ def write_outputs(result: RunResult, out_dir: str) -> tuple:
     return csv_path, _write_text(out_dir, "summary.json", summary)
 
 
-def write_partial(records: list, out_dir: str) -> str:
+def write_partial(records: list, out_dir: str) -> str | None:
     """Write metrics.csv for the rounds a failed run finished; returns its path.
 
-    The rows are the prefix a completed run would have written.  A
-    summary.json left from an earlier run is removed: there is no summary.
+    The rows are the prefix a completed run would have written.  The
+    outputs of an earlier run in out_dir are removed first: there is no
+    summary, and with no rows nothing is written and None is returned.
     """
-    path = _write_text(out_dir, "metrics.csv", _render_records(records))
-    stale = os.path.join(out_dir, "summary.json")
-    if os.path.exists(stale):
-        os.remove(stale)
-    return path
+    for name in ("metrics.csv", "summary.json"):
+        stale = os.path.join(out_dir, name)
+        if os.path.exists(stale):
+            os.remove(stale)
+    return _write_text(out_dir, "metrics.csv", _render_records(records)) if records else None
 
 
 def bundled_config_path(name: str) -> str:

@@ -57,7 +57,9 @@ class DivergenceError(ValueError):
     before the failure, in output order.
     """
 
-    records = ()
+    def __init__(self, message: str, records=()):
+        super().__init__(message)
+        self.records = records
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end driver behavior: determinism, reductions, metrics, CLI."""
 
 import gc
+import importlib
 import json
 import math
 import os
@@ -303,6 +304,22 @@ class TestRoundLayout:
         monkeypatch.setattr(hetsgd.harness, "train_round", shifted)
         with pytest.raises(ValueError, match="round 0: sample id out of range"):
             run(small_cfg(seeds=(0, 1)))
+
+    def test_each_seed_shares_one_row_map(self, monkeypatch):
+        # a map per stacked row would hold seeds x workers copies of the train indices
+        calls = []
+        train = hetsgd.harness.train_round
+
+        def recorded(*args):
+            calls.append(args[-1])  # row_maps: one per stacked row
+            return train(*args)
+
+        monkeypatch.setattr(hetsgd.harness, "train_round", recorded)
+        run(small_cfg(p_s=2, p_f=3, seeds=(0, 1), rounds=2))
+        assert len(calls) == 2
+        for row_maps in calls:
+            assert len(row_maps) == 10
+            assert len({id(m) for m in row_maps}) == 2
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None,
@@ -1071,6 +1088,19 @@ class TestCli:
         assert err.endswith(": non-finite loss or gradient\n")
         assert not os.path.exists(tmp_path / "o")  # no round finished
 
+    def test_round_0_divergence_removes_an_earlier_runs_outputs(self, tmp_path, capfd):
+        ok, bad = tmp_path / "ok.cfg", tmp_path / "bad.cfg"
+        ok.write_text("rounds = 3\n")
+        bad.write_text("model.kind = mlp2\nschedule.base_lr = 1e300\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", str(ok), "--out", str(out), "--quiet"]) == 0
+        assert sorted(os.listdir(out)) == ["metrics.csv", "summary.json"]
+        assert cli_main(["run", str(bad), "--out", str(out)]) == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: invalid-value: seed 0 round 0 worker ")
+        assert os.listdir(out) == []  # nothing left that this config did not write
+
     def test_sweep_lambda_marks_diverged_cells(self, tmp_path, capfd):
         cfg_path = tmp_path / "div.cfg"
         cfg_path.write_text("model.kind = mlp2\nschedule.base_lr = 1e8\nrounds = 4\n")
@@ -1128,6 +1158,12 @@ class TestCli:
         # trial 159 has gradient entries near 2e-8: over a 1e-8 floor, the
         # finite differences' roundoff alone is a relative error of 2e-3
         assert cli_main(["gradcheck", "--trials", "200"]) == 0
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_gradcheck_needs_a_trial(self, capsys, trials):
+        assert cli_main(["gradcheck", "--trials", trials]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: invalid-value: --trials must be >= 1, got {trials}\n")
 
     def test_gradcheck_catches_a_wrong_gradient(self, capsys, monkeypatch):
         right = hetsgd.cli.backward
@@ -1374,3 +1410,41 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stderr
             outputs.append((out / "metrics.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+_REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference")
+
+
+class TestFrozenReference:
+    """``run`` writes the bytes of the benchmark's frozen reference, an independent program.
+
+    ``bench/reference/hetsgd_ref`` trains each seed alone, one worker at a
+    time, with none of the stacking, caching or screening in ``src``; it is
+    imported read-only.  The cosine schedule is left out: under numpy 2 the
+    reference renders its lr as ``np.float64(...)``.
+    """
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(model_kind="mlp2", model_hidden=5),
+        dict(sampler_mode="unified"),
+        dict(fast_draw="epoch"),
+        dict(aggregation="fednova"),
+        dict(algorithm="sync_sgd", rounds=4),
+        dict(algorithm="balanced_local"),
+        dict(algorithm="unbalanced_unbiased"),
+        dict(batch_size=7),
+        dict(batch_size=13, p_s=2, p_f=3),
+        dict(cold_start="uniform-first"),
+        dict(weight_decay=0.01),
+        dict(schedule_kind="multistep", milestones=(3, 7), decay=0.5),
+        dict(seeds=(0, 1, 2, 3)),
+        dict(epochs=2),
+        dict(data_classes=5, data_input_dim=3),
+    ])
+    def test_demo_metrics_equal_the_reference(self, monkeypatch, overrides):
+        monkeypatch.syspath_prepend(_REFERENCE)
+        ref = importlib.import_module("hetsgd_ref")
+        path = bundled_config_path("demo")
+        want = ref.render_csv(ref.run(replace(ref.parse_config_file(path), **overrides)))
+        assert render_csv(run(replace(parse_config_file(path), **overrides))) == want
