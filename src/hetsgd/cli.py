@@ -11,7 +11,8 @@ Subcommands:
 Any validation failure exits nonzero after printing one machine-readable
 line to stderr: ``error: <code>: <detail>``.  A config or data path that
 does not exist is ``missing-file``; one that cannot be read, such as a
-directory, is ``unreadable-file``.
+directory, is ``unreadable-file``.  A failed ``run`` leaves no earlier
+run's outputs in its out dir; a diverged one writes the rounds it finished.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ def _cmd_run(args) -> int:
     out_dir = cfg.out or "out"
     try:
         result = run(cfg)
-    except DivergenceError as exc:
-        # keep the finished rounds, drop an earlier run's; main prints the one error line
-        write_partial(exc.records, out_dir)
+    except Exception as exc:
+        # drop an earlier run's outputs, keeping a divergence's finished rounds;
+        # main prints the one error line
+        write_partial(exc.records if isinstance(exc, DivergenceError) else [], out_dir)
         raise
     csv_path, json_path = write_outputs(result, out_dir)
     if not args.quiet:

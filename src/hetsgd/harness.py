@@ -25,10 +25,12 @@ addressed through a row map into one feature source, never copied: a data
 file, or the group's synthetic datasets stored one after another.  A run's
 dataset, file or synthetic, is built once per process per content: the
 last one built stays in memory, read-only, until a different dataset is
-run.  Each :func:`run` checks a file once against the plan with
-``config.check_data``, and every seed shares it read-only.  Only
-the validation rows are copied, into one ``(seeds, rows, input_dim)``
-stack.
+run.  A file is hashed to find its dataset unless it is settled: on POSIX,
+its inode unchanged for 2 s before a hash began.  A settled file's stat
+fingerprint is kept with its dataset, and a run that finds it again reads
+nothing.  Each :func:`run` checks a file once against the plan with
+``config.check_data``, and every seed shares it read-only.  Only the
+validation rows are copied, into one ``(seeds, rows, input_dim)`` stack.
 
 A run stops at its first divergence: a training row turns non-finite, or
 a seed's training loss or aggregate overflows.  A group of several seeds
@@ -45,6 +47,7 @@ import hashlib
 import json
 import math
 import os
+import time
 from dataclasses import dataclass
 from importlib import resources
 
@@ -101,6 +104,10 @@ class RunResult:
 # the last dataset a run used, read-only: {key: Dataset}, keyed by
 # (data.format, sha256 of a file's bytes) or (repr of a SyntheticSpec, seeds)
 _DATASET_CACHE = {}
+# at most one settled file's stat fingerprint: {fingerprint: its bytes' key in _DATASET_CACHE}
+_SETTLED_FILE = {}
+# a file changed this recently keeps no fingerprint: a write in the same ctime tick would not show
+_SETTLE_NS = 2 * 10**9
 
 
 def _cached(key, build, keep=lambda: True) -> Dataset:
@@ -108,6 +115,7 @@ def _cached(key, build, keep=lambda: True) -> Dataset:
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
     _DATASET_CACHE.clear()  # never two datasets held at once
+    _SETTLED_FILE.clear()
     dataset = build()
     dataset.features.flags.writeable = False
     dataset.labels.flags.writeable = False
@@ -119,22 +127,33 @@ def _cached(key, build, keep=lambda: True) -> Dataset:
 def _load_file(cfg: ExperimentConfig) -> Dataset:
     """The config's data file, read-only: every seed of a run shares it.
 
-    A file whose format and bytes match the last dataset built is not
-    parsed again.  It is kept only if its size and mtime did not change
-    while it was hashed and parsed.
+    A file with the stat fingerprint kept with the cached dataset is not
+    read, and one whose format and bytes match that dataset's is not parsed
+    again.  Both are kept only if the fingerprint did not change while the
+    file was hashed and parsed.
     """
-    digest = hashlib.sha256()
+    def fingerprint(st):
+        return (cfg.data_format, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
     with open(cfg.data_path, "rb") as fh:
-        before = os.fstat(fh.fileno())
+        before = fingerprint(os.fstat(fh.fileno()))
+        if (dataset := _DATASET_CACHE.get(_SETTLED_FILE.get(before))) is not None:
+            return dataset
+        # POSIX's st_ctime is the inode change time; Windows' is the creation time
+        settled = os.name == "posix" and time.time_ns() - before[-1] >= _SETTLE_NS
+        digest = hashlib.sha256()
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
 
     def unchanged():
-        after = os.stat(cfg.data_path)
-        return (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        return fingerprint(os.stat(cfg.data_path)) == before
 
-    return _cached((cfg.data_format, digest.hexdigest()),
-                   lambda: load_dataset(cfg.data_path, cfg.data_format or None), unchanged)
+    key = (cfg.data_format, digest.hexdigest())
+    dataset = _cached(key, lambda: load_dataset(cfg.data_path, cfg.data_format or None), unchanged)
+    if settled and key in _DATASET_CACHE and unchanged():
+        _SETTLED_FILE.clear()
+        _SETTLED_FILE[before] = key
+    return dataset
 
 
 def _synthesize(cfg: ExperimentConfig, seeds) -> Dataset:

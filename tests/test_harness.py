@@ -1,6 +1,7 @@
 """End-to-end driver behavior: determinism, reductions, metrics, CLI."""
 
 import gc
+import hashlib
 import importlib
 import json
 import math
@@ -9,6 +10,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
+import types
 import warnings
 import weakref
 from dataclasses import replace
@@ -533,6 +536,30 @@ def _count_loads(monkeypatch) -> list:
     return loads
 
 
+def _count_hashes(monkeypatch) -> list:
+    """Route the harness's sha256 passes over data files through a wrapper; each appends a 1."""
+    hashes = []
+
+    def counted(*args):
+        hashes.append(1)
+        return hashlib.sha256(*args)
+
+    # the harness's own name only: config_hash also calls hashlib.sha256
+    monkeypatch.setattr(hetsgd.harness, "hashlib", types.SimpleNamespace(sha256=counted))
+    return hashes
+
+
+def _restore_times(path, st):
+    """Set ``path``'s atime and mtime back to ``st``'s once its ctime differs from ``st``'s."""
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))  # sets ctime to now
+        if os.stat(path).st_ctime_ns != st.st_ctime_ns:
+            return
+        time.sleep(0.001)
+    raise AssertionError(f"{path}: ctime did not move")
+
+
 class TestFileData:
     def test_file_is_read_once_and_shared_read_only(self, tmp_path, monkeypatch):
         path = _blobs_csv(tmp_path / "blobs.csv")
@@ -634,6 +661,105 @@ class TestFileData:
         assert hetsgd.harness._DATASET_CACHE == {}
         assert render_csv(run(_file_cfg(path))) == first
         assert loads == [path, path]
+
+    def test_same_size_rewrite_during_the_parse_is_not_kept(self, tmp_path, monkeypatch):
+        path = _blobs_csv(tmp_path / "blobs.csv")
+        copy = str(tmp_path / "copy.csv")
+        _blobs_csv(copy)  # the bytes the first run hashes
+        want = render_csv(run(_file_cfg(copy)))
+        hetsgd.harness._DATASET_CACHE.clear()
+        before = os.stat(path)
+        load = hetsgd.harness.load_dataset
+        loads = []
+
+        def rewritten(*args):
+            loads.append(args[0])
+            if args[0] == path:  # same length, other labels, the same mtime
+                _blobs_csv(path, relabel=1)
+                _restore_times(path, before)
+                assert os.stat(path).st_size == before.st_size
+            return load(*args)
+
+        monkeypatch.setattr(hetsgd.harness, "load_dataset", rewritten)
+        assert render_csv(run(_file_cfg(path))) != want  # the new labels were parsed
+        assert hetsgd.harness._DATASET_CACHE == {}
+        assert render_csv(run(_file_cfg(copy))) == want
+        assert loads == [path, copy]
+
+    def test_settled_file_is_not_hashed_again(self, tmp_path, monkeypatch):
+        path = _blobs_csv(tmp_path / "blobs.csv")
+        monkeypatch.setattr(hetsgd.harness, "_SETTLE_NS", 0)
+        hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
+        cfg = _file_cfg(path, seeds=(0, 1, 2))
+        texts = []
+        for name in ("cold", "warm", "again"):
+            write_outputs(run(cfg), str(tmp_path / name))
+            texts.append((tmp_path / name / "metrics.csv").read_bytes())
+        assert len(hashes) == 1
+        assert len(loads) == 1
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_settled_file_rewritten_at_the_same_size_is_hashed_again(self, tmp_path,
+                                                                      monkeypatch):
+        path = _blobs_csv(tmp_path / "blobs.csv")
+        monkeypatch.setattr(hetsgd.harness, "_SETTLE_NS", 0)
+        hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
+        old = render_csv(run(_file_cfg(path)))
+        before = os.stat(path)
+        _blobs_csv(path, relabel=1)  # same length, other labels
+        _restore_times(path, before)  # and the same mtime, once ctime has moved
+        after = os.stat(path)
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+            before.st_ino, before.st_size, before.st_mtime_ns)
+        new = render_csv(run(_file_cfg(path)))
+        assert len(hashes) == 2
+        assert [p for p, _ in loads] == [path, path]
+        assert new != old
+        hetsgd.harness._DATASET_CACHE.clear()
+        hetsgd.harness._SETTLED_FILE.clear()
+        assert render_csv(run(_file_cfg(path))) == new
+
+    def test_file_written_just_now_is_hashed_every_run(self, tmp_path, monkeypatch):
+        path = _blobs_csv(tmp_path / "blobs.csv")
+        hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
+        for _ in range(3):
+            run(_file_cfg(path))
+        # still inside the settle window, so no run kept a fingerprint
+        assert time.time_ns() - os.stat(path).st_ctime_ns < hetsgd.harness._SETTLE_NS
+        assert hetsgd.harness._SETTLED_FILE == {}
+        assert len(hashes) == 3
+        assert len(loads) == 1
+
+    def test_file_replaced_by_rename_is_hashed(self, tmp_path, monkeypatch):
+        path = _blobs_csv(tmp_path / "blobs.csv")
+        monkeypatch.setattr(hetsgd.harness, "_SETTLE_NS", 0)
+        hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
+        first = render_csv(run(_file_cfg(path)))
+        before = os.stat(path)
+        fresh = _blobs_csv(tmp_path / "fresh.csv")  # the same bytes in a new inode
+        os.utime(fresh, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(fresh, path)
+        assert os.stat(path).st_ino != before.st_ino
+        assert render_csv(run(_file_cfg(path))) == first
+        assert len(hashes) == 2
+        assert [p for p, _ in loads] == [path]  # the bytes' key still finds the dataset
+
+    def test_file_sweep_hashes_a_settled_file_once(self, tmp_path, monkeypatch, capsys):
+        path = _blobs_csv(tmp_path / "blobs.csv")
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(f"data.source = file\ndata.path = {path}\nrounds = 2\n")
+        argv = ["sweep-lambda", str(cfg_path), "--lambdas", "1", "2", "4", "9"]
+        assert cli_main(argv) == 0
+        want = capsys.readouterr().out
+        hetsgd.harness._DATASET_CACHE.clear()
+        hetsgd.harness._SETTLED_FILE.clear()
+        monkeypatch.setattr(hetsgd.harness, "_SETTLE_NS", 0)
+        hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert len(want.splitlines()) == 5
+        assert len(hashes) == 1
+        assert [p for p, _ in loads] == [path]
 
     def test_last_file_replaces_the_one_before(self, tmp_path, monkeypatch):
         a = _blobs_csv(tmp_path / "a.csv")
@@ -1100,6 +1226,25 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: invalid-value: seed 0 round 0 worker ")
         assert os.listdir(out) == []  # nothing left that this config did not write
+
+    @pytest.mark.parametrize("data, lam, code", [
+        ("label,f0\n" + "0,1.5\n1,2.5\n" * 20, 50, "lambda-too-large"),
+        ("label,f0\n0,1.5\n1,abc\n" + "0,1.5\n1,2.5\n" * 19, 1, "invalid-value"),
+    ], ids=["lambda too large", "unparseable row"])
+    def test_failed_run_removes_an_earlier_runs_outputs(self, tmp_path, capfd, data, lam, code):
+        ok, bad, data_path = tmp_path / "ok.cfg", tmp_path / "bad.cfg", tmp_path / "d.csv"
+        ok.write_text("rounds = 3\n")
+        data_path.write_text(data)
+        bad.write_text(f"data.source = file\ndata.path = {data_path}\n"
+                       f"profile.lambda = {lam}\nrounds = 1\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", str(ok), "--out", str(out), "--quiet"]) == 0
+        assert sorted(os.listdir(out)) == ["metrics.csv", "summary.json"]
+        assert cli_main(["run", str(bad), "--out", str(out)]) == 2
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {code}: ")
+        assert os.listdir(out) == []
 
     def test_sweep_lambda_marks_diverged_cells(self, tmp_path, capfd):
         cfg_path = tmp_path / "div.cfg"
