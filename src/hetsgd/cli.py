@@ -13,6 +13,7 @@ line to stderr: ``error: <code>: <detail>``.  A config or data path that
 does not exist is ``missing-file``; one that cannot be read, such as a
 directory, is ``unreadable-file``.  A failed ``run`` leaves no earlier
 run's outputs in its out dir; a diverged one writes the rounds it finished.
+Without ``--out``, a config that does not load names no out dir to clear.
 """
 
 from __future__ import annotations
@@ -47,14 +48,16 @@ def _load(path: str, args):
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args.config, args)
-    out_dir = cfg.out or "out"
+    out_dir = args.out
     try:
+        cfg = _load(args.config, args)
+        out_dir = cfg.out or "out"
         result = run(cfg)
     except Exception as exc:
         # drop an earlier run's outputs, keeping a divergence's finished rounds;
         # main prints the one error line
-        write_partial(exc.records if isinstance(exc, DivergenceError) else [], out_dir)
+        if out_dir:
+            write_partial(exc.records if isinstance(exc, DivergenceError) else [], out_dir)
         raise
     csv_path, json_path = write_outputs(result, out_dir)
     if not args.quiet:

@@ -19,18 +19,19 @@ seed's local models; ``stacked_hits`` scores the model stack; and a
 seed, and every stacked step computes each seed's bits alone, so each seed
 computes the bits of a run of that seed alone.
 
-The stack's rows are ordered by tau, then seed, then worker id, so the rows
-still stepping stay a suffix of the stack.  A seed's training rows are
-addressed through a row map into one feature source, never copied: a data
-file, or the group's synthetic datasets stored one after another.  A run's
-dataset, file or synthetic, is built once per process per content: the
-last one built stays in memory, read-only, until a different dataset is
-run.  A file is hashed to find its dataset unless it is settled: on POSIX,
-its inode unchanged for 2 s before a hash began.  A settled file's stat
-fingerprint is kept with its dataset, and a run that finds it again reads
-nothing.  Each :func:`run` checks a file once against the plan with
-``config.check_data``, and every seed shares it read-only.  Only the
-validation rows are copied, into one ``(seeds, rows, input_dim)`` stack.
+The stack's rows are seed-major, each seed's in worker-id order, and
+``train_round`` steps them in a tau order of its own.  A seed's training
+rows are addressed through a row map into one feature source, never
+copied: a data file, or the group's synthetic datasets stored one after
+another.  A run's dataset, file or synthetic, is built once per process
+per content: the last one built stays in memory, read-only, until a
+different dataset is run.  A file is hashed to find its dataset unless it
+is settled: on POSIX, its inode unchanged for 2 s before a hash began.  A
+settled file's stat fingerprint is one more key of its cached dataset, and
+a run that finds it again reads nothing.  Each :func:`run` checks a file
+once against the plan with ``config.check_data``, and every seed shares it
+read-only.  Only the validation rows are copied, into one ``(seeds, rows,
+input_dim)`` stack.
 
 A run stops at its first divergence: a training row turns non-finite, or
 a seed's training loss or aggregate overflows.  A group of several seeds
@@ -101,11 +102,10 @@ class RunResult:
     summary: dict
 
 
-# the last dataset a run used, read-only: {key: Dataset}, keyed by
-# (data.format, sha256 of a file's bytes) or (repr of a SyntheticSpec, seeds)
+# the last dataset a run used, read-only: {key: Dataset}, keyed by (repr of a
+# SyntheticSpec, seeds) or by (data.format, sha256 of a file's bytes) and the
+# stat fingerprint of each settled file found to hold those bytes
 _DATASET_CACHE = {}
-# at most one settled file's stat fingerprint: {fingerprint: its bytes' key in _DATASET_CACHE}
-_SETTLED_FILE = {}
 # a file changed this recently keeps no fingerprint: a write in the same ctime tick would not show
 _SETTLE_NS = 2 * 10**9
 
@@ -115,7 +115,6 @@ def _cached(key, build, keep=lambda: True) -> Dataset:
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
     _DATASET_CACHE.clear()  # never two datasets held at once
-    _SETTLED_FILE.clear()
     dataset = build()
     dataset.features.flags.writeable = False
     dataset.labels.flags.writeable = False
@@ -127,17 +126,17 @@ def _cached(key, build, keep=lambda: True) -> Dataset:
 def _load_file(cfg: ExperimentConfig) -> Dataset:
     """The config's data file, read-only: every seed of a run shares it.
 
-    A file with the stat fingerprint kept with the cached dataset is not
+    A file whose stat fingerprint is a key of the cached dataset is not
     read, and one whose format and bytes match that dataset's is not parsed
-    again.  Both are kept only if the fingerprint did not change while the
-    file was hashed and parsed.
+    again.  Both keys are kept only if the fingerprint did not change while
+    the file was hashed and parsed.
     """
     def fingerprint(st):
         return (cfg.data_format, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
     with open(cfg.data_path, "rb") as fh:
         before = fingerprint(os.fstat(fh.fileno()))
-        if (dataset := _DATASET_CACHE.get(_SETTLED_FILE.get(before))) is not None:
+        if (dataset := _DATASET_CACHE.get(before)) is not None:
             return dataset
         # POSIX's st_ctime is the inode change time; Windows' is the creation time
         settled = os.name == "posix" and time.time_ns() - before[-1] >= _SETTLE_NS
@@ -151,8 +150,7 @@ def _load_file(cfg: ExperimentConfig) -> Dataset:
     key = (cfg.data_format, digest.hexdigest())
     dataset = _cached(key, lambda: load_dataset(cfg.data_path, cfg.data_format or None), unchanged)
     if settled and key in _DATASET_CACHE and unchanged():
-        _SETTLED_FILE.clear()
-        _SETTLED_FILE[before] = key
+        _DATASET_CACHE[before] = dataset
     return dataset
 
 
@@ -185,11 +183,9 @@ class _Group:
     """A seed group's state, built once: ``seeds`` trained in lockstep on ``dataset``.
 
     ``params[k]`` is seed k's model and ``blocks[k]`` its block of the group
-    ``ledger``.  Row r of a ``train_round`` call is worker ``workers[r]`` of
-    seed position ``row_seed[r]``, with tau ``taus[r]`` and stream
-    ``streams[r]``; the rows are ordered by tau and then, the sort being
-    stable, by seed and worker id, and ``seed_rows[k]`` lists seed k's rows
-    in worker-id order.  ``maps[r]`` is the seed's one map of its training
+    ``ledger``.  The rows of a ``train_round`` call are seed-major: row
+    k x P + i is worker i of seed k, with tau ``taus[row]``, stream
+    ``streams[row]`` and ``maps[row]``, seed k's one map of its training
     rows into the feature source, shared by all of that seed's rows.
     """
 
@@ -215,19 +211,11 @@ class _Group:
         if run_plan.fast_draw == "epoch":
             self.cursors = [[EpochCursor(self.n_train, RngStream(seed, STREAM_CURSOR_BASE + j))
                              for j in range(run_plan.profile.p_f)] for seed in seeds]
-        taus = [w.tau for w in run_plan.workers]
-        p = len(taus)
-        order = sorted(range(len(seeds) * p), key=lambda i: taus[i % p])
-        self.row_seed, self.workers = [i // p for i in order], [i % p for i in order]
-        # the inverse permutation: np.argsort would page in ~0.4 MiB more of numpy's code
-        rows = np.empty(len(order), dtype=np.intp)
-        rows[order] = np.arange(len(order))
-        self.seed_rows = rows.reshape(len(seeds), p)
-        self.taus = [taus[w] for w in self.workers]
-        self.streams = [RngStream(seeds[k], STREAM_WORKER_BASE + run_plan.workers[w].id)
-                        for k, w in zip(self.row_seed, self.workers)]
+        self.taus = [w.tau for w in run_plan.workers] * len(seeds)
+        self.streams = [RngStream(seed, STREAM_WORKER_BASE + w.id)
+                        for seed in seeds for w in run_plan.workers]
         maps = [train + offset for (_, train), offset in zip(splits, offsets)]
-        self.maps = [maps[k] for k in self.row_seed]
+        self.maps = [row_map for row_map in maps for _ in run_plan.workers]
         self.records = [[] for _ in seeds]
 
 
@@ -241,7 +229,8 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
     divergence; for one seed it is the error the module docstring describes.
     """
     g = _Group(cfg, run_plan, seeds, dataset, n)
-    taus = [w.tau for w in run_plan.workers]
+    p = len(run_plan.workers)
+    own = [slice(k * p, (k + 1) * p) for k in range(len(seeds))]  # each seed's rows
     lrs, walls, blocks = rounds
     rounds_per_epoch = run_plan.rounds_per_epoch(g.n_train)
     for r, lr in enumerate(lrs):
@@ -249,28 +238,26 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
                   for block, sampler, cursors in zip(g.blocks, g.samplers, g.cursors)]
         try:
             models, seen_ids, seen_losses, _ = train_round(
-                g.spec, g.params[g.row_seed], g.dataset,
-                [shares[k][w] for k, w in zip(g.row_seed, g.workers)], g.taus, lr,
+                g.spec, np.repeat(g.params, p, axis=0), g.dataset,
+                [share for seed_shares in shares for share in seed_shares], g.taus, lr,
                 run_plan.batch_size, g.streams, cfg.weight_decay, g.maps)
         except DivergenceError as exc:  # in a one-seed stack, row i is worker i
             raise DivergenceError(f"seed {seeds[0]} round {r} {exc}", g.records[0]) from None
-        except ValueError as exc:  # assignments from `assign` never trip the kernel's checks
-            raise type(exc)(f"round {r} {exc}") from None
         del shares  # not held beside the next round's
         # seed-major, then worker-id order: for each id the last write is the
         # highest worker id's, as when merging the workers one at a time
-        ids = np.concatenate([seen_ids[i] for i in g.seed_rows.flat])
+        ids = np.concatenate(seen_ids)
         if ids.min() < 0 or ids.max() >= g.n_train:  # it would land in another seed's block
             raise ValueError(f"round {r}: sample id out of range of a seed's {g.n_train} samples")
-        seen = [sum(seen_ids[row].shape[0] for row in own) for own in g.seed_rows]
+        seen = [sum(row.shape[0] for row in seen_ids[rows]) for rows in own]
         ids += np.repeat(np.arange(len(seeds)) * g.n_train, seen)
-        record_losses(g.ledger, ids, np.concatenate([seen_losses[i] for i in g.seed_rows.flat]), r)
+        record_losses(g.ledger, ids, np.concatenate(seen_losses), r)
         # per-sample losses are finite, but their sum can overflow
         with np.errstate(over="ignore"):
-            loss_sums = [sum(float(seen_losses[row].sum()) for row in own) for own in g.seed_rows]
-        for k, own in enumerate(g.seed_rows):
+            loss_sums = [sum(float(row.sum()) for row in seen_losses[rows]) for rows in own]
+        for k, rows in enumerate(own):
             try:  # finite local models can still overflow their combination
-                g.params[k] = aggregate(run_plan.aggregation, models[own], taus,
+                g.params[k] = aggregate(run_plan.aggregation, models[rows], g.taus[rows],
                                         round_start=g.params[k])
             except ValueError as exc:
                 raise DivergenceError(f"seed {seeds[k]} round {r}: {exc}", g.records[k]) from None

@@ -7,11 +7,11 @@ runs out; a short batch at the permutation boundary is used as-is).  Fast
 workers run ``tau_F`` steps; slow workers run ``tau_S = max(1, round(tau_F /
 alpha))`` where ``alpha`` is the slow/fast per-iteration cost ratio.
 
-:func:`train_round` is the one training kernel.  It steps a stack of rows
-in lockstep, one row per worker, in ascending-tau order: parameters
-stacked as ``(P, n_params)``, the step-t batches gathered as ``(G, b,
-input_dim)``, one stacked gradient call per distinct batch length.  The
-rows still stepping at step t are always a suffix of the stack.  A run
+:func:`train_round` is the one training kernel.  It takes a stack of
+rows in any order, one row per worker, and steps them in lockstep sorted
+by tau: parameters stacked as ``(P, n_params)``, the step-t batches
+gathered as ``(G, b, input_dim)``, one stacked gradient call per distinct
+batch length, on the rows still stepping, a suffix of that order.  A run
 stacks the workers of several seeds, each row with its own start and its
 own row map into one shared feature source.  Each row's stream drives only
 its own permutations and every row does the arithmetic a lone worker
@@ -175,9 +175,9 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
     alone (see :func:`_batch_schedule`).  Sample ids address
     ``dataset``'s rows directly or, with ``row_maps``, through
     ``row_maps[i]``: id j of row i is dataset row ``row_maps[i][j]``, so
-    rows of different seeds share one read-only feature source.  ``taus``
-    must not decrease, so the rows still stepping at step t are always a
-    suffix of the stack; each step makes one call of this module's
+    rows of different seeds share one read-only feature source.  Rows come
+    in any order and step sorted stably by tau, so the rows still stepping
+    at step t are a suffix; each step makes one call of this module's
     ``stacked_loss_and_grad`` per batch length among them, looked up at
     call time, and uses the arrays it returns.  A step where every row
     takes a full batch passes the suffix's :func:`~hetsgd.models.stack_views`,
@@ -185,26 +185,25 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
     would, so the result is bit-identical to running the rows one after
     another.
 
-    Returns ``(end_params, observed_ids, observed_losses, steps)``:
-    ``end_params`` is ``(P, n_params)``, the observed arrays are per-row
-    lists of every sample id and loss seen (at the pre-step parameters,
-    newest last) and ``steps`` counts the gradient steps taken.  Errors
-    name the row as worker i with its 0-based local step.  The first
-    stacked call with a non-finite loss or gradient raises
-    :class:`DivergenceError` naming its lowest such row, as do non-finite
-    end parameters.  Steps are not screened one by one: a non-finite
-    gradient always leaves non-finite end parameters, so the end parameters
-    and every observed loss are checked once, and only a round that fails
-    that check reruns its schedule from the start with each call screened.
+    Returns ``(end_params, observed_ids, observed_losses, steps)`` in the
+    caller's row order: ``end_params`` is ``(P, n_params)``, the observed
+    arrays are per-row lists of every sample id and loss seen (at the
+    pre-step parameters, newest last) and ``steps`` counts the gradient
+    steps taken.  Errors name the caller's row i as worker i, with its
+    0-based local step; where several rows fail at once, the lowest i.
+    The first stacked call with a non-finite loss or gradient raises
+    :class:`DivergenceError`, as do non-finite end parameters.  Steps are
+    not screened one by one: a non-finite gradient always leaves non-finite
+    end parameters, so the end parameters and every observed loss are
+    checked once, and only a round that fails that check reruns its
+    schedule from the start with each call screened.
     """
     p = len(taus)
     if p == 0:
         raise ValueError("need at least one worker")
     if min(taus) < 1:
         raise ValueError("tau must be >= 1")
-    if any(b < a for a, b in zip(taus, taus[1:])):
-        raise ValueError("taus must not decrease: order the workers slow first")
-    tau_max = taus[-1]
+    tau_max = max(taus)
     # negative padding keeps unused entries distinct from real ids and each other
     ids = np.broadcast_to(-1 - np.arange(batch_size), (p, tau_max, batch_size)).copy()
     lens = np.zeros((p, tau_max), dtype=np.int64)
@@ -213,22 +212,28 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
         if assigned.size == 0:
             raise ValueError(f"worker {i}: received an empty assignment")
         _batch_schedule(assigned, taus[i], batch_size, streams[i], ids[i], lens[i])
-    ragged = ((lens > 0) & (lens < batch_size)).any(axis=1).tolist()
     ordered = np.sort(ids, axis=-1)
     repeats = np.flatnonzero((ordered[..., 1:] == ordered[..., :-1]).any(axis=-1))
     if repeats.size:
         i, t = divmod(int(repeats[0]), tau_max)
         raise ValueError(f"worker {i} step {t}: sample ids must be distinct within a batch")
+    # step slot j holds caller row order[j], ascending in tau: the sort is
+    # stable, and the rows still stepping at step t are a suffix of the slots
+    order = np.array(sorted(range(p), key=taus.__getitem__), dtype=np.intp)
+    taus = [taus[i] for i in order]
+    ids, lens = ids[order], lens[order]
+    ragged = ((lens > 0) & (lens < batch_size)).any(axis=1).tolist()
     # padding entries clip to a valid row; no step reads them
     data_rows = ids if row_maps is None else np.stack(
-        [np.take(row_maps[i], ids[i], mode="clip") for i in range(p)])
+        [np.take(row_maps[i], ids[j], mode="clip") for j, i in enumerate(order)])
+    start = start_params[order] if start_params.ndim > 1 else start_params
 
-    params = np.empty((p, start_params.shape[-1]))
+    params = np.empty((p, start.shape[-1]))
     losses = np.zeros(ids.shape)
     features, labels = dataset.features, dataset.labels
     # the replay reruns the drawn schedule, so it draws no random numbers
     for checked in (False, True):
-        params[...] = start_params
+        params[...] = start
         first, views = 0, None
         # overflow is caught by the finiteness checks, not reported by numpy
         with np.errstate(over="ignore", invalid="ignore"):
@@ -250,7 +255,7 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
                         bad = ~(np.isfinite(per_sample).all(axis=1)
                                 & np.isfinite(grad).all(axis=1))
                         if bad.any():
-                            worker = int(np.arange(p)[rows][bad][0])
+                            worker = int(order[rows][bad].min())
                             raise DivergenceError(f"worker {worker} step {t}: "
                                                   "non-finite loss or gradient")
                     losses[rows, t, :size] = per_sample
@@ -265,12 +270,14 @@ def train_round(spec: ModelSpec, start_params: np.ndarray, dataset: Dataset,
         if not (checked or diverged.size) and np.isfinite(losses).all():
             break
         if checked and diverged.size:
-            raise DivergenceError(f"worker {int(diverged[0])}: local training diverged to "
-                                  "non-finite parameters")
+            raise DivergenceError(f"worker {int(order[diverged].min())}: local training "
+                                  "diverged to non-finite parameters")
     else:  # a round that failed its end screen must fault in the replay
         raise RuntimeError("a round that failed its end screen replayed without a fault")
 
+    slots = np.empty(p, dtype=np.intp)  # caller row i is step slot slots[i]
+    slots[order] = np.arange(p)
     seen = np.arange(batch_size) < lens[..., None]
-    observed_ids = [ids[i][seen[i]] for i in range(p)]
-    observed_losses = [losses[i][seen[i]] for i in range(p)]
-    return params, observed_ids, observed_losses, sum(taus)
+    observed_ids = [ids[j][seen[j]] for j in slots]
+    observed_losses = [losses[j][seen[j]] for j in slots]
+    return params[slots], observed_ids, observed_losses, sum(taus)

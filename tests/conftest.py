@@ -7,6 +7,5 @@ import hetsgd.harness
 
 @pytest.fixture(autouse=True)
 def _no_cached_dataset():
-    """Each test starts with no dataset or file fingerprint cached, so tests pass in any order."""
+    """Each test starts with no dataset cached under any key, so tests pass in any order."""
     hetsgd.harness._DATASET_CACHE.clear()
-    hetsgd.harness._SETTLED_FILE.clear()

@@ -698,6 +698,9 @@ class TestFileData:
         assert len(hashes) == 1
         assert len(loads) == 1
         assert texts[0] == texts[1] == texts[2]
+        # one dataset, under its content key and the file's fingerprint
+        assert len(hetsgd.harness._DATASET_CACHE) == 2
+        assert len({id(d) for d in hetsgd.harness._DATASET_CACHE.values()}) == 1
 
     def test_settled_file_rewritten_at_the_same_size_is_hashed_again(self, tmp_path,
                                                                       monkeypatch):
@@ -716,7 +719,6 @@ class TestFileData:
         assert [p for p, _ in loads] == [path, path]
         assert new != old
         hetsgd.harness._DATASET_CACHE.clear()
-        hetsgd.harness._SETTLED_FILE.clear()
         assert render_csv(run(_file_cfg(path))) == new
 
     def test_file_written_just_now_is_hashed_every_run(self, tmp_path, monkeypatch):
@@ -724,9 +726,12 @@ class TestFileData:
         hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
         for _ in range(3):
             run(_file_cfg(path))
-        # still inside the settle window, so no run kept a fingerprint
+        # still inside the settle window, so no run kept a fingerprint: the
+        # cache holds the dataset under its content key alone
         assert time.time_ns() - os.stat(path).st_ctime_ns < hetsgd.harness._SETTLE_NS
-        assert hetsgd.harness._SETTLED_FILE == {}
+        with open(path, "rb") as fh:
+            content = (_file_cfg(path).data_format, hashlib.sha256(fh.read()).hexdigest())
+        assert list(hetsgd.harness._DATASET_CACHE) == [content]
         assert len(hashes) == 3
         assert len(loads) == 1
 
@@ -752,7 +757,6 @@ class TestFileData:
         assert cli_main(argv) == 0
         want = capsys.readouterr().out
         hetsgd.harness._DATASET_CACHE.clear()
-        hetsgd.harness._SETTLED_FILE.clear()
         monkeypatch.setattr(hetsgd.harness, "_SETTLE_NS", 0)
         hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
         assert cli_main(argv) == 0
@@ -1230,13 +1234,17 @@ class TestCli:
     @pytest.mark.parametrize("data, lam, code", [
         ("label,f0\n" + "0,1.5\n1,2.5\n" * 20, 50, "lambda-too-large"),
         ("label,f0\n0,1.5\n1,abc\n" + "0,1.5\n1,2.5\n" * 19, 1, "invalid-value"),
-    ], ids=["lambda too large", "unparseable row"])
+        (None, "x", "invalid-config"),  # a config that does not parse
+        (None, None, "missing-file"),  # no config at all
+    ], ids=["lambda too large", "unparseable row", "unparseable config", "missing config"])
     def test_failed_run_removes_an_earlier_runs_outputs(self, tmp_path, capfd, data, lam, code):
         ok, bad, data_path = tmp_path / "ok.cfg", tmp_path / "bad.cfg", tmp_path / "d.csv"
         ok.write_text("rounds = 3\n")
-        data_path.write_text(data)
-        bad.write_text(f"data.source = file\ndata.path = {data_path}\n"
-                       f"profile.lambda = {lam}\nrounds = 1\n")
+        if data is not None:
+            data_path.write_text(data)
+        if lam is not None:
+            bad.write_text(f"data.source = file\ndata.path = {data_path}\n"
+                           f"profile.lambda = {lam}\nrounds = 1\n")
         out = tmp_path / "o"
         assert cli_main(["run", str(ok), "--out", str(out), "--quiet"]) == 0
         assert sorted(os.listdir(out)) == ["metrics.csv", "summary.json"]
@@ -1588,8 +1596,20 @@ class TestFrozenReference:
         dict(data_classes=5, data_input_dim=3),
     ])
     def test_demo_metrics_equal_the_reference(self, monkeypatch, overrides):
+        self.assert_metrics_equal_the_reference(monkeypatch, "demo", overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {},  # 5 seeds at alpha 32: a slow worker takes one step a round
+        dict(model_kind="mlp2"),
+        dict(p_s=2, p_f=3, batch_size=13, seeds=(0, 1, 2)),
+    ])
+    def test_hard_metrics_equal_the_reference(self, monkeypatch, overrides):
+        self.assert_metrics_equal_the_reference(monkeypatch, "hard", overrides)
+
+    @staticmethod
+    def assert_metrics_equal_the_reference(monkeypatch, name, overrides):
         monkeypatch.syspath_prepend(_REFERENCE)
         ref = importlib.import_module("hetsgd_ref")
-        path = bundled_config_path("demo")
+        path = bundled_config_path(name)
         want = ref.render_csv(ref.run(replace(ref.parse_config_file(path), **overrides)))
         assert render_csv(run(replace(parse_config_file(path), **overrides))) == want

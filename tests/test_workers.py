@@ -241,8 +241,8 @@ class TestTrainRound:
         # round take batches of different lengths
         kind = data.draw(st.sampled_from(["logistic_regression", "mlp2"]))
         p = data.draw(st.integers(1, 8))
-        # sorted: the kernel takes workers in plan order, slow (small tau) first
-        taus = sorted(data.draw(st.lists(st.integers(1, 6), min_size=p, max_size=p)))
+        # in any order: the kernel steps the rows sorted by tau itself
+        taus = data.draw(st.lists(st.integers(1, 6), min_size=p, max_size=p))
         batch_size = data.draw(st.integers(1, 6))
         sizes = data.draw(st.lists(st.integers(1, 3 * batch_size + 2), min_size=p,
                                    max_size=p))
@@ -314,11 +314,73 @@ class TestTrainRound:
             train_round(spec, params, ds, assignments, [1, 1], 0.1, 4,
                         [RngStream(0, 0), RngStream(0, 1)])
 
-    def test_decreasing_taus_rejected(self, tiny_task):
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_row_order_equals_the_tau_sorted_call(self, data):
+        # rows in a drawn order, taus mixed and batches ragged, each row with
+        # its own start, share, stream and map into one of two datasets
+        # stored one after another; the tau-sorted call is the same rows
+        # sorted stably by tau, the one order the kernel steps in
+        kind = data.draw(st.sampled_from(["logistic_regression", "mlp2"]))
+        p = data.draw(st.integers(1, 8))
+        taus = data.draw(st.lists(st.integers(1, 6), min_size=p, max_size=p))
+        batch_size = data.draw(st.integers(1, 5))
+        sizes = data.draw(st.lists(st.integers(1, 3 * batch_size + 2), min_size=p,
+                                   max_size=p))
+        sources = data.draw(st.lists(st.integers(0, 1), min_size=p, max_size=p))
+        weight_decay = data.draw(st.sampled_from([0.0, 0.01]))
+        seed = data.draw(st.integers(0, 2**16))
+        # a row whose start is not finite, or None
+        fault = data.draw(st.sampled_from([None, *range(p)]))
+        perm = data.draw(st.permutations(range(p)))
+        parts = [make_synthetic(SyntheticSpec(n=40, input_dim=3, num_classes=3),
+                                RngStream(seed, k)) for k in range(2)]
+        both = Dataset(np.concatenate([d.features for d in parts]),
+                       np.concatenate([d.labels for d in parts]), 3)
+        train = [RngStream(seed, 10 + k).choose(40, 30) + 40 * k for k in range(2)]
+        spec = ModelSpec(kind, 3, 3, hidden_dim=5 if kind == "mlp2" else 0)
+        starts = np.stack([init_params(spec, RngStream(seed, 20 + i)) for i in range(p)])
+        if fault is not None:
+            starts[fault, 0] = np.nan
+        assignments = [RngStream(seed, 50 + i).choose(30, k) for i, k in enumerate(sizes)]
+
+        def call(rows):
+            return train_round(spec, starts[rows], both, [assignments[i] for i in rows],
+                               [taus[i] for i in rows], 0.3, batch_size,
+                               [RngStream(seed, 100 + i) for i in rows], weight_decay,
+                               [train[sources[i]] for i in rows])
+
+        ranked = sorted(range(p), key=taus.__getitem__)
+        if fault is not None:
+            for rows in (ranked, perm):
+                with pytest.raises(DivergenceError, match=f"^worker {rows.index(fault)} "
+                                                          "step 0: non-finite"):
+                    call(rows)
+            return
+        want, got = call(ranked), call(perm)
+        assert got[3] == want[3] == sum(taus)
+        for j, i in enumerate(perm):
+            k = ranked.index(i)
+            assert_same_bits(got[0][j], want[0][k])
+            assert_same_bits(got[1][j], want[1][k])
+            assert_same_bits(got[2][j], want[2][k])
+
+    def test_faults_name_the_callers_row(self, tiny_task):
         spec, params, ds = tiny_task
-        streams = [RngStream(0, i) for i in range(3)]
-        with pytest.raises(ValueError, match="taus must not decrease"):
-            train_round(spec, params, ds, [np.arange(8)] * 3, [2, 4, 3], 0.1, 4, streams)
+        streams = [RngStream(0, i) for i in range(4)]
+        # the kernel steps the rows as 1, 3, 2, 0; rows 0 and 3 fail in the
+        # first call, and the lower caller row is named
+        starts = np.stack([params] * 4)
+        starts[[0, 3]] = np.inf
+        with pytest.raises(DivergenceError, match="^worker 0 step 0: non-finite loss or "
+                                                  "gradient$"):
+            train_round(spec, starts, ds, [np.arange(8)] * 4, [3, 1, 2, 1], 0.1, 4, streams)
+        # finite losses and gradients, but the weight decay overflows row 1,
+        # which the kernel steps first
+        with pytest.raises(DivergenceError, match="^worker 1: local training diverged to "
+                                                  "non-finite parameters$"):
+            train_round(spec, np.stack([params, params + 1e300]), ds, [np.arange(8)] * 2,
+                        [2, 1], 0.1, 4, streams[:2], weight_decay=1e10)
 
     def test_non_finite_step_raises_divergence_error(self, tiny_task):
         spec, params, ds = tiny_task
@@ -418,7 +480,7 @@ class TestTrainRound:
         # and some start rows scaled toward overflow or made non-finite
         kind = data.draw(st.sampled_from(["logistic_regression", "mlp2"]))
         p = data.draw(st.integers(1, 6))
-        taus = sorted(data.draw(st.lists(st.integers(1, 5), min_size=p, max_size=p)))
+        taus = data.draw(st.lists(st.integers(1, 5), min_size=p, max_size=p))
         batch_size = data.draw(st.integers(1, 4))
         sizes = [batch_size * k for k in data.draw(st.lists(st.integers(1, 3), min_size=p,
                                                             max_size=p))]
