@@ -19,6 +19,7 @@ Without ``--out``, a config that does not load names no out dir to clear.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -45,6 +46,17 @@ def _load(path: str, args):
     if args.out:
         cfg = replace(cfg, out=args.out)
     return cfg
+
+
+def _emit(rows: list, args) -> None:
+    """Write a table's rows to ``--out``, creating its directory, or print them."""
+    text = "\n".join(rows) + "\n"
+    if args.out:
+        os.makedirs(os.path.dirname(args.out) or os.curdir, exist_ok=True)
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
 
 
 def _cmd_run(args) -> int:
@@ -86,14 +98,9 @@ def _cmd_sweep_lambda(args) -> int:
         s = result.summary
         rows.append(f"{lam:g},ok,{s['final_acc_mean']:.6f},"
                     f"{s['final_acc_spread']:.6f},{s['total_sim_wall_s']:.3f}")
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        if not args.quiet:
-            print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _emit(rows, args)
+    if args.out and not args.quiet:
+        print(f"wrote {args.out}")
     return 0
 
 
@@ -105,12 +112,7 @@ def _cmd_timing(args) -> int:
     for w, comp, block in zip(run_plan.workers, timing.compute_time, timing.blocking_time):
         rows.append(f"{w.id},{w.role},{w.tau},{w.iter_cost:g},{comp:.6f},{block:.6f},"
                     f"{timing.round_wall:.6f},{run_plan.cost.agg_cost:g}")
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit(rows, args)
     return 0
 
 

@@ -149,43 +149,16 @@ def _class_major(z: np.ndarray, b: np.ndarray) -> np.ndarray:
     return by_class
 
 
-def _pairwise(e: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of a row, taken down the rows of ``(c, m)`` ``e`` for all m columns.
-
-    Below 8 elements it adds them in order; up to 128, 8 interleaved
-    accumulators combined as a tree, then the rest in order; above that,
-    the halves, split at a multiple of 8, summed apart.
-    """
-    c = e.shape[0]
-    if c < 8:
-        total = e[0] + e[1]
-        for k in range(2, c):
-            total += e[k]
-        return total
-    if c <= 128:
-        acc = e[:8].copy()
-        end = c - c % 8
-        for k in range(8, end, 8):
-            acc += e[k:k + 8]
-        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
-        total += (acc[4] + acc[5]) + (acc[6] + acc[7])
-        for k in range(end, c):
-            total += e[k]
-        return total
-    half = c // 2 - c // 2 % 8
-    return _pairwise(e[:half]) + _pairwise(e[half:])
-
-
 def _class_sums(e: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(e.T, axis=-1)`` of class-major ``(c, m)`` ``e``, bit for bit.
+    """The row sums ``np.add.reduce(e.T, axis=-1)`` of class-major ``(c, m)`` ``e``, bit for bit.
 
-    numpy adds each row's pairwise sum to 0; adding 0 last instead changes
-    nothing but the sign of a zero, which ends positive either way.  Where
-    the sum is NaN, which NaN it is may differ.
+    From 8 classes on the reduction runs on a row-major copy.  Below 8,
+    where that copy costs more than the sum, the class rows are added in
+    turn, which gives the same bits.
     """
-    total = _pairwise(e)
-    total += 0.0
-    return total
+    if e.shape[0] < 8:
+        return np.add.reduce(e, axis=0)
+    return np.add.reduce(np.ascontiguousarray(e.T), axis=1)
 
 
 def _log_softmax(by_class: np.ndarray) -> np.ndarray:
@@ -195,7 +168,7 @@ def _log_softmax(by_class: np.ndarray) -> np.ndarray:
     logits, op for op, with each reduction one pass per class row instead of
     one loop per sample, so the bits are the same: the maximum is the
     row's (a maximum of 0.0 tied with -0.0 may take the other sign, which
-    changes no result) and :func:`_class_sums` is numpy's sum.
+    changes no result) and :func:`_class_sums` gives the row's sum.
     """
     by_class -= np.maximum.reduce(by_class, axis=0)
     by_class -= np.log(_class_sums(np.exp(by_class)))

@@ -749,6 +749,23 @@ class TestFileData:
         assert len(hashes) == 2
         assert [p for p, _ in loads] == [path]  # the bytes' key still finds the dataset
 
+    def test_file_at_another_inode_is_hashed(self, tmp_path, monkeypatch):
+        # the fingerprint reads st_ino: a file that differs in nothing else is not taken as seen
+        path = _blobs_csv(tmp_path / "blobs.csv")
+        monkeypatch.setattr(hetsgd.harness, "_SETTLE_NS", 0)
+        hashes = _count_hashes(monkeypatch)
+        first = render_csv(run(_file_cfg(path)))
+
+        def other_inode(fd):
+            st = os.fstat(fd)
+            times = {k: getattr(st, k) for k in ("st_atime_ns", "st_mtime_ns", "st_ctime_ns")}
+            return os.stat_result((st.st_mode, st.st_ino + 1, *st[2:]), times)
+
+        monkeypatch.setattr(hetsgd.harness, "os",
+                            types.SimpleNamespace(**{**vars(os), "fstat": other_inode}))
+        assert render_csv(run(_file_cfg(path))) == first
+        assert len(hashes) == 2
+
     def test_file_sweep_hashes_a_settled_file_once(self, tmp_path, monkeypatch, capsys):
         path = _blobs_csv(tmp_path / "blobs.csv")
         cfg_path = tmp_path / "sweep.cfg"
@@ -989,6 +1006,14 @@ class TestCli:
         assert lines[0].startswith("lambda,status")
         assert lines[1].startswith("2,ok")
         assert lines[2] == "8,NA,NA,NA,NA"
+
+    def test_sweep_lambda_out_creates_its_directory(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "grid.csv"
+        rc = cli_main(["sweep-lambda", bundled_config_path("demo"), "--seed", "0",
+                       "--lambdas", "1", "2", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr() == (f"wrote {out}\n", "")
+        assert out.read_text().splitlines()[2].startswith("2,ok,")
 
     def test_sweep_lambda_file_data_marks_na_at_run_time(self, tmp_path, capsys):
         # file-backed datasets reveal N only when running, so the oversize
@@ -1307,6 +1332,13 @@ class TestCli:
         assert lines[0].startswith("worker,role,tau")
         assert len(lines) == 3  # header + 2 workers
 
+    def test_timing_out_creates_its_directory(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b" / "timing.csv"
+        assert cli_main(["timing", bundled_config_path("demo"), "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert cli_main(["timing", bundled_config_path("demo")]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
     def test_gradcheck(self, capsys):
         # trial 159 has gradient entries near 2e-8: over a 1e-8 floor, the
         # finite differences' roundoff alone is a relative error of 2e-3
@@ -1568,13 +1600,59 @@ class TestBlasThreads:
 _REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "reference")
 
 
+@pytest.fixture(scope="module")
+def hetsgd_ref():
+    """The frozen reference package, imported from ``bench/reference`` without writing there."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(_REFERENCE)
+        mp.setattr(sys, "dont_write_bytecode", True)
+        yield importlib.import_module("hetsgd_ref")
+
+
+@st.composite
+def reference_cases(draw):
+    """A bundled config's name and overrides, drawn over the domain both programs know.
+
+    Both sides of the class-sum cut at 8 classes and of numpy's 128 are
+    drawn.  The cosine schedule is left out: under numpy 2 the reference
+    renders its lr as ``np.float64(...)``.
+    """
+    name = draw(st.sampled_from(["demo", "hard"]))
+    classes = draw(st.sampled_from([2, 3, 10, 130]))
+    overrides = dict(
+        model_kind=draw(st.sampled_from(["logistic_regression", "mlp2"])),
+        model_hidden=draw(st.sampled_from([3, 8])),
+        algorithm=draw(st.sampled_from(ALGORITHMS)),
+        sampler_mode=draw(st.sampled_from(SAMPLER_MODES)),
+        aggregation=draw(st.sampled_from(["balanced", "tau_weighted", "fednova"])),
+        fast_draw=draw(st.sampled_from(["fresh", "epoch"])),
+        cold_start=draw(st.sampled_from(["unseen-first", "uniform-first"])),
+        batch_size=draw(st.sampled_from([5, 7, 13, 32])),
+        p_s=draw(st.integers(1, 3)),
+        p_f=draw(st.integers(1, 4)),
+        seeds=tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))),
+        data_classes=classes,
+        data_input_dim=draw(st.sampled_from([1, 3, 16])),
+        weight_decay=draw(st.sampled_from([0.0, 0.01])),
+    )
+    if classes == 130:
+        overrides["data_n"] = draw(st.sampled_from([1400, 2000]))
+    if draw(st.booleans()):
+        milestones = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True))
+        overrides.update(schedule_kind="multistep", milestones=tuple(sorted(milestones)),
+                         decay=0.5)
+    if draw(st.booleans()):
+        overrides["epochs"] = 1
+    else:
+        overrides["rounds"] = draw(st.integers(2, 5))
+    return name, overrides
+
+
 class TestFrozenReference:
     """``run`` writes the bytes of the benchmark's frozen reference, an independent program.
 
     ``bench/reference/hetsgd_ref`` trains each seed alone, one worker at a
-    time, with none of the stacking, caching or screening in ``src``; it is
-    imported read-only.  The cosine schedule is left out: under numpy 2 the
-    reference renders its lr as ``np.float64(...)``.
+    time, with none of the stacking, caching or screening in ``src``.
     """
 
     @pytest.mark.parametrize("overrides", [
@@ -1595,21 +1673,45 @@ class TestFrozenReference:
         dict(epochs=2),
         dict(data_classes=5, data_input_dim=3),
     ])
-    def test_demo_metrics_equal_the_reference(self, monkeypatch, overrides):
-        self.assert_metrics_equal_the_reference(monkeypatch, "demo", overrides)
+    def test_demo_metrics_equal_the_reference(self, hetsgd_ref, overrides):
+        got, want = self.outcomes(hetsgd_ref, "demo", overrides)
+        assert got is not None and got == want
 
     @pytest.mark.parametrize("overrides", [
         {},  # 5 seeds at alpha 32: a slow worker takes one step a round
         dict(model_kind="mlp2"),
         dict(p_s=2, p_f=3, batch_size=13, seeds=(0, 1, 2)),
     ])
-    def test_hard_metrics_equal_the_reference(self, monkeypatch, overrides):
-        self.assert_metrics_equal_the_reference(monkeypatch, "hard", overrides)
+    def test_hard_metrics_equal_the_reference(self, hetsgd_ref, overrides):
+        got, want = self.outcomes(hetsgd_ref, "hard", overrides)
+        assert got is not None and got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=reference_cases())
+    def test_drawn_configs_agree_with_the_reference(self, hetsgd_ref, case):
+        name, overrides = case
+        got, want = self.outcomes(hetsgd_ref, name, overrides)
+        if got is None:
+            assert want is None
+            return
+        cfg = replace(parse_config_file(bundled_config_path(name)), **overrides)
+        if (cfg.fast_draw, cfg.sampler_mode) == ("epoch", "unified") and (
+                cfg.algorithm != "biased_local"):
+            # the reference rejects epoch draws under the configured unified
+            # sampler; src checks the preset's, which samples uniformly
+            assert want is None
+        else:
+            assert got == want
 
     @staticmethod
-    def assert_metrics_equal_the_reference(monkeypatch, name, overrides):
-        monkeypatch.syspath_prepend(_REFERENCE)
-        ref = importlib.import_module("hetsgd_ref")
+    def outcomes(ref, name, overrides) -> tuple:
+        """``metrics.csv`` text from ``src`` and from the reference; None where one rejects."""
         path = bundled_config_path(name)
-        want = ref.render_csv(ref.run(replace(ref.parse_config_file(path), **overrides)))
-        assert render_csv(run(replace(parse_config_file(path), **overrides))) == want
+        texts = []
+        for parse, train, render in ((parse_config_file, run, render_csv),
+                                     (ref.parse_config_file, ref.run, ref.render_csv)):
+            try:
+                texts.append(render(train(replace(parse(path), **overrides))))
+            except ValueError:
+                texts.append(None)
+        return tuple(texts)

@@ -200,8 +200,8 @@ SPECIAL_SUMMANDS = [0.0, -0.0, 1.0, -1.0, 1e-300, 1e308, -1e308, np.inf, -np.inf
 class TestClassMajorSoftmax:
     @pytest.mark.parametrize("c", range(2, 301))
     def test_class_sums_are_numpys_row_sums(self, c):
-        # numpy's own order: sequential below 8, 8 accumulators up to 128,
-        # halves above; rows of scaled normals, zeros, infs and nans
+        # both sides of the cut at 8 classes and of numpy's 128; rows of
+        # scaled normals, zeros, infs and nans
         rng = np.random.default_rng(c)
         rows = rng.normal(size=(40, c)) * np.exp(rng.uniform(-40.0, 40.0, (40, c)))
         rows[:20] = rng.choice(SPECIAL_SUMMANDS, size=(20, c))
