@@ -48,6 +48,17 @@ def _load(path: str, args):
     return cfg
 
 
+def _check_out(path: str) -> None:
+    """Raise now, creating and changing nothing, what writing file ``path`` later would."""
+    head = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):  # a file in the way: this fails, making nothing
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+    if os.path.isdir(path):  # so does a directory at the file's path
+        open(path, "w").close()
+
+
 def _emit(rows: list, args) -> None:
     """Write a table's rows to ``--out``, creating its directory, or print them."""
     text = "\n".join(rows) + "\n"
@@ -64,6 +75,8 @@ def _cmd_run(args) -> int:
     try:
         cfg = _load(args.config, args)
         out_dir = cfg.out or "out"
+        for name in ("metrics.csv", "summary.json"):  # before the first round
+            _check_out(os.path.join(out_dir, name))
         result = run(cfg)
     except Exception as exc:
         # drop an earlier run's outputs, keeping a divergence's finished rounds;
@@ -83,6 +96,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep_lambda(args) -> int:
     cfg = _load(args.config, args)
+    if args.out:
+        _check_out(args.out)  # before the first cell
     rows = ["lambda,status,final_acc_mean,final_acc_spread,total_sim_wall_s"]
     for lam in args.lambdas:
         sweep_cfg = replace(cfg, lam=lam)

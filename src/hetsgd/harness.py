@@ -23,15 +23,15 @@ The stack's rows are seed-major, each seed's in worker-id order, and
 ``train_round`` steps them in a tau order of its own.  A seed's training
 rows are addressed through a row map into one feature source, never
 copied: a data file, or the group's synthetic datasets stored one after
-another.  A run's dataset, file or synthetic, is built once per process
-per content: the last one built stays in memory, read-only, until a
-different dataset is run.  A file is hashed to find its dataset unless it
-is settled: on POSIX, its inode unchanged for 2 s before a hash began.  A
-settled file's stat fingerprint is one more key of its cached dataset, and
-a run that finds it again reads nothing.  Each :func:`run` checks a file
-once against the plan with ``config.check_data``, and every seed shares it
-read-only.  Only the validation rows are copied, into one ``(seeds, rows,
-input_dim)`` stack.
+another.  Only the validation rows are copied, into one ``(seeds, rows, input_dim)``
+stack.  A run's dataset, file or synthetic, is built once per process per content,
+and the last one built stays in memory, read-only, until another is run; so does
+the last group's layout on it, its row maps, validation stack and ``n_train``,
+until another layout is built.  A file is hashed to find its dataset unless it is
+settled: on POSIX, its inode unchanged for 2 s before a hash began.  A settled
+file's stat fingerprint is one more key of its cached dataset, and a run that finds
+it again reads nothing.  Each :func:`run` checks a file once against the plan with
+``config.check_data``, and every seed shares it read-only.
 
 A run stops at its first divergence: a training row turns non-finite, or
 a seed's training loss or aggregate overflows.  A group of several seeds
@@ -106,6 +106,7 @@ class RunResult:
 # SyntheticSpec, seeds) or by (data.format, sha256 of a file's bytes) and the
 # stat fingerprint of each settled file found to hold those bytes
 _DATASET_CACHE = {}
+_LAYOUT_CACHE = {}  # the last layout built: {(id of the dataset, n, val_fraction, seeds): layout}
 # a file changed this recently keeps no fingerprint: a write in the same ctime tick would not show
 _SETTLE_NS = 2 * 10**9
 
@@ -114,7 +115,8 @@ def _cached(key, build, keep=lambda: True) -> Dataset:
     """The dataset cached under ``key``, else ``build()``'s, read-only and kept if ``keep()``."""
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
-    _DATASET_CACHE.clear()  # never two datasets held at once
+    _DATASET_CACHE.clear()  # never two datasets held at once, nor a layout beside a new one
+    _LAYOUT_CACHE.clear()
     dataset = build()
     dataset.features.flags.writeable = False
     dataset.labels.flags.writeable = False
@@ -179,29 +181,38 @@ def _draw(spec: SyntheticSpec, seeds) -> Dataset:
     return Dataset(features, labels, spec.num_classes)
 
 
+def _layout(dataset: Dataset, n: int, val_fraction: float, seeds: tuple) -> tuple:
+    """The seeds' ``(row maps, val_x, val_y, n_train)``, read-only, kept while ``dataset`` is."""
+    if (key := (id(dataset), n, val_fraction, seeds)) not in _LAYOUT_CACHE:
+        _LAYOUT_CACHE.clear()  # never two layouts held at once
+        stride = n if dataset.n > n else 0  # the seeds' own datasets, one after another
+        splits = [split_rows(n, val_fraction, RngStream(seed, STREAM_SPLIT)) for seed in seeds]
+        maps = tuple(train + k * stride for k, (_, train) in enumerate(splits))
+        val_rows = np.stack([val + k * stride for k, (val, _) in enumerate(splits)])
+        layout = (maps, dataset.features[val_rows], dataset.labels[val_rows], maps[0].shape[0])
+        for array in (*maps, *layout[1:3]):
+            array.flags.writeable = False
+        if not any(cached is dataset for cached in _DATASET_CACHE.values()):
+            return layout
+        _LAYOUT_CACHE[key] = layout
+    return _LAYOUT_CACHE[key]
+
+
 class _Group:
     """A seed group's state, built once: ``seeds`` trained in lockstep on ``dataset``.
 
-    ``params[k]`` is seed k's model and ``blocks[k]`` its block of the group
-    ``ledger``.  The rows of a ``train_round`` call are seed-major: row
-    k x P + i is worker i of seed k, with tau ``taus[row]``, stream
-    ``streams[row]`` and ``maps[row]``, seed k's one map of its training
-    rows into the feature source, shared by all of that seed's rows.
+    ``params[k]`` is seed k's model and ``blocks[k]`` its block of the group ``ledger``.  The
+    rows of a ``train_round`` call are seed-major: row k x P + i is worker i of seed k, with tau
+    ``taus[row]``, stream ``streams[row]`` and ``maps[row]``, seed k's one map of its training
+    rows into the feature source, shared by all of that seed's rows.  The maps, ``val_x``,
+    ``val_y`` and ``n_train`` are the cached layout's; the rest is the run's own.
     """
 
     def __init__(self, cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple,
                  dataset: Dataset | None, n: int):
-        offsets = [0] * len(seeds)
-        if dataset is None:
-            dataset = _synthesize(cfg, seeds)
-            offsets = [k * n for k in range(len(seeds))]
-        self.dataset = dataset
+        dataset = self.dataset = _synthesize(cfg, seeds) if dataset is None else dataset
         self.spec = model_spec(cfg, dataset.input_dim, dataset.num_classes)
-        splits = [split_rows(n, cfg.val_fraction, RngStream(seed, STREAM_SPLIT)) for seed in seeds]
-        # one validation set per seed, stacked: the only rows that are copied
-        val_rows = np.stack([val + offset for (val, _), offset in zip(splits, offsets)])
-        self.val_x, self.val_y = dataset.features[val_rows], dataset.labels[val_rows]
-        self.n_train = splits[0][1].shape[0]
+        maps, self.val_x, self.val_y, self.n_train = _layout(dataset, n, cfg.val_fraction, seeds)
         self.ledger = LossLedger(len(seeds) * self.n_train)  # seed k's samples are block k
         self.blocks = self.ledger.blocks(len(seeds))
         self.params = np.stack([init_params(self.spec, RngStream(seed, STREAM_INIT))
@@ -214,7 +225,6 @@ class _Group:
         self.taus = [w.tau for w in run_plan.workers] * len(seeds)
         self.streams = [RngStream(seed, STREAM_WORKER_BASE + w.id)
                         for seed in seeds for w in run_plan.workers]
-        maps = [train + offset for (_, train), offset in zip(splits, offsets)]
         self.maps = [row_map for row_map in maps for _ in run_plan.workers]
         self.records = [[] for _ in seeds]
 

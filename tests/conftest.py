@@ -7,5 +7,6 @@ import hetsgd.harness
 
 @pytest.fixture(autouse=True)
 def _no_cached_dataset():
-    """Each test starts with no dataset cached under any key, so tests pass in any order."""
+    """Each test starts with no dataset or layout cached, so tests pass in any order."""
     hetsgd.harness._DATASET_CACHE.clear()
+    hetsgd.harness._LAYOUT_CACHE.clear()

@@ -824,6 +824,30 @@ def _count_draws(monkeypatch) -> list:
     return draws
 
 
+def _count_splits(monkeypatch) -> list:
+    """Route the harness's split draws through a wrapper; each lists its stream's seed."""
+    splits = []
+    split = hetsgd.harness.split_rows
+
+    def counted(n, val_fraction, stream):
+        splits.append(stream.seed)
+        return split(n, val_fraction, stream)
+
+    monkeypatch.setattr(hetsgd.harness, "split_rows", counted)
+    return splits
+
+
+def _metrics(cfg, out_dir) -> bytes:
+    write_outputs(run(cfg), str(out_dir))
+    return (out_dir / "metrics.csv").read_bytes()
+
+
+def _cold_metrics(cfg, out_dir) -> bytes:
+    hetsgd.harness._DATASET_CACHE.clear()
+    hetsgd.harness._LAYOUT_CACHE.clear()
+    return _metrics(cfg, out_dir)
+
+
 class TestDatasetCache:
     @pytest.mark.parametrize("seeds", [(0,), (0, 1, 2)])
     def test_cached_draw_matches_a_fresh_one(self, tmp_path, monkeypatch, seeds):
@@ -858,19 +882,21 @@ class TestDatasetCache:
         # seed 0 finishes its 4 rounds; seed 1 diverges in round 2
         cfg = hetsgd.config.parse_config("model.kind = mlp2\nschedule.base_lr = 100\n"
                                          "rounds = 4\nseeds = 0,1\n")
-        draws = _count_draws(monkeypatch)
+        draws, splits = _count_draws(monkeypatch), _count_splits(monkeypatch)
         errors = []
         for cached in (True, False):
-            run(replace(cfg, base_lr=0.1))  # the group's data, cached
-            assert len(draws) == 2
+            run(replace(cfg, base_lr=0.1))  # the group's data and layout, cached
+            assert len(draws) == len(splits) == 2
             if not cached:
                 hetsgd.harness._DATASET_CACHE.clear()
             draws.clear()
+            splits.clear()
             with pytest.raises(DivergenceError) as err:
                 run(cfg)
             # the group, then seed by seed
-            assert draws == ([] if cached else [0, 1]) + [0, 1]
+            assert draws == splits == ([] if cached else [0, 1]) + [0, 1]
             draws.clear()
+            splits.clear()
             errors.append((str(err.value), hetsgd.harness._render_records(err.value.records)))
         assert errors[0] == errors[1]
         assert errors[0][0].startswith("seed 1 round 2 worker ")
@@ -890,6 +916,130 @@ class TestDatasetCache:
         gc.collect()
         assert synthetic() is None
         assert list(hetsgd.harness._DATASET_CACHE.values()) == [loads[1][1]()]
+
+
+class TestGroupLayout:
+    """A seed group's split and validation rows stay beside the cached dataset."""
+
+    @pytest.mark.parametrize("source, seeds", [("file", (0, 1, 2)), ("synthetic", (0, 1))])
+    def test_warm_run_draws_no_split(self, tmp_path, monkeypatch, source, seeds):
+        cfg = _file_cfg(_blobs_csv(tmp_path / "blobs.csv"), data_source=source, seeds=seeds)
+        splits = _count_splits(monkeypatch)
+        cold = _metrics(cfg, tmp_path / "cold")
+        assert splits == list(seeds)
+        splits.clear()
+        for name in ("warm", "again"):
+            assert _metrics(cfg, tmp_path / name) == cold
+        assert splits == []
+        assert _cold_metrics(cfg, tmp_path / "emptied") == cold
+
+    @pytest.mark.parametrize("change", [
+        dict(val_fraction=0.3), dict(seeds=(0, 1, 3)), dict(seeds=(2, 0, 1)),
+        dict(seeds=(0, 1)), dict(data_path="b.csv"), dict(data_source="synthetic"),
+    ], ids=["val_fraction", "other seed", "seed order", "fewer seeds", "other file",
+            "synthetic"])
+    def test_a_changed_key_rebuilds_the_layout(self, tmp_path, monkeypatch, change):
+        a = _blobs_csv(tmp_path / "a.csv")
+        _blobs_csv(tmp_path / "b.csv", seed=6)
+        cfg = _file_cfg(a, seeds=(0, 1, 2))
+        changed = replace(cfg, **{k: str(tmp_path / v) if k == "data_path" else v
+                                  for k, v in change.items()})
+        want = _cold_metrics(changed, tmp_path / "cold")
+        splits = _count_splits(monkeypatch)
+        run(cfg)  # its layout, cached
+        splits.clear()
+        assert _metrics(changed, tmp_path / "warm") == want
+        assert splits == list(changed.seeds)
+
+    def test_a_dataset_not_kept_keeps_no_layout(self, tmp_path, monkeypatch):
+        path = _blobs_csv(tmp_path / "blobs.csv")
+        load = hetsgd.harness.load_dataset
+        loads = []
+
+        def touched(*args):  # the file changes during the parse, so its dataset is not kept
+            mtime = os.stat(path).st_mtime_ns + 10**9
+            os.utime(path, ns=(mtime, mtime))
+            dataset = load(*args)
+            loads.append(weakref.ref(dataset))
+            return dataset
+
+        monkeypatch.setattr(hetsgd.harness, "load_dataset", touched)
+        splits = _count_splits(monkeypatch)
+        cfg = _file_cfg(path, seeds=(0, 1))
+        first = render_csv(run(cfg))
+        gc.collect()
+        assert hetsgd.harness._LAYOUT_CACHE == {} and loads[0]() is None
+        assert render_csv(run(cfg)) == first
+        assert splits == [0, 1, 0, 1]
+
+    def test_cached_layout_is_read_only(self, tmp_path):
+        run(_file_cfg(_blobs_csv(tmp_path / "blobs.csv"), seeds=(0, 1)))
+        ((maps, val_x, val_y, n_train),) = hetsgd.harness._LAYOUT_CACHE.values()
+        assert len(maps) == 2 and val_x.shape == (2, 240 - n_train, 3)
+        for array in (*maps, val_x, val_y):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    @pytest.mark.parametrize("source", ["file", "synthetic"])
+    def test_seed_groups_hold_one_layout(self, tmp_path, monkeypatch, source):
+        cfg = _file_cfg(_blobs_csv(tmp_path / "blobs.csv"), data_source=source,
+                        seeds=(0, 1, 2, 3))
+        want = _metrics(cfg, tmp_path / "one")
+        rows, splits, built = [], _count_splits(monkeypatch), []
+        layout, split, train = (hetsgd.harness._layout, hetsgd.harness.split_rows,
+                                hetsgd.harness.train_round)
+
+        def recorded(*args):
+            out = layout(*args)
+            built.append(weakref.ref(out[1]))  # its validation stack
+            return out
+
+        def split_alone(*args):  # no earlier layout is alive while one is built
+            gc.collect()
+            assert all(ref() is None for ref in built)
+            return split(*args)
+
+        def counted(*args):
+            rows.append(len(args[4]))  # taus: one per stacked row
+            return train(*args)
+
+        monkeypatch.setattr(hetsgd.harness, "_layout", recorded)
+        monkeypatch.setattr(hetsgd.harness, "split_rows", split_alone)
+        monkeypatch.setattr(hetsgd.harness, "train_round", counted)
+        monkeypatch.setattr(hetsgd.config, "MAX_WORKERS", 4)  # 2 seeds of 2 workers
+        for name in ("groups", "warm groups"):
+            splits.clear()
+            assert _metrics(cfg, tmp_path / name) == want
+            assert splits == [0, 1, 2, 3]  # the second group replaced the first's layout
+            assert len(hetsgd.harness._LAYOUT_CACHE) <= 1
+        assert rows == [4, 4] * 2 * 2
+
+    def test_a_new_dataset_is_built_after_the_last_one_and_its_layout_are_gone(
+            self, tmp_path, monkeypatch):
+        a = _blobs_csv(tmp_path / "a.csv")
+        b = _blobs_csv(tmp_path / "b.csv", seed=6)
+        last = []  # weakrefs to the cached dataset and its layout's arrays before each build
+        checked = []
+
+        def gone(build):
+            def checked_build(*args):
+                gc.collect()
+                assert all(ref() is None for ref in last)
+                checked.append(build.__name__)
+                return build(*args)
+            return checked_build
+
+        monkeypatch.setattr(hetsgd.harness, "load_dataset", gone(hetsgd.harness.load_dataset))
+        monkeypatch.setattr(hetsgd.harness, "make_synthetic", gone(hetsgd.harness.make_synthetic))
+        monkeypatch.setattr(hetsgd.harness, "split_rows", gone(hetsgd.harness.split_rows))
+        for cfg in (_file_cfg(a), small_cfg(seeds=(0, 1)), _file_cfg(b)):
+            run(cfg)
+            (dataset,) = hetsgd.harness._DATASET_CACHE.values()
+            ((maps, val_x, val_y, _),) = hetsgd.harness._LAYOUT_CACHE.values()
+            last[:] = map(weakref.ref, (dataset, *maps, val_x, val_y))
+            del dataset, maps, val_x, val_y
+        assert checked == ["load_dataset", "split_rows", "make_synthetic", "make_synthetic",
+                           "split_rows", "split_rows", "load_dataset", "split_rows"]
 
 
 class TestBudgetAccounting:
@@ -1014,6 +1164,46 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr() == (f"wrote {out}\n", "")
         assert out.read_text().splitlines()[2].startswith("2,ok,")
+
+    @pytest.mark.parametrize("command, out, detail", [
+        ("sweep-lambda", "adir", "adir: Is a directory"),
+        ("sweep-lambda", "afile/grid.csv", "afile: File exists"),
+        ("run", "afile", "afile: File exists"),
+        ("run", "afile/sub/o", "afile/sub: Not a directory"),
+        ("run", "adir", "adir/summary.json: Is a directory"),
+    ])
+    def test_unusable_out_fails_before_training(self, tmp_path, monkeypatch, capsys, command,
+                                                out, detail):
+        (tmp_path / "adir" / "summary.json").mkdir(parents=True)
+        (tmp_path / "afile").write_text("kept\n")
+        runs = []
+        run_cell = hetsgd.cli.run
+
+        def counted(cfg):
+            runs.append(cfg.lam)
+            return run_cell(cfg)
+
+        monkeypatch.setattr(hetsgd.cli, "run", counted)
+        extra = ["--lambdas", "1", "2", "4", "9"] if command == "sweep-lambda" else []
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([command, bundled_config_path("hard"), "--out", out, *extra]) == 2
+        assert capsys.readouterr() == ("", f"error: unreadable-file: {detail}\n")
+        assert runs == []
+        assert sorted(os.listdir(tmp_path)) == ["adir", "afile"]
+        assert os.listdir("adir") == ["summary.json"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
+        # a sweep stopped by a later cell's error leaves no file
+        argv = ["sweep-lambda", bundled_config_path("demo"), "--out", "new/grid.csv"]
+        assert cli_main([*argv, "--lambdas", "2", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid-config: profile.lambda must be >= 1, got 0.5\n")
+        assert runs == [2.0, 0.5] and not os.path.exists("new")
+        # a finished one replaces an earlier file, as printing would show it
+        (tmp_path / "adir" / "grid.csv").write_text("stale\n" * 50)
+        argv = ["sweep-lambda", bundled_config_path("demo"), "--lambdas", "2", "--quiet"]
+        assert cli_main([*argv, "--out", "adir/grid.csv"]) == 0
+        assert cli_main(argv) == 0
+        assert (tmp_path / "adir" / "grid.csv").read_text() == capsys.readouterr().out
 
     def test_sweep_lambda_file_data_marks_na_at_run_time(self, tmp_path, capsys):
         # file-backed datasets reveal N only when running, so the oversize
