@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,9 @@ def _cmd_sweep_lambda(args) -> int:
     cfg = _load(args.config, args)
     if args.out:
         _check_out(args.out)  # before the first cell
+    for lam in args.lambdas:  # so is any value's config error
+        with suppress(InvalidLambdaError):  # that cell's NA row
+            validate(replace(cfg, lam=lam))
     rows = ["lambda,status,final_acc_mean,final_acc_spread,total_sim_wall_s"]
     for lam in args.lambdas:
         sweep_cfg = replace(cfg, lam=lam)

@@ -49,7 +49,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -67,8 +67,6 @@ from .workers import DivergenceError, train_round
 __all__ = ["RoundRecord", "SeedResult", "RunResult", "run", "render_csv",
            "write_outputs", "write_partial", "bundled_config_path", "CSV_HEADER"]
 
-CSV_HEADER = "seed,round,epoch,lr,train_loss,val_acc,sim_wall_s,sim_block_s,agg_count,grad_steps"
-
 
 @dataclass
 class RoundRecord:
@@ -82,6 +80,9 @@ class RoundRecord:
     sim_block_s: float  # cumulative blocking, summed over workers
     agg_count: int
     grad_steps: int  # cumulative gradient steps across all workers
+
+
+CSV_HEADER = ",".join(f.name for f in fields(RoundRecord))
 
 
 @dataclass
@@ -333,13 +334,8 @@ def run(cfg: ExperimentConfig) -> RunResult:
 
 
 def _render_records(records) -> str:
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(",".join([
-            str(rec.seed), str(rec.round), str(rec.epoch), repr(rec.lr),
-            repr(rec.train_loss), repr(rec.val_acc), repr(rec.sim_wall_s),
-            repr(rec.sim_block_s), str(rec.agg_count), str(rec.grad_steps),
-        ]))
+    # str of a Python or numpy int or float is its shortest round-trip text
+    lines = [CSV_HEADER, *(",".join(map(str, vars(rec).values())) for rec in records)]
     return "\n".join(lines) + "\n"
 
 

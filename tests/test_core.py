@@ -86,6 +86,25 @@ class TestRngStream:
         second = RngStream(9, 3).uniform(0, 1, 5)
         np.testing.assert_array_equal(first, second)
 
+    @pytest.mark.parametrize("seed, stream_id", [
+        (0, 0), (-1, 7), (-2**63, 1000), (2**63 - 1, 1000 + 4095)])
+    def test_is_numpys_generator_over_the_keyed_philox(self, seed, stream_id):
+        stream = RngStream(seed, stream_id)
+        assert isinstance(stream, np.random.Generator)
+        plain = np.random.Generator(np.random.Philox(
+            key=(stream_id % 2**64) << 64 | seed % 2**64))
+
+        def draws(gen, choose):
+            ids = np.arange(37)
+            gen.shuffle(ids)
+            return [gen.permutation(50), ids, choose(gen, 40, 9), gen.uniform(-2.0, 3.0, 6),
+                    gen.normal(1.0, 0.5, (2, 3)), gen.integers(1, 10, size=8), gen.integers(0, 5)]
+
+        got = draws(stream, lambda gen, n, k: gen.choose(n, k))
+        want = draws(plain, lambda gen, n, k: gen.choice(n, size=k, replace=False))
+        for a, b in zip(map(np.asarray, got), map(np.asarray, want), strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
 
 class TestChooseWithoutReplacement:
     def test_full_draw_is_permutation(self):

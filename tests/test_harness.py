@@ -1094,6 +1094,13 @@ class TestOutputs:
         text = render_csv(result)
         assert len(text.splitlines()) == 1 + 2 * 4
 
+    def test_numpy_scalars_in_a_config_write_the_same_csv(self):
+        # seeds, epoch and grad_steps then hold numpy ints; they print as plain numbers
+        plain = small_cfg(seeds=(0, 3), rounds=3)
+        scalars = replace(plain, seeds=(np.int64(0), np.int64(3)), tau_f=np.int64(8),
+                          batch_size=np.int64(16), base_lr=np.float64(0.3))
+        assert render_csv(run(scalars)) == render_csv(run(plain))
+
 
 class TestBundledConfigs:
     def test_demo_parses_and_validates(self):
@@ -1192,18 +1199,42 @@ class TestCli:
         assert sorted(os.listdir(tmp_path)) == ["adir", "afile"]
         assert os.listdir("adir") == ["summary.json"]
         assert (tmp_path / "afile").read_text() == "kept\n"
-        # a sweep stopped by a later cell's error leaves no file
+        # a sweep stopped by a later value's error trains no cell and leaves no file
         argv = ["sweep-lambda", bundled_config_path("demo"), "--out", "new/grid.csv"]
         assert cli_main([*argv, "--lambdas", "2", "0.5"]) == 2
         assert capsys.readouterr().err == (
             "error: invalid-config: profile.lambda must be >= 1, got 0.5\n")
-        assert runs == [2.0, 0.5] and not os.path.exists("new")
+        assert runs == [] and not os.path.exists("new")
         # a finished one replaces an earlier file, as printing would show it
         (tmp_path / "adir" / "grid.csv").write_text("stale\n" * 50)
         argv = ["sweep-lambda", bundled_config_path("demo"), "--lambdas", "2", "--quiet"]
         assert cli_main([*argv, "--out", "adir/grid.csv"]) == 0
         assert cli_main(argv) == 0
         assert (tmp_path / "adir" / "grid.csv").read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad, detail", [
+        ("0.5", "profile.lambda must be >= 1, got 0.5"),
+        ("nan", "profile.lambda must be finite"),
+    ])
+    def test_bad_lambda_fails_before_the_first_cell(self, tmp_path, monkeypatch, capsys,
+                                                    bad, detail):
+        runs = []
+        run_cell = hetsgd.cli.run
+
+        def counted(cfg):
+            runs.append(cfg.lam)
+            return run_cell(cfg)
+
+        monkeypatch.setattr(hetsgd.cli, "run", counted)
+        out = tmp_path / "grid.csv"
+        argv = ["sweep-lambda", bundled_config_path("hard"), "--out", str(out)]
+        assert cli_main([*argv, "--lambdas", "1", "2", "4", bad]) == 2
+        assert capsys.readouterr() == ("", f"error: invalid-config: {detail}\n")
+        assert runs == [] and not out.exists()
+        # an oversize value is still its cell's NA row, not an error
+        assert cli_main([*argv, "--lambdas", "1", "100", "--quiet"]) == 0
+        assert runs == [1.0, 100.0]
+        assert out.read_text().splitlines()[2] == "100,NA,NA,NA,NA"
 
     def test_sweep_lambda_file_data_marks_na_at_run_time(self, tmp_path, capsys):
         # file-backed datasets reveal N only when running, so the oversize
