@@ -11,9 +11,10 @@ Subcommands:
 Any validation failure exits nonzero after printing one machine-readable
 line to stderr: ``error: <code>: <detail>``.  A config or data path that
 does not exist is ``missing-file``; one that cannot be read, such as a
-directory, is ``unreadable-file``.  A failed ``run`` leaves no earlier
-run's outputs in its out dir; a diverged one writes the rounds it finished.
-Without ``--out``, a config that does not load names no out dir to clear.
+directory, is ``unreadable-file``; both details read ``<path>: <reason>``.
+A failed ``run`` leaves no earlier run's outputs in its out dir; a diverged
+one writes the rounds it finished.  Without ``--out``, a config that does
+not load names no out dir to clear.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from .workers import DivergenceError
 def _fail(code: str, detail: str) -> int:
     print(f"error: {code}: {detail}", file=sys.stderr)
     return 2
+
+
+def _number(x: float) -> str:
+    return repr(x).removesuffix(".0")  # reads back as x, unlike f"{x:g}"
 
 
 def _load(path: str, args):
@@ -104,19 +109,15 @@ def _cmd_sweep_lambda(args) -> int:
             validate(replace(cfg, lam=lam))
     rows = ["lambda,status,final_acc_mean,final_acc_spread,total_sim_wall_s"]
     for lam in args.lambdas:
-        sweep_cfg = replace(cfg, lam=lam)
         try:
-            result = run(sweep_cfg)
-        except InvalidLambdaError:
-            # file-backed datasets reveal their size only at run time
-            rows.append(f"{lam:g},NA,NA,NA,NA")
-            continue
+            s = run(replace(cfg, lam=lam)).summary
+            cells = (f"ok,{s['final_acc_mean']:.6f},{s['final_acc_spread']:.6f},"
+                     f"{s['total_sim_wall_s']:.3f}")
+        except InvalidLambdaError:  # file-backed datasets reveal their size only at run time
+            cells = "NA,NA,NA,NA"
         except DivergenceError:
-            rows.append(f"{lam:g},diverged,NA,NA,NA")
-            continue
-        s = result.summary
-        rows.append(f"{lam:g},ok,{s['final_acc_mean']:.6f},"
-                    f"{s['final_acc_spread']:.6f},{s['total_sim_wall_s']:.3f}")
+            cells = "diverged,NA,NA,NA"
+        rows.append(f"{_number(lam)},{cells}")
     _emit(rows, args)
     if args.out and not args.quiet:
         print(f"wrote {args.out}")
@@ -129,8 +130,8 @@ def _cmd_timing(args) -> int:
     timing = round_timing(run_plan.workers, run_plan.cost)
     rows = ["worker,role,tau,iter_cost_s,compute_s,block_s,round_wall_s,agg_cost_s"]
     for w, comp, block in zip(run_plan.workers, timing.compute_time, timing.blocking_time):
-        rows.append(f"{w.id},{w.role},{w.tau},{w.iter_cost:g},{comp:.6f},{block:.6f},"
-                    f"{timing.round_wall:.6f},{run_plan.cost.agg_cost:g}")
+        rows.append(f"{w.id},{w.role},{w.tau},{_number(w.iter_cost)},{comp:.6f},{block:.6f},"
+                    f"{timing.round_wall:.6f},{_number(run_plan.cost.agg_cost)}")
     _emit(rows, args)
     return 0
 
@@ -221,10 +222,8 @@ def main(argv=None) -> int:
         return _fail("invalid-config", str(exc))
     except InvalidLambdaError as exc:
         return _fail("lambda-too-large", str(exc))
-    except FileNotFoundError as exc:
-        return _fail("missing-file", str(exc))
-    except OSError as exc:  # a directory, no permission, a read error
-        return _fail("unreadable-file",
+    except OSError as exc:  # not there, a directory, no permission, a read error
+        return _fail("missing-file" if isinstance(exc, FileNotFoundError) else "unreadable-file",
                      f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
     except ValueError as exc:
         return _fail("invalid-value", str(exc))

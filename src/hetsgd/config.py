@@ -376,8 +376,8 @@ def array_sizes(cfg: ExperimentConfig, n: int, input_dim: int, num_classes: int)
 
     The padded batch ids of a round at the preset's tau_f, the synthetic
     dataset (a file is shared, not stacked), the parameter stack and the
-    larger of a step's and evaluation's activations.  The loss ledger is
-    left out: one seed may hold more rows than the cap.
+    larger of a step's and evaluation's activations.  The seed's loss
+    ledger is left out: one seed may hold more training rows than the cap.
     """
     spec = model_spec(cfg, input_dim, num_classes)
     workers = cfg.p_s + cfg.p_f
@@ -436,9 +436,10 @@ def seed_group(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
 
     The most, up to all of them, whose (seed, worker) rows stay within
     ``MAX_WORKERS`` and whose stacked arrays each stay within
-    ``MAX_ELEMENTS``: each of :func:`array_sizes` and the loss ledger.
-    One seed always runs: a config ``check_data`` accepts fits every cap
-    but the ledger's, which a file of over 2**27 training rows passes alone.
+    ``MAX_ELEMENTS``: each of :func:`array_sizes` and the seeds' loss
+    ledgers.  One seed always runs: a config ``check_data`` accepts fits
+    every cap but the ledgers', which a file of over 2**27 training rows
+    passes alone.
     """
     per_seed = [*array_sizes(cfg, n, input_dim, num_classes).values(),
                 n - val_size(n, cfg.val_fraction)]

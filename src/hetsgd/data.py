@@ -101,39 +101,19 @@ class Dataset:
 class LossLedger:
     """Last-observed training loss per sample, plus the round it was seen.
 
-    A new ledger has seen nothing; given ``last_loss`` and ``last_round``
-    arrays of n entries, it keeps them as they are, without a copy.
+    A new ledger has seen nothing.  A run keeps one per seed, over that
+    seed's training samples.
     """
 
-    def __init__(self, n: int, last_loss: np.ndarray | None = None,
-                 last_round: np.ndarray | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("ledger needs at least one sample")
-        if last_loss is None:
-            last_loss = np.full(n, NEVER_SEEN, dtype=np.float64)
-        if last_round is None:
-            last_round = np.full(n, -1, dtype=np.int64)
-        if last_loss.shape != (n,) or last_round.shape != (n,):
-            raise ValueError(f"ledger arrays must hold {n} entries each")
-        self.last_loss = last_loss
-        self.last_round = last_round
-
-    @property
-    def n(self) -> int:
-        return self.last_loss.shape[0]
+        self.n = n
+        self.last_loss = np.full(n, NEVER_SEEN, dtype=np.float64)
+        self.last_round = np.full(n, -1, dtype=np.int64)
 
     def seen_mask(self) -> np.ndarray:
         return self.last_round >= 0
-
-    def blocks(self, count: int) -> list:
-        """``count`` ledgers over equal consecutive blocks of these samples, as views.
-
-        Block k's sample j is sample ``k * n / count + j`` here, and a write
-        through either ledger shows in the other.
-        """
-        return [LossLedger(loss.shape[0], loss, last)
-                for loss, last in zip(np.split(self.last_loss, count),
-                                      np.split(self.last_round, count))]
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +312,16 @@ def record_losses(ledger: LossLedger, sample_ids, losses, round_idx: int) -> Los
     if ids.size == 0:
         return ledger
     if ids.min() < 0 or ids.max() >= ledger.n:
-        raise ValueError("sample id out of range")
+        bad = ids[(ids < 0) | (ids >= ledger.n)][0]
+        raise ValueError(f"sample id {bad} out of range for {ledger.n} samples")
     if not np.all(np.isfinite(vals)) or np.any(vals < 0):
         raise ValueError("losses must be finite and nonnegative")
     # keep the last write per id: the keys id * m + position are distinct,
     # so one unstable sort groups each id's writes in position order and
-    # the end of each run is its last.  Keys stay below n * m < 2**63:
-    # config.seed_group caps m, a group's padded batch ids (config.array_sizes),
-    # and n, its ledger, at config.MAX_ELEMENTS (2**27), unless one seed's rows
-    # pass it: a binary file's n is a u32, and a CSV file would need 2**36 rows.
+    # the end of each run is its last.  Keys stay below n * m < 2**59: m is at
+    # most one seed's padded batch ids, which config.check_data caps at
+    # config.MAX_ELEMENTS (2**27), and n < 2**32, a binary file's u32 row
+    # count; a CSV file would need 2**36 rows to reach 2**63.
     m = ids.shape[0]
     sorted_ids, pos = np.divmod(np.sort(ids * m + np.arange(m)), m)
     last = np.append(sorted_ids[1:] != sorted_ids[:-1], True)

@@ -4,20 +4,20 @@ The run plan that ``config.validate`` returns fixes the algorithm's workers,
 sampler mode and aggregation rule once, and its worker-id order (slow first)
 is the one order of a round from sampler to ledger.  A run trains its seeds
 in lockstep, ``config.seed_group`` consecutive seeds at a time, and a
-``_Group`` built once per group holds their state as stacked arrays: one
-``(seeds, n_params)`` model stack, one ledger with a block of samples per
-seed, the samplers and cursors, the rows' taus, streams and row maps, the
-validation stack and the records.  One round is a fixed sequence of this
-module's global calls: ``assign`` draws each seed's sample assignment
-(loss-biased or uniform) at the share sizes ``data.share_sizes`` gave once
-per run; ``train_round`` runs every (seed, worker) row's local updates;
-``record_losses`` merges every observed loss into the group's ledger, seed
-by seed and each seed's in worker-id order; ``aggregate`` combines each
-seed's local models; ``stacked_hits`` scores the model stack; and a
+``_Group`` built once per group holds their state: one ``(seeds, n_params)``
+model stack, a loss ledger per seed, the samplers and cursors, the rows'
+taus, streams and row maps, the validation stack and the records.  One round
+is a fixed sequence of this module's global calls: ``assign`` draws each
+seed's sample assignment (loss-biased or uniform) at the share sizes
+``data.share_sizes`` gave once per run; ``train_round`` runs every (seed,
+worker) row's local updates; ``record_losses`` merges each seed's losses
+into its own ledger in worker-id order; one ``aggregate`` call combines
+every seed's local models; ``stacked_hits`` scores the model stack; and a
 ``RoundRecord`` per seed takes the learning rate and simulated clock that
-``per_round`` also gave once per run.  Sampling and aggregation stay per
-seed, and every stacked step computes each seed's bits alone, so each seed
-computes the bits of a run of that seed alone.
+``per_round`` also gave once per run.  Sampling and the ledger merge stay
+per seed, in seed order; training, aggregation and evaluation take the
+whole group in one call each, and compute each seed's bits alone, so each
+seed computes the bits of a run of that seed alone.
 
 The stack's rows are seed-major, each seed's in worker-id order, and
 ``train_round`` steps them in a tau order of its own.  A seed's training
@@ -202,8 +202,8 @@ def _layout(dataset: Dataset, n: int, val_fraction: float, seeds: tuple) -> tupl
 class _Group:
     """A seed group's state, built once: ``seeds`` trained in lockstep on ``dataset``.
 
-    ``params[k]`` is seed k's model and ``blocks[k]`` its block of the group ``ledger``.  The
-    rows of a ``train_round`` call are seed-major: row k x P + i is worker i of seed k, with tau
+    ``params[k]`` is seed k's model and ``ledgers[k]`` its loss ledger.  The rows of a
+    ``train_round`` call are seed-major: row k x P + i is worker i of seed k, with tau
     ``taus[row]``, stream ``streams[row]`` and ``maps[row]``, seed k's one map of its training
     rows into the feature source, shared by all of that seed's rows.  The maps, ``val_x``,
     ``val_y`` and ``n_train`` are the cached layout's; the rest is the run's own.
@@ -214,8 +214,7 @@ class _Group:
         dataset = self.dataset = _synthesize(cfg, seeds) if dataset is None else dataset
         self.spec = model_spec(cfg, dataset.input_dim, dataset.num_classes)
         maps, self.val_x, self.val_y, self.n_train = _layout(dataset, n, cfg.val_fraction, seeds)
-        self.ledger = LossLedger(len(seeds) * self.n_train)  # seed k's samples are block k
-        self.blocks = self.ledger.blocks(len(seeds))
+        self.ledgers = [LossLedger(self.n_train) for _ in seeds]
         self.params = np.stack([init_params(self.spec, RngStream(seed, STREAM_INIT))
                                 for seed in seeds])
         self.samplers = [RngStream(seed, STREAM_SAMPLER) for seed in seeds]
@@ -245,8 +244,8 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
     lrs, walls, blocks = rounds
     rounds_per_epoch = run_plan.rounds_per_epoch(g.n_train)
     for r, lr in enumerate(lrs):
-        shares = [assign(block, run_plan.profile, sizes, sampler, run_plan.cold_start, cursors)
-                  for block, sampler, cursors in zip(g.blocks, g.samplers, g.cursors)]
+        shares = [assign(ledger, run_plan.profile, sizes, sampler, run_plan.cold_start, cursors)
+                  for ledger, sampler, cursors in zip(g.ledgers, g.samplers, g.cursors)]
         try:
             models, seen_ids, seen_losses, _ = train_round(
                 g.spec, np.repeat(g.params, p, axis=0), g.dataset,
@@ -255,26 +254,24 @@ def _run_seeds(cfg: ExperimentConfig, run_plan: RunPlan, seeds: tuple, dataset: 
         except DivergenceError as exc:  # in a one-seed stack, row i is worker i
             raise DivergenceError(f"seed {seeds[0]} round {r} {exc}", g.records[0]) from None
         del shares  # not held beside the next round's
-        # seed-major, then worker-id order: for each id the last write is the
-        # highest worker id's, as when merging the workers one at a time
-        ids = np.concatenate(seen_ids)
-        if ids.min() < 0 or ids.max() >= g.n_train:  # it would land in another seed's block
-            raise ValueError(f"round {r}: sample id out of range of a seed's {g.n_train} samples")
+        # each seed's ids in worker-id order: for each id the last write is
+        # the highest worker id's, as when merging the workers one at a time
+        for ledger, rows in zip(g.ledgers, own):
+            record_losses(ledger, np.concatenate(seen_ids[rows]),
+                          np.concatenate(seen_losses[rows]), r)
         seen = [sum(row.shape[0] for row in seen_ids[rows]) for rows in own]
-        ids += np.repeat(np.arange(len(seeds)) * g.n_train, seen)
-        record_losses(g.ledger, ids, np.concatenate(seen_losses), r)
         # per-sample losses are finite, but their sum can overflow
         with np.errstate(over="ignore"):
             loss_sums = [sum(float(row.sum()) for row in seen_losses[rows]) for rows in own]
-        for k, rows in enumerate(own):
-            try:  # finite local models can still overflow their combination
-                g.params[k] = aggregate(run_plan.aggregation, models[rows], g.taus[rows],
-                                        round_start=g.params[k])
-            except ValueError as exc:
-                raise DivergenceError(f"seed {seeds[k]} round {r}: {exc}", g.records[k]) from None
-            if not math.isfinite(loss_sums[k]):
-                raise DivergenceError(f"seed {seeds[k]} round {r}: training loss overflows",
-                                      g.records[k])
+        try:  # finite local models can still overflow their combination
+            g.params = aggregate(run_plan.aggregation,
+                                 models.reshape(len(seeds), p, -1).swapaxes(0, 1),
+                                 g.taus[:p], round_start=g.params)
+        except ValueError as exc:  # run reruns a group of several seeds seed by seed
+            raise DivergenceError(f"seed {seeds[0]} round {r}: {exc}", g.records[0]) from None
+        if not all(map(math.isfinite, loss_sums)):
+            raise DivergenceError(f"seed {seeds[0]} round {r}: training loss overflows",
+                                  g.records[0])
         hits = stacked_hits(g.spec, g.params, g.val_x, g.val_y)
         for seed, records, count, loss_sum, hit in zip(seeds, g.records, seen, loss_sums, hits):
             records.append(RoundRecord(

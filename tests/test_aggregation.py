@@ -189,3 +189,31 @@ class TestAggregate:
         for models in (list(stack), stack):
             np.testing.assert_array_equal(aggregate(rule, models, taus, round_start=start),
                                           expected)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(RULES),
+           st.lists(st.integers(1, 40), min_size=1, max_size=6), st.integers(1, 20),
+           st.lists(st.sampled_from([1.0, 1e150, 1e300, 1.7e308]), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_seed_stack_equals_one_call_per_seed(self, seed, rule, taus, n, scales):
+        # a seed group's layout: seed k's local models are rows k x P to
+        # k x P + P - 1, combined in one call on the (P, seeds, n) view; at
+        # 1.7e308 fednova's deltas can overflow in some seeds and not others
+        rng = np.random.default_rng(seed)
+        p, seeds = len(taus), len(scales)
+        scale = np.array(scales)[:, None]
+        models = rng.uniform(-1.0, 1.0, (seeds * p, n)) * np.repeat(scale, p, axis=0)
+        start = rng.uniform(-1.0, 1.0, (seeds, n)) * scale
+        stacked = models.reshape(seeds, p, n).swapaxes(0, 1)
+        alone = []
+        for k in range(seeds):
+            try:
+                alone.append(aggregate(rule, models[k * p:(k + 1) * p], taus,
+                                       round_start=start[k]))
+            except ValueError as exc:
+                assert str(exc) == "aggregation produced non-finite entries"
+                with pytest.raises(ValueError, match="^aggregation produced non-finite entries$"):
+                    aggregate(rule, stacked, taus, round_start=start)
+                return
+        got = aggregate(rule, stacked, taus, round_start=start)
+        assert got.shape == (seeds, n)
+        assert got.tobytes() == np.stack(alone).tobytes()

@@ -467,42 +467,14 @@ class TestLossLedger:
         assert one.last_loss.tobytes() == many.last_loss.tobytes()
         np.testing.assert_array_equal(one.last_round, many.last_round)
 
-    def test_group_merge_equals_per_seed_merges(self):
-        # the harness's layout: seed k's samples are block k of one ledger,
-        # merged in one call with ids offset by k * n, seed by seed
-        rng = np.random.default_rng(6)
-        n, seeds = 30, 3
-        group = LossLedger(seeds * n)
-        blocks = group.blocks(seeds)
-        alone = [LossLedger(n) for _ in range(seeds)]
-        for r in range(3):
-            ids = [rng.integers(0, n, int(rng.integers(1, 50))) for _ in range(seeds)]
-            losses = [rng.uniform(0, 3, i.size) for i in ids]
-            record_losses(group, np.concatenate([i + k * n for k, i in enumerate(ids)]),
-                          np.concatenate(losses), r)
-            for ledger, i, l in zip(alone, ids, losses):
-                record_losses(ledger, i, l, r)
-            for block, ledger in zip(blocks, alone):
-                assert block.n == n
-                assert block.last_loss.tobytes() == ledger.last_loss.tobytes()
-                np.testing.assert_array_equal(block.last_round, ledger.last_round)
-        record_losses(blocks[1], [0], [9.0], 5)  # a block writes through to the group
-        assert group.last_loss[n] == 9.0 and group.last_round[n] == 5
-
-    def test_ledger_over_given_arrays_shares_them(self):
-        loss, last = np.full(4, 2.0), np.zeros(4, dtype=np.int64)
-        ledger = LossLedger(4, loss, last)
-        assert ledger.last_loss is loss and ledger.last_round is last
-        with pytest.raises(ValueError, match="4 entries"):
-            LossLedger(4, loss[:3], last)
-
-    def test_unequal_blocks_rejected(self):
-        with pytest.raises(ValueError):
-            LossLedger(10).blocks(3)
-
     def test_out_of_range_id_rejected(self):
         with pytest.raises(ValueError, match="range"):
             record_losses(LossLedger(3), [3], [1.0], 0)
+
+    @pytest.mark.parametrize("ids, bad", [([3], 3), ([0, -1, 5], -1), ([2, 4, 0], 4)])
+    def test_out_of_range_error_names_the_first_such_id(self, ids, bad):
+        with pytest.raises(ValueError, match=f"^sample id {bad} out of range for 3 samples$"):
+            record_losses(LossLedger(3), ids, [1.0] * len(ids), 0)
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

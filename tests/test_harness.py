@@ -156,12 +156,16 @@ class TestLedgerTrend:
 
 
 def _fail_aggregation_after_round_0(monkeypatch, cfg):
-    """Make the aggregation from the model of ``cfg``'s one seed after round 0 overflow."""
+    """Make the aggregation from the model of ``cfg``'s one seed after round 0 overflow.
+
+    The harness passes a seed group's ``(seeds, n_params)`` round-start stack:
+    the call fails if any seed starts from that model.
+    """
     after_round_0 = run(replace(cfg, rounds=1)).per_seed[0].final_params
     combine = hetsgd.harness.aggregate
 
     def failing(rule, models, taus, round_start=None):
-        if np.array_equal(round_start, after_round_0):
+        if any(np.array_equal(row, after_round_0) for row in round_start):
             raise ValueError("aggregation produced non-finite entries")
         return combine(rule, models, taus, round_start=round_start)
 
@@ -272,6 +276,42 @@ class TestRoundLayout:
         run(small_cfg(p_s=2, p_f=3, rounds=4))
         assert calls == [0, 1, 2, 3]
 
+    def test_per_seed_merges_and_one_aggregate_per_round(self, monkeypatch):
+        merges, combines, seen = [], [], []
+        kernel = hetsgd.harness.train_round
+        merge = hetsgd.harness.record_losses
+        combine = hetsgd.harness.aggregate
+
+        def trained(*args):
+            out = kernel(*args)
+            seen.append(out[1])
+            return out
+
+        def merged(ledger, ids, losses, round_idx):
+            merges.append((ledger, ids.copy(), round_idx))
+            return merge(ledger, ids, losses, round_idx)
+
+        def combined(rule, models, taus, round_start=None):
+            combines.append((models.shape, round_start.shape))
+            return combine(rule, models, taus, round_start=round_start)
+
+        monkeypatch.setattr(hetsgd.harness, "train_round", trained)
+        monkeypatch.setattr(hetsgd.harness, "record_losses", merged)
+        monkeypatch.setattr(hetsgd.harness, "aggregate", combined)
+        cfg = small_cfg(p_s=2, p_f=3, seeds=(0, 1, 2), rounds=3)
+        n_params = run(cfg).per_seed[0].final_params.shape[0]
+        n_train = cfg.data_n - val_size(cfg.data_n, cfg.val_fraction)
+        assert [r for _, _, r in merges] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        ledgers = [ledger for ledger, _, _ in merges[:3]]
+        assert len({id(ledger) for ledger in ledgers}) == 3
+        assert all(ledger.last_loss.shape == (n_train,) for ledger in ledgers)
+        for r, ids in enumerate(seen):  # seed k's call merges seed k's rows, in seed order
+            for k in range(3):
+                ledger, got, _ = merges[3 * r + k]
+                assert ledger is ledgers[k]
+                np.testing.assert_array_equal(got, np.concatenate(ids[5 * k:5 * k + 5]))
+        assert combines == [((5, 3, n_params), (3, n_params))] * 3
+
     def test_share_sizes_once_per_run(self, monkeypatch):
         calls = []
         rule = hetsgd.data.share_sizes
@@ -294,9 +334,9 @@ class TestRoundLayout:
         assert count(rounds=6, seeds=(0,)) == once
         assert count(rounds=2, seeds=(0, 1, 2)) == once
 
-    def test_out_of_block_sample_id_rejected(self, monkeypatch):
-        # seed 0's first row sees ids one block up, inside the group's
-        # ledger but outside its own seed's samples
+    def test_sample_id_past_its_seed_rejected(self, monkeypatch):
+        # seed 0's first row sees ids one seed's samples up, past its own
+        # ledger: in a group they would be seed 1's ids
         kernel = hetsgd.harness.train_round
 
         def shifted(*args):
@@ -305,8 +345,11 @@ class TestRoundLayout:
             return models, ids, losses, steps
 
         monkeypatch.setattr(hetsgd.harness, "train_round", shifted)
-        with pytest.raises(ValueError, match="round 0: sample id out of range"):
-            run(small_cfg(seeds=(0, 1)))
+        cfg = small_cfg(seeds=(0, 1))
+        n_train = cfg.data_n - val_size(cfg.data_n, cfg.val_fraction)
+        with pytest.raises(ValueError,
+                           match=f"^sample id [0-9]+ out of range for {n_train} samples$"):
+            run(cfg)
 
     def test_each_seed_shares_one_row_map(self, monkeypatch):
         # a map per stacked row would hold seeds x workers copies of the train indices
@@ -1560,6 +1603,21 @@ class TestCli:
         assert cli_main(["timing", bundled_config_path("demo")]) == 0
         assert out.read_text() == capsys.readouterr().out
 
+    def test_sweep_lambda_labels_read_back_as_the_value(self, capsys):
+        rc = cli_main(["sweep-lambda", bundled_config_path("demo"), "--seed", "0",
+                       "--lambdas", "2", "2.0000001", "1234567"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "2.0000001", "1234567"]
+        assert lines[3] == "1234567,NA,NA,NA,NA"
+
+    def test_timing_echoes_costs_as_given(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cost.cfg"
+        cfg_path.write_text("cost.iter_fast = 0.1940123\n")
+        assert cli_main(["timing", str(cfg_path)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[3] for row in rows if row[1] == "fast"] == ["0.1940123"]
+
     def test_gradcheck(self, capsys):
         # trial 159 has gradient entries near 2e-8: over a 1e-8 floor, the
         # finite differences' roundoff alone is a relative error of 2e-3
@@ -1606,6 +1664,21 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: unreadable-file: {data_dir}: Is a directory\n")
         assert not os.path.exists(tmp_path / "o")
+
+
+    def test_missing_data_path_names_it(self, tmp_path, capsys):
+        data = tmp_path / "absent.csv"
+        cfg_path = tmp_path / "file.cfg"
+        cfg_path.write_text(f"data.source = file\ndata.path = {data}\nrounds = 1\n")
+        assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: missing-file: {data}: No such file or directory\n")
+
+    def test_missing_config_names_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "absent.cfg"
+        assert cli_main(["validate", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: missing-file: {cfg_path}: No such file or directory\n")
 
 
 # hostile values for raw config text; sizes are small or invalid, never a
