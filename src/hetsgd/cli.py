@@ -130,8 +130,9 @@ def _cmd_timing(args) -> int:
     timing = round_timing(run_plan.workers, run_plan.cost)
     rows = ["worker,role,tau,iter_cost_s,compute_s,block_s,round_wall_s,agg_cost_s"]
     for w, comp, block in zip(run_plan.workers, timing.compute_time, timing.blocking_time):
-        rows.append(f"{w.id},{w.role},{w.tau},{_number(w.iter_cost)},{comp:.6f},{block:.6f},"
-                    f"{timing.round_wall:.6f},{_number(run_plan.cost.agg_cost)}")
+        cells = (w.iter_cost, comp, block, timing.round_wall, run_plan.cost.agg_cost)
+        # float(): a np.float64's repr reads np.float64(...)
+        rows.append(f"{w.id},{w.role},{w.tau}," + ",".join(_number(float(x)) for x in cells))
     _emit(rows, args)
     return 0
 

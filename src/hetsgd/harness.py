@@ -24,14 +24,15 @@ The stack's rows are seed-major, each seed's in worker-id order, and
 rows are addressed through a row map into one feature source, never
 copied: a data file, or the group's synthetic datasets stored one after
 another.  Only the validation rows are copied, into one ``(seeds, rows, input_dim)``
-stack.  A run's dataset, file or synthetic, is built once per process per content,
-and the last one built stays in memory, read-only, until another is run; so does
-the last group's layout on it, its row maps, validation stack and ``n_train``,
-until another layout is built.  A file is hashed to find its dataset unless it is
-settled: on POSIX, its inode unchanged for 2 s before a hash began.  A settled
-file's stat fingerprint is one more key of its cached dataset, and a run that finds
-it again reads nothing.  Each :func:`run` checks a file once against the plan with
-``config.check_data``, and every seed shares it read-only.
+stack.  The last dataset built stays in memory, read-only, until another is run;
+so does the last group's layout on it, its row maps, validation stack and
+``n_train``, until another layout is built.  Synthetic data is keyed by its spec
+and seeds, a file by its stat fingerprint alone.  A file's dataset is kept only
+if the file is settled (on POSIX, its inode unchanged for 2 s before the parse
+began) and its fingerprint held through the parse; a run that finds it again
+reads nothing, and any other file is parsed on every run.  Each :func:`run`
+checks a file once against the plan with ``config.check_data``, and every seed
+shares it read-only.
 
 A run stops at its first divergence: a training row turns non-finite, or
 a seed's training loss or aggregate overflows.  A group of several seeds
@@ -44,7 +45,6 @@ order.  Only a diverging run pays for the rerun.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -104,11 +104,11 @@ class RunResult:
 
 
 # the last dataset a run used, read-only: {key: Dataset}, keyed by (repr of a
-# SyntheticSpec, seeds) or by (data.format, sha256 of a file's bytes) and the
-# stat fingerprint of each settled file found to hold those bytes
+# SyntheticSpec, seeds) or by a settled file's (data.format, st_dev, st_ino,
+# st_size, st_mtime_ns, st_ctime_ns)
 _DATASET_CACHE = {}
 _LAYOUT_CACHE = {}  # the last layout built: {(id of the dataset, n, val_fraction, seeds): layout}
-# a file changed this recently keeps no fingerprint: a write in the same ctime tick would not show
+# a file changed this recently is not cached: a write in the same ctime tick would not show
 _SETTLE_NS = 2 * 10**9
 
 
@@ -129,32 +129,19 @@ def _cached(key, build, keep=lambda: True) -> Dataset:
 def _load_file(cfg: ExperimentConfig) -> Dataset:
     """The config's data file, read-only: every seed of a run shares it.
 
-    A file whose stat fingerprint is a key of the cached dataset is not
-    read, and one whose format and bytes match that dataset's is not parsed
-    again.  Both keys are kept only if the fingerprint did not change while
-    the file was hashed and parsed.
+    A settled file is cached under its stat fingerprint and not parsed again
+    while the fingerprint holds; it is kept only if a stat after the parse
+    still reads that fingerprint.  Any other file is parsed on every run.
     """
-    def fingerprint(st):
+    def fingerprint():
+        st = os.stat(cfg.data_path)
         return (cfg.data_format, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
-    with open(cfg.data_path, "rb") as fh:
-        before = fingerprint(os.fstat(fh.fileno()))
-        if (dataset := _DATASET_CACHE.get(before)) is not None:
-            return dataset
-        # POSIX's st_ctime is the inode change time; Windows' is the creation time
-        settled = os.name == "posix" and time.time_ns() - before[-1] >= _SETTLE_NS
-        digest = hashlib.sha256()
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-
-    def unchanged():
-        return fingerprint(os.stat(cfg.data_path)) == before
-
-    key = (cfg.data_format, digest.hexdigest())
-    dataset = _cached(key, lambda: load_dataset(cfg.data_path, cfg.data_format or None), unchanged)
-    if settled and key in _DATASET_CACHE and unchanged():
-        _DATASET_CACHE[before] = dataset
-    return dataset
+    key = fingerprint()
+    # POSIX's st_ctime is the inode change time; Windows' is the creation time
+    settled = os.name == "posix" and time.time_ns() - key[-1] >= _SETTLE_NS
+    return _cached(key, lambda: load_dataset(cfg.data_path, cfg.data_format or None),
+                   lambda: settled and fingerprint() == key)
 
 
 def _synthesize(cfg: ExperimentConfig, seeds) -> Dataset:

@@ -1,7 +1,6 @@
 """End-to-end driver behavior: determinism, reductions, metrics, CLI."""
 
 import gc
-import hashlib
 import importlib
 import json
 import math
@@ -579,19 +578,6 @@ def _count_loads(monkeypatch) -> list:
     return loads
 
 
-def _count_hashes(monkeypatch) -> list:
-    """Route the harness's sha256 passes over data files through a wrapper; each appends a 1."""
-    hashes = []
-
-    def counted(*args):
-        hashes.append(1)
-        return hashlib.sha256(*args)
-
-    # the harness's own name only: config_hash also calls hashlib.sha256
-    monkeypatch.setattr(hetsgd.harness, "hashlib", types.SimpleNamespace(sha256=counted))
-    return hashes
-
-
 def _restore_times(path, st):
     """Set ``path``'s atime and mtime back to ``st``'s once its ctime differs from ``st``'s."""
     deadline = time.monotonic() + 10
@@ -642,7 +628,7 @@ class TestFileData:
                       data_n=240, data_input_dim=3, data_classes=3))
         assert calls == [(240, 3, 3)]
 
-    def test_two_runs_of_one_file_parse_it_once(self, tmp_path, monkeypatch):
+    def test_two_runs_of_one_file_parse_it_once(self, tmp_path, monkeypatch, settled):
         path = _blobs_csv(tmp_path / "blobs.csv")
         loads = _count_loads(monkeypatch)
         cfg = _file_cfg(path)
@@ -651,14 +637,15 @@ class TestFileData:
         assert render_csv(run(cfg)) == first
         assert [p for p, _ in loads] == [path]
 
-    def test_same_bytes_at_two_paths_parse_once(self, tmp_path, monkeypatch):
+    def test_same_bytes_at_two_paths_parse_twice(self, tmp_path, monkeypatch, settled):
+        # a file is found by its stat fingerprint, not its bytes
         path = _blobs_csv(tmp_path / "a.csv")
         copy = tmp_path / "b.csv"
         copy.write_bytes((tmp_path / "a.csv").read_bytes())
         loads = _count_loads(monkeypatch)
         first = render_csv(run(_file_cfg(path)))
         assert render_csv(run(_file_cfg(str(copy)))) == first
-        assert [p for p, _ in loads] == [path]
+        assert [p for p, _ in loads] == [path, str(copy)]
 
     def test_same_size_rewrite_is_parsed_again(self, tmp_path, monkeypatch):
         path = _blobs_csv(tmp_path / "blobs.csv")
@@ -674,7 +661,7 @@ class TestFileData:
         hetsgd.harness._DATASET_CACHE.clear()
         assert render_csv(run(_file_cfg(path))) == new
 
-    def test_failed_load_caches_nothing(self, tmp_path, monkeypatch):
+    def test_failed_load_caches_nothing(self, tmp_path, monkeypatch, settled):
         good = _blobs_csv(tmp_path / "good.csv")
         bad = str(tmp_path / "bad.csv")
         with open(bad, "w") as fh:
@@ -688,7 +675,7 @@ class TestFileData:
         run(_file_cfg(good))
         assert [p for p, _ in loads] == [good, bad, bad, good]
 
-    def test_file_changed_during_the_parse_is_not_kept(self, tmp_path, monkeypatch):
+    def test_file_changed_during_the_parse_is_not_kept(self, tmp_path, monkeypatch, settled):
         path = _blobs_csv(tmp_path / "blobs.csv")
         load = hetsgd.harness.load_dataset
         loads = []
@@ -705,10 +692,11 @@ class TestFileData:
         assert render_csv(run(_file_cfg(path))) == first
         assert loads == [path, path]
 
-    def test_same_size_rewrite_during_the_parse_is_not_kept(self, tmp_path, monkeypatch):
+    def test_same_size_rewrite_during_the_parse_is_not_kept(self, tmp_path, monkeypatch,
+                                                             settled):
         path = _blobs_csv(tmp_path / "blobs.csv")
         copy = str(tmp_path / "copy.csv")
-        _blobs_csv(copy)  # the bytes the first run hashes
+        _blobs_csv(copy)  # the bytes the file held when its run began
         want = render_csv(run(_file_cfg(copy)))
         hetsgd.harness._DATASET_CACHE.clear()
         before = os.stat(path)
@@ -729,27 +717,24 @@ class TestFileData:
         assert render_csv(run(_file_cfg(copy))) == want
         assert loads == [path, copy]
 
-    def test_settled_file_is_not_hashed_again(self, tmp_path, monkeypatch):
+    def test_settled_file_is_parsed_once(self, tmp_path, monkeypatch, settled):
         path = _blobs_csv(tmp_path / "blobs.csv")
-        monkeypatch.setattr(hetsgd.harness, "_SETTLE_NS", 0)
-        hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
+        loads = _count_loads(monkeypatch)
         cfg = _file_cfg(path, seeds=(0, 1, 2))
         texts = []
         for name in ("cold", "warm", "again"):
             write_outputs(run(cfg), str(tmp_path / name))
             texts.append((tmp_path / name / "metrics.csv").read_bytes())
-        assert len(hashes) == 1
         assert len(loads) == 1
         assert texts[0] == texts[1] == texts[2]
-        # one dataset, under its content key and the file's fingerprint
-        assert len(hetsgd.harness._DATASET_CACHE) == 2
-        assert len({id(d) for d in hetsgd.harness._DATASET_CACHE.values()}) == 1
+        st = os.stat(path)  # one dataset, under the file's fingerprint alone
+        assert list(hetsgd.harness._DATASET_CACHE) == [
+            (cfg.data_format, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)]
 
-    def test_settled_file_rewritten_at_the_same_size_is_hashed_again(self, tmp_path,
-                                                                      monkeypatch):
+    def test_settled_file_rewritten_at_the_same_size_is_parsed_again(self, tmp_path,
+                                                                      monkeypatch, settled):
         path = _blobs_csv(tmp_path / "blobs.csv")
-        monkeypatch.setattr(hetsgd.harness, "_SETTLE_NS", 0)
-        hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
+        loads = _count_loads(monkeypatch)
         old = render_csv(run(_file_cfg(path)))
         before = os.stat(path)
         _blobs_csv(path, relabel=1)  # same length, other labels
@@ -758,30 +743,24 @@ class TestFileData:
         assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
             before.st_ino, before.st_size, before.st_mtime_ns)
         new = render_csv(run(_file_cfg(path)))
-        assert len(hashes) == 2
         assert [p for p, _ in loads] == [path, path]
         assert new != old
         hetsgd.harness._DATASET_CACHE.clear()
         assert render_csv(run(_file_cfg(path))) == new
 
-    def test_file_written_just_now_is_hashed_every_run(self, tmp_path, monkeypatch):
+    def test_file_written_just_now_is_parsed_every_run(self, tmp_path, monkeypatch):
         path = _blobs_csv(tmp_path / "blobs.csv")
-        hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
-        for _ in range(3):
-            run(_file_cfg(path))
-        # still inside the settle window, so no run kept a fingerprint: the
-        # cache holds the dataset under its content key alone
+        loads = _count_loads(monkeypatch)
+        texts = [render_csv(run(_file_cfg(path))) for _ in range(3)]
+        # still inside the settle window, so no run kept the dataset
         assert time.time_ns() - os.stat(path).st_ctime_ns < hetsgd.harness._SETTLE_NS
-        with open(path, "rb") as fh:
-            content = (_file_cfg(path).data_format, hashlib.sha256(fh.read()).hexdigest())
-        assert list(hetsgd.harness._DATASET_CACHE) == [content]
-        assert len(hashes) == 3
-        assert len(loads) == 1
+        assert hetsgd.harness._DATASET_CACHE == {}
+        assert [p for p, _ in loads] == [path] * 3
+        assert texts[0] == texts[1] == texts[2]
 
-    def test_file_replaced_by_rename_is_hashed(self, tmp_path, monkeypatch):
+    def test_file_replaced_by_rename_is_parsed_again(self, tmp_path, monkeypatch, settled):
         path = _blobs_csv(tmp_path / "blobs.csv")
-        monkeypatch.setattr(hetsgd.harness, "_SETTLE_NS", 0)
-        hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
+        loads = _count_loads(monkeypatch)
         first = render_csv(run(_file_cfg(path)))
         before = os.stat(path)
         fresh = _blobs_csv(tmp_path / "fresh.csv")  # the same bytes in a new inode
@@ -789,27 +768,26 @@ class TestFileData:
         os.replace(fresh, path)
         assert os.stat(path).st_ino != before.st_ino
         assert render_csv(run(_file_cfg(path))) == first
-        assert len(hashes) == 2
-        assert [p for p, _ in loads] == [path]  # the bytes' key still finds the dataset
+        assert [p for p, _ in loads] == [path, path]
 
-    def test_file_at_another_inode_is_hashed(self, tmp_path, monkeypatch):
+    def test_file_at_another_inode_is_parsed_again(self, tmp_path, monkeypatch, settled):
         # the fingerprint reads st_ino: a file that differs in nothing else is not taken as seen
         path = _blobs_csv(tmp_path / "blobs.csv")
-        monkeypatch.setattr(hetsgd.harness, "_SETTLE_NS", 0)
-        hashes = _count_hashes(monkeypatch)
+        loads = _count_loads(monkeypatch)
         first = render_csv(run(_file_cfg(path)))
 
-        def other_inode(fd):
-            st = os.fstat(fd)
+        def other_inode(name):
+            st = os.stat(name)
             times = {k: getattr(st, k) for k in ("st_atime_ns", "st_mtime_ns", "st_ctime_ns")}
             return os.stat_result((st.st_mode, st.st_ino + 1, *st[2:]), times)
 
         monkeypatch.setattr(hetsgd.harness, "os",
-                            types.SimpleNamespace(**{**vars(os), "fstat": other_inode}))
+                            types.SimpleNamespace(**{**vars(os), "stat": other_inode}))
         assert render_csv(run(_file_cfg(path))) == first
-        assert len(hashes) == 2
+        assert [p for p, _ in loads] == [path, path]
 
-    def test_file_sweep_hashes_a_settled_file_once(self, tmp_path, monkeypatch, capsys):
+    def test_file_sweep_parses_a_settled_file_once(self, tmp_path, monkeypatch, capsys,
+                                                   settled):
         path = _blobs_csv(tmp_path / "blobs.csv")
         cfg_path = tmp_path / "sweep.cfg"
         cfg_path.write_text(f"data.source = file\ndata.path = {path}\nrounds = 2\n")
@@ -817,15 +795,13 @@ class TestFileData:
         assert cli_main(argv) == 0
         want = capsys.readouterr().out
         hetsgd.harness._DATASET_CACHE.clear()
-        monkeypatch.setattr(hetsgd.harness, "_SETTLE_NS", 0)
-        hashes, loads = _count_hashes(monkeypatch), _count_loads(monkeypatch)
+        loads = _count_loads(monkeypatch)
         assert cli_main(argv) == 0
         assert capsys.readouterr().out == want
         assert len(want.splitlines()) == 5
-        assert len(hashes) == 1
         assert [p for p, _ in loads] == [path]
 
-    def test_last_file_replaces_the_one_before(self, tmp_path, monkeypatch):
+    def test_last_file_replaces_the_one_before(self, tmp_path, monkeypatch, settled):
         a = _blobs_csv(tmp_path / "a.csv")
         b = _blobs_csv(tmp_path / "b.csv", seed=6)
         loads = _count_loads(monkeypatch)
@@ -837,7 +813,7 @@ class TestFileData:
         assert dataset_b() is not None
 
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
-    def test_cached_run_matches_a_fresh_parse(self, tmp_path, monkeypatch, fmt):
+    def test_cached_run_matches_a_fresh_parse(self, tmp_path, monkeypatch, settled, fmt):
         from test_data import save_binary
         path = str(tmp_path / f"blobs.{fmt}")
         if fmt == "csv":
@@ -946,7 +922,8 @@ class TestDatasetCache:
         assert [line.split(",")[:2] for line in errors[0][1].splitlines()[1:]] == [
             ["0", "0"], ["0", "1"], ["0", "2"], ["0", "3"], ["1", "0"], ["1", "1"]]
 
-    def test_file_then_synthetic_then_file_holds_one_dataset(self, tmp_path, monkeypatch):
+    def test_file_then_synthetic_then_file_holds_one_dataset(self, tmp_path, monkeypatch,
+                                                             settled):
         a = _blobs_csv(tmp_path / "a.csv")
         b = _blobs_csv(tmp_path / "b.csv", seed=6)
         loads = _count_loads(monkeypatch)
@@ -965,7 +942,7 @@ class TestGroupLayout:
     """A seed group's split and validation rows stay beside the cached dataset."""
 
     @pytest.mark.parametrize("source, seeds", [("file", (0, 1, 2)), ("synthetic", (0, 1))])
-    def test_warm_run_draws_no_split(self, tmp_path, monkeypatch, source, seeds):
+    def test_warm_run_draws_no_split(self, tmp_path, monkeypatch, settled, source, seeds):
         cfg = _file_cfg(_blobs_csv(tmp_path / "blobs.csv"), data_source=source, seeds=seeds)
         splits = _count_splits(monkeypatch)
         cold = _metrics(cfg, tmp_path / "cold")
@@ -994,7 +971,7 @@ class TestGroupLayout:
         assert _metrics(changed, tmp_path / "warm") == want
         assert splits == list(changed.seeds)
 
-    def test_a_dataset_not_kept_keeps_no_layout(self, tmp_path, monkeypatch):
+    def test_a_dataset_not_kept_keeps_no_layout(self, tmp_path, monkeypatch, settled):
         path = _blobs_csv(tmp_path / "blobs.csv")
         load = hetsgd.harness.load_dataset
         loads = []
@@ -1015,7 +992,7 @@ class TestGroupLayout:
         assert render_csv(run(cfg)) == first
         assert splits == [0, 1, 0, 1]
 
-    def test_cached_layout_is_read_only(self, tmp_path):
+    def test_cached_layout_is_read_only(self, tmp_path, settled):
         run(_file_cfg(_blobs_csv(tmp_path / "blobs.csv"), seeds=(0, 1)))
         ((maps, val_x, val_y, n_train),) = hetsgd.harness._LAYOUT_CACHE.values()
         assert len(maps) == 2 and val_x.shape == (2, 240 - n_train, 3)
@@ -1058,7 +1035,7 @@ class TestGroupLayout:
         assert rows == [4, 4] * 2 * 2
 
     def test_a_new_dataset_is_built_after_the_last_one_and_its_layout_are_gone(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, settled):
         a = _blobs_csv(tmp_path / "a.csv")
         b = _blobs_csv(tmp_path / "b.csv", seed=6)
         last = []  # weakrefs to the cached dataset and its layout's arrays before each build
@@ -1301,7 +1278,7 @@ class TestCli:
         assert lines[1].startswith("2,ok")
         assert lines[2] == "8,NA,NA,NA,NA"  # bound is 1 + alpha = 5
 
-    def test_sweep_lambda_parses_a_file_once(self, tmp_path, monkeypatch):
+    def test_sweep_lambda_parses_a_file_once(self, tmp_path, monkeypatch, settled):
         data_path = _blobs_csv(tmp_path / "blobs.csv")
         cfg_path = tmp_path / "file.cfg"
         cfg_path.write_text(
@@ -1617,6 +1594,20 @@ class TestCli:
         assert cli_main(["timing", str(cfg_path)]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert [row[3] for row in rows if row[1] == "fast"] == ["0.1940123"]
+
+    def test_timing_columns_read_back_as_their_values(self, tmp_path, capsys):
+        # at these costs a fixed six decimals would print every computed column as 0.000000
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text("cost.iter_fast = 1e-9\ncost.iter_slow = 4e-9\ncost.agg = 1e-9\n")
+        assert cli_main(["timing", str(cfg_path)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        run_plan = validate(parse_config_file(str(cfg_path)))
+        timing = round_timing(run_plan.workers, run_plan.cost)
+        assert [[float(x) for x in row[2:]] for row in rows] == [
+            [w.tau, w.iter_cost, comp, block, timing.round_wall, run_plan.cost.agg_cost]
+            for w, comp, block in zip(run_plan.workers, timing.compute_time,
+                                      timing.blocking_time)]
+        assert min(timing.compute_time) > 0 and max(timing.blocking_time) > 0
 
     def test_gradcheck(self, capsys):
         # trial 159 has gradient entries near 2e-8: over a 1e-8 floor, the
