@@ -399,7 +399,7 @@ def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
 
     The training split must feed every worker each round by
     ``data.share_sizes``, the rule the sampler applies: its errors become
-    ConfigErrors, except that InvalidLambdaError propagates untouched so
+    ConfigErrors, except that an InvalidLambdaError keeps its type so
     sweeps can mark NA cells.  Then each of :func:`array_sizes` and the
     ``metrics.csv`` rows (total rounds x seeds, ``ROW_ELEMENTS`` each) must
     fit ``MAX_ELEMENTS``, and the run's :func:`per_round` values must be
@@ -411,10 +411,10 @@ def check_data(cfg: ExperimentConfig, run_plan: RunPlan, n: int, input_dim: int,
     n_train = n - val_size(n, cfg.val_fraction)
     try:
         share_sizes(n_train, run_plan.profile)
-    except InvalidLambdaError:
-        raise
+    except InvalidLambdaError as exc:
+        raise InvalidLambdaError(f"{where}{exc}") from None
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{where}{exc}") from None
     for what, count in array_sizes(cfg, n, input_dim, num_classes).items():
         _cap(what, count, where)
     rounds = run_plan.total_rounds(n_train)

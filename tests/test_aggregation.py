@@ -48,14 +48,14 @@ class TestWeights:
                                    np.full(3, 1 / 3), rtol=0)
 
     @given(st.sampled_from(RULES), taus_strategy)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_simplex(self, rule, taus):
         w = aggregation_weights(rule, taus)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) <= 1e-12
 
     @given(taus_strategy)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_ordering(self, taus):
         order = np.argsort(taus, kind="stable")
         tw = aggregation_weights("tau_weighted", taus)[order]
@@ -64,7 +64,7 @@ class TestWeights:
         assert np.all(np.diff(fn) <= 1e-15)  # nonincreasing in tau
 
     @given(taus_strategy, st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_permutation_equivariance(self, taus, rnd):
         perm = list(range(len(taus)))
         rnd.shuffle(perm)
@@ -170,7 +170,7 @@ class TestAggregate:
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(("balanced", "tau_weighted")),
            st.integers(1, 64), st.integers(1, 64))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_matches_elementwise_definition(self, seed, rule, tau_x, tau_y):
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=6), rng.normal(size=6)
@@ -180,7 +180,7 @@ class TestAggregate:
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(RULES), taus_strategy,
            st.integers(1, 6))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     def test_matches_scalar_loop_oracle(self, seed, rule, taus, n):
         rng = np.random.default_rng(seed)
         stack = rng.normal(scale=10.0, size=(len(taus), n))
@@ -193,7 +193,7 @@ class TestAggregate:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(RULES),
            st.lists(st.integers(1, 40), min_size=1, max_size=6), st.integers(1, 20),
            st.lists(st.sampled_from([1.0, 1e150, 1e300, 1.7e308]), min_size=1, max_size=5))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_seed_stack_equals_one_call_per_seed(self, seed, rule, taus, n, scales):
         # a seed group's layout: seed k's local models are rows k x P to
         # k x P + P - 1, combined in one call on the (P, seeds, n) view; at

@@ -21,7 +21,8 @@ from hetsgd.config import (_KEYS, ALGORITHMS, MAX_ELEMENTS, MAX_WORKERS, ROW_ELE
 from hetsgd.core import STREAM_CURSOR_BASE, STREAM_WORKER_BASE, RngStream
 from hetsgd.data import InvalidLambdaError, val_size
 from hetsgd.harness import bundled_config_path, run
-from hetsgd.models import MODEL_KINDS, param_count
+from hetsgd.models import param_count
+from strategies import CHOICES, RANGES, configs
 
 
 def minimal(**overrides):
@@ -280,6 +281,12 @@ class TestKeys:
         declared = sorted(attr for attr, _, _ in _KEYS.values())
         assert declared == sorted(f.name for f in fields(ExperimentConfig))
 
+    def test_every_key_has_one_drawn_domain(self):
+        # data.path names a file the data_files fixture wrote; out is never drawn
+        assert sorted([*CHOICES, *RANGES, "data.path"]) == sorted(set(_KEYS) - {"out"})
+        for key, values in CHOICES.items():  # each choice list is all its rule accepts
+            assert _KEYS[key][2][1] == "one of " + ", ".join(map(repr, values))
+
     def test_readme_table_matches_keys(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme) as fh:
@@ -464,20 +471,15 @@ _ROWS = st.one_of(st.integers(64, 4096), st.integers(2**16, 2**28), _SIZES)
 
 class TestArraySizes:
     @given(data=st.data())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     def test_caps_and_groups_match_the_arrays_written_apart(self, data):
         draw = data.draw
-        source = draw(st.sampled_from(["synthetic", "file"]))
-        cfg = minimal(
-            data_source=source, data_path="d.csv", algorithm=draw(st.sampled_from(ALGORITHMS)),
-            p_s=draw(_WORKERS), p_f=draw(_WORKERS), tau_f=draw(_SIZES), batch_size=draw(_SIZES),
-            model_kind=draw(st.sampled_from(MODEL_KINDS)), model_hidden=draw(_SIZES),
-            data_n=draw(_ROWS), data_input_dim=draw(_SIZES), data_classes=draw(st.integers(2, 64)),
-            alpha=draw(st.sampled_from([1.0, 2.0, 8.0])), lam=1.0, rounds=2,
-            val_fraction=draw(st.sampled_from([0.01, 0.2, 0.5])),
-            seeds=tuple(range(draw(st.integers(1, 40)))))
+        cfg = draw(configs(
+            data_path=st.just("d.csv"), p_s=_WORKERS, p_f=_WORKERS, tau_f=_SIZES,
+            batch_size=_SIZES, model_hidden=_SIZES, data_n=_ROWS, data_input_dim=_SIZES,
+            data_classes=st.integers(2, 64), seeds=st.integers(1, 40).map(range).map(tuple)))
         shape = (cfg.data_n, cfg.data_input_dim, cfg.data_classes)
-        if source == "file":
+        if cfg.data_source == "file":
             shape = (draw(_ROWS), draw(_SIZES), draw(st.integers(2, 64)))
         # every other rule decides alone when no array is capped
         with pytest.MonkeyPatch.context() as patch:

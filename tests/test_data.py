@@ -166,7 +166,7 @@ class TestShareFormulas:
             assert abs(total - n) <= p_s + p_f
 
     @given(st.integers(100, 100_000), st.floats(1.0, 8.0), st.floats(1.0, 40.0))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_pool_monotone_in_lam(self, n, lam, alpha):
         try:
             small = pool_size(n, 1, 1, alpha, lam)
@@ -286,7 +286,7 @@ class TestTopLossOracle:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
            kind=st.sampled_from(["ties", "all-unseen", "all-seen", "signed-zeros"]),
            whole_pool=st.booleans(), k_at=st.sampled_from(["one", "pool", "between"]))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_matches_lexsort_byte_for_byte(self, seed, n, kind, whole_pool, k_at):
         rng = np.random.default_rng(seed)
         ledger = drawn_ledger(kind, n, rng)
@@ -390,7 +390,7 @@ class TestShareSizes:
     @given(n=st.integers(2, 2000), p_s=st.integers(1, 6), p_f=st.integers(1, 6),
            alpha=st.floats(1.0, 64.0), mode=st.sampled_from(["separated", "unified",
                                                               "uniform"]))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_every_fast_worker_gets_a_sample_once_n_covers_the_workers(
             self, n, p_s, p_f, alpha, mode):
         prof = profile(alpha=alpha, p_s=p_s, p_f=p_f, lam=1.0, mode=mode)
@@ -497,7 +497,7 @@ class TestLossLedger:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
            rounds=st.lists(st.lists(st.integers(1, 40), min_size=1, max_size=4),
                            min_size=1, max_size=4))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_merge_matches_unique_oracle(self, seed, n, rounds):
         # each inner list holds one round's per-worker segment lengths, merged
         # in one call as the harness does; ids repeat within and across segments
@@ -818,8 +818,7 @@ def _write(path, text):
 
 class TestCsvLoaderOracle:
     @given(data=st.data())
-    @settings(max_examples=120, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_the_reference_loader(self, tmp_path, data):
         draw = data.draw
         n, dim, classes = draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 4))

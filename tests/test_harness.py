@@ -25,7 +25,7 @@ import hetsgd.config
 import hetsgd.data
 import hetsgd.harness
 from hetsgd.cli import main as cli_main
-from hetsgd.config import ALGORITHMS, ConfigError, ExperimentConfig, parse_config_file, validate
+from hetsgd.config import ConfigError, ExperimentConfig, parse_config_file, validate
 from hetsgd.data import InvalidLambdaError, val_size
 from hetsgd.simclock import round_timing
 from hetsgd.workers import SAMPLER_MODES, DivergenceError
@@ -33,6 +33,7 @@ from hetsgd.harness import (CSV_HEADER, bundled_config_path, render_csv, run,
                             write_outputs)
 
 
+from strategies import CHOICES, RANGES, configs
 from test_workers import reference_lr_at
 
 
@@ -229,21 +230,6 @@ class TestDivergence:
         assert seed_and_round == [["3", "0"], ["3", "1"]]
 
 
-@pytest.fixture(scope="module")
-def csv_files(tmp_path_factory):
-    """Two small CSV datasets: 40 rows of 3 features in 3 classes, 150 of 2 in 2."""
-    from hetsgd.core import RngStream
-    from hetsgd.data import SyntheticSpec, make_synthetic, save_csv
-    paths = []
-    for i, (n, dim, classes) in enumerate([(40, 3, 3), (150, 2, 2)]):
-        path = str(tmp_path_factory.mktemp("data") / f"blobs{i}.csv")
-        save_csv(make_synthetic(SyntheticSpec(n=n, input_dim=dim, num_classes=classes,
-                                              separation=5.0, label_noise=0.1),
-                                RngStream(9, i)), path)
-        paths.append(path)
-    return paths
-
-
 def _seed_by_seed(cfg):
     """``(metrics.csv text, final params, error)`` of running ``cfg``'s seeds one at a time.
 
@@ -367,42 +353,9 @@ class TestRoundLayout:
             assert len({id(m) for m in row_maps}) == 2
 
     @given(data=st.data())
-    @settings(max_examples=80, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_stacked_seeds_equal_one_seed_runs(self, data, csv_files):
-        draw = data.draw
-        algorithm = draw(st.sampled_from(ALGORITHMS))
-        modes = ["separated", "unified"] + (["uniform"] if algorithm != "biased_local" else [])
-        sampler_mode = draw(st.sampled_from(modes))
-        # epoch draws are rejected with the unified sampler
-        fast_draw = draw(st.sampled_from(["fresh", "epoch"] if algorithm != "biased_local"
-                                         or sampler_mode != "unified" else ["fresh"]))
-        source = draw(st.sampled_from(["synthetic", "file"]))
-        # tiny features at a huge rate: finite per-sample losses whose sum or
-        # aggregate can overflow
-        tiny = source == "synthetic" and draw(st.sampled_from([False, False, True]))
-        cfg = small_cfg(
-            algorithm=algorithm, sampler_mode=sampler_mode, fast_draw=fast_draw,
-            cold_start=draw(st.sampled_from(["unseen-first", "uniform-first"])),
-            aggregation=draw(st.sampled_from(["tau_weighted", "balanced", "fednova"])),
-            model_kind=draw(st.sampled_from(["logistic_regression", "mlp2"])),
-            model_hidden=3,
-            p_s=draw(st.integers(1, 3)), p_f=draw(st.integers(1, 3)),
-            data_source=source,
-            data_path=draw(st.sampled_from(csv_files)) if source == "file" else "",
-            data_n=draw(st.integers(12, 120)), data_input_dim=draw(st.integers(1, 3)),
-            data_classes=draw(st.integers(2, 3)),
-            data_separation=1e-300 if tiny else 8.0, data_sigma=1e-300 if tiny else 1.0,
-            alpha=draw(st.sampled_from([1.0, 2.0, 4.0, 8.0])),
-            lam=draw(st.sampled_from([1.0, 1.25, 2.0])),
-            # ragged batches: most batch sizes do not divide the shares
-            tau_f=draw(st.integers(1, 6)), batch_size=draw(st.integers(1, 9)),
-            rounds=draw(st.integers(1, 3)), epochs=draw(st.sampled_from([0, 0, 1])),
-            weight_decay=draw(st.sampled_from([0.0, 0.01])),
-            # 300 makes the mlp diverge in some seeds and not others
-            base_lr=draw(st.sampled_from([3e307, 1.7e308] if tiny else [0.1, 0.5, 300.0])),
-            seeds=tuple(draw(st.lists(st.integers(0, 7), min_size=1, max_size=4,
-                                      unique=True))))
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+    def test_stacked_seeds_equal_one_seed_runs(self, data, data_files):
+        cfg = data.draw(configs(data_path=st.sampled_from(data_files)))
         try:
             validate(cfg)
         except (ConfigError, InvalidLambdaError):
@@ -429,9 +382,9 @@ class TestRoundLayout:
         ("MAX_ELEMENTS", 239, [2] * 6, "file"),
         ("MAX_ELEMENTS", 100, [2] * 6, "file"),  # one seed runs even past the cap
     ])
-    def test_seed_groups_stop_at_the_caps(self, monkeypatch, csv_files, cap, value, stacks,
+    def test_seed_groups_stop_at_the_caps(self, monkeypatch, data_files, cap, value, stacks,
                                           source):
-        file = dict(data_source="file", data_path=csv_files[1], batch_size=4)
+        file = dict(data_source="file", data_path=data_files[1], batch_size=4)
         cfg = small_cfg(seeds=(0, 1, 2), rounds=2, **(file if source == "file" else {}))
         want = render_csv(run(cfg))
         rows = []
@@ -451,64 +404,34 @@ class TestRoundLayout:
         assert rows == stacks
 
     @given(data=st.data())
-    @settings(max_examples=150, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_validate_passing_implies_run_completes(self, data):
-        draw = data.draw
-        algorithm = draw(st.sampled_from(ALGORITHMS))
-        # biased_local rejects the uniform sampler; the others override it
-        modes = ["separated", "unified"] + (["uniform"] if algorithm != "biased_local" else [])
-        cfg = small_cfg(
-            algorithm=algorithm,
-            sampler_mode=draw(st.sampled_from(modes)),
-            fast_draw=draw(st.sampled_from(["fresh", "epoch"])),
-            cold_start=draw(st.sampled_from(["unseen-first", "uniform-first"])),
-            aggregation=draw(st.sampled_from(["tau_weighted", "balanced"])),
-            model_kind=draw(st.sampled_from(["logistic_regression", "mlp2"])),
-            model_hidden=3,
-            p_s=draw(st.integers(1, 4)), p_f=draw(st.integers(1, 4)),
-            # tiny datasets half the time: share rounding bites there
-            data_n=draw(st.one_of(st.integers(2, 24), st.integers(25, 160))),
-            val_fraction=draw(st.sampled_from([0.1, 0.2, 0.5])),
-            alpha=draw(st.sampled_from([1.0, 1.5, 2.0, 4.0, 8.0])),
-            lam=draw(st.sampled_from([1.0, 1.25, 2.0, 3.0])),
-            tau_f=draw(st.integers(1, 4)), batch_size=draw(st.integers(1, 8)),
-            rounds=draw(st.integers(1, 2)), epochs=draw(st.sampled_from([0, 1])),
-            base_lr=0.1, seeds=(draw(st.integers(0, 3)),))
-        try:
-            validate(cfg)
-        except (ConfigError, InvalidLambdaError):
-            return
-        try:
-            result = run(cfg)
-        except DivergenceError:
-            return
-        assert result.per_seed[0].records
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    def test_validate_passing_implies_run_completes(self, data, data_files):
+        # what validate accepts writes finite metrics, diverges naming its seed
+        # and round, or, for a file, is rejected once loaded naming the file
+        cfg = data.draw(configs(data_path=st.sampled_from(data_files)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                validate(cfg)
+            except (ConfigError, InvalidLambdaError):
+                return
+            try:
+                text = render_csv(run(cfg))
+            except DivergenceError as exc:
+                assert re.match(r"^seed -?\d+ round \d+[: ]", str(exc)), exc
+                return
+            except ValueError as exc:  # the file's load, or check_data on its shape
+                assert cfg.data_source == "file" and str(exc).startswith(f"{cfg.data_path}:"), exc
+                return
+        for line in text.splitlines()[1:]:
+            assert all(math.isfinite(float(cell)) for cell in line.split(",")), line
 
     @given(data=st.data())
-    @settings(max_examples=100, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
     def test_lr_and_clock_columns_match_the_scalar_oracle(self, data):
-        draw = data.draw
-        algorithm = draw(st.sampled_from(ALGORITHMS))
-        modes = ["separated", "unified"] + (["uniform"] if algorithm != "biased_local" else [])
-        fast = draw(st.sampled_from([0.1, 0.1940, 0.3, 1e-3]))
-        cfg = small_cfg(
-            algorithm=algorithm,
-            sampler_mode=draw(st.sampled_from(modes)),
-            aggregation=draw(st.sampled_from(["tau_weighted", "balanced", "fednova"])),
-            p_s=draw(st.integers(1, 4)), p_f=draw(st.integers(1, 4)),
-            data_n=draw(st.integers(8, 160)),
-            alpha=draw(st.sampled_from([1.0, 1.5, 2.0, 4.0, 8.0])),
-            tau_f=draw(st.integers(1, 4)), batch_size=draw(st.integers(1, 8)),
-            rounds=draw(st.integers(1, 12)), epochs=draw(st.sampled_from([0, 0, 1, 3])),
-            schedule_kind=draw(st.sampled_from(["constant", "multistep", "cosine"])),
-            base_lr=draw(st.sampled_from([0.05, 0.1, 0.3])),
-            milestones=tuple(sorted(draw(st.sets(st.integers(-2, 14), max_size=4)))),
-            decay=draw(st.sampled_from([0.1, 0.5, 1.5])),
-            cost_iter_fast=fast, cost_iter_slow=fast * draw(st.sampled_from([1.0, 3.7, 33.6])),
-            cost_agg=draw(st.sampled_from([0.0, 0.05, 2.5])),
-            seeds=tuple(draw(st.sets(st.integers(0, 3), min_size=1, max_size=2))))
+        # the oracle counts rounds from data.n; up to 12 rounds cross the milestones
+        cfg = data.draw(configs(data_path=st.just(""), data_source=st.just("synthetic"),
+                                rounds=st.integers(1, 12)))
         try:
             run_plan = validate(cfg)
             result = run(cfg)
@@ -1348,23 +1271,24 @@ class TestCli:
         rc = cli_main(["run", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc != 0
         assert capsys.readouterr().err == (
-            "error: invalid-config: training split of 2 cannot cover 6 workers\n")
+            f"error: invalid-config: {data_path}: training split of 2 cannot cover 6 workers\n")
         assert not os.path.exists(tmp_path / "o")
 
     def test_run_file_data_all_validation_fails_like_synthetic(self, tmp_path, capsys):
         # a validation split of every row leaves 0 rows for the workers,
-        # reported as for synthetic data of that size
+        # reported as for synthetic data of that size, after the file's path
         data_path = tmp_path / "two.csv"
         data_path.write_text("label,f0\n0,1\n1,2\n")
         body = "val_fraction = 0.8\nrounds = 1\n"
-        for name, source in [("file", f"data.source = file\ndata.path = {data_path}\n"),
-                             ("synthetic", "data.n = 2\n")]:
+        for name, source, where in [
+                ("file", f"data.source = file\ndata.path = {data_path}\n", f"{data_path}: "),
+                ("synthetic", "data.n = 2\n", "")]:
             cfg_path = tmp_path / f"{name}.cfg"
             cfg_path.write_text(source + body)
             rc = cli_main(["run", str(cfg_path), "--out", str(tmp_path / name)])
             assert rc == 2
             assert capsys.readouterr().err == (
-                "error: invalid-config: training split of 0 cannot cover 2 workers\n")
+                f"error: invalid-config: {where}training split of 0 cannot cover 2 workers\n")
             assert not os.path.exists(tmp_path / name)
 
     @pytest.mark.parametrize("command", ["validate", "timing", "run"])
@@ -1674,33 +1598,14 @@ class TestCli:
 
 # hostile values for raw config text; sizes are small or invalid, never a
 # large valid size, which would allocate or train without bound.  10**12 is
-# drawn only for the keys that size an array, where validate's cap rejects it.
+# drawn only for the integer keys: each sizes an array, where validate's cap
+# rejects it.
 _FLOAT_TOKENS = ["nan", "inf", "-inf", "-0", "0", "-1", "1e300", "1e308", "", "abc"]
 _BAD_SIZE_TOKENS = ["0", "-1", "1.5", "", "abc"]
 _HUGE = "1000000000000"
-_CAPPED_KEYS = {"data.n", "data.input_dim", "data.classes", "model.hidden", "profile.tau_f",
-                "profile.p_s", "profile.p_f", "batch_size", "rounds", "epochs"}
-_FLOAT_KEYS = ["data.separation", "data.sigma", "data.label_noise", "profile.alpha",
-               "profile.lambda", "schedule.base_lr", "schedule.decay", "weight_decay",
-               "val_fraction", "cost.iter_fast", "cost.iter_slow", "cost.agg"]
-_CHOICE_KEYS = {
-    "data.source": ["synthetic", "file"],
-    "data.format": ["", "csv", "binary"],
-    "model.kind": ["logistic_regression", "mlp2"],
-    "algorithm": ["sync_sgd", "balanced_local", "unbalanced_unbiased", "biased_local"],
-    "aggregation": ["balanced", "tau_weighted", "fednova"],
-    "profile.sampler_mode": ["separated", "unified", "uniform"],
-    "sampling.fast_draw": ["fresh", "epoch"],
-    "sampling.cold_start": ["unseen-first", "uniform-first"],
-    "schedule.kind": ["constant", "multistep", "cosine"],
-}
-_SIZE_KEYS = {  # small valid values
-    "data.n": ["2", "5", "24", "60"], "data.input_dim": ["1", "3"],
-    "data.classes": ["2", "3", "5"], "model.hidden": ["1", "4"],
-    "profile.tau_f": ["1", "3"], "profile.p_s": ["1", "2"], "profile.p_f": ["1", "3"],
-    "batch_size": ["1", "8"], "rounds": ["1", "2"], "epochs": ["0", "1"],
-    "seeds": ["0", "3", "0,1"],
-}
+_CAPPED_KEYS = {key for key, (_, parser, _) in hetsgd.config._KEYS.items() if parser is int}
+_FLOAT_KEYS = [key for key, (_, parser, _) in hetsgd.config._KEYS.items() if parser is float]
+_SIZE_KEYS = sorted(_CAPPED_KEYS) + ["seeds"]  # valid values from the shared domain
 _OTHER_KEYS = {
     "schedule.milestones": ["", "1,3", "5,3", "x"],
     "data.path": ["", "missing.csv", "good.csv", "label_only.csv", "huge_label.csv"],
@@ -1714,25 +1619,26 @@ _DATA_FILES = {
 
 class TestConfigText:
     @given(data=st.data())
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                     HealthCheck.too_slow])
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                       HealthCheck.too_slow])
     def test_any_text_runs_or_fails_with_one_error_line(self, tmp_path, capsys, data):
         draw = data.draw
         for name, text in _DATA_FILES.items():
             (tmp_path / name).write_text(text)
         values = {}
         for key in draw(st.lists(st.sampled_from(
-                _FLOAT_KEYS + list(_CHOICE_KEYS) + list(_SIZE_KEYS) + list(_OTHER_KEYS)),
+                _FLOAT_KEYS + list(CHOICES) + _SIZE_KEYS + list(_OTHER_KEYS)),
                 min_size=1, max_size=4, unique=True)):
             if key in _FLOAT_KEYS:
                 values[key] = draw(st.sampled_from(_FLOAT_TOKENS))
-            elif key in _CHOICE_KEYS:  # valid half the time
-                values[key] = draw(st.sampled_from(_CHOICE_KEYS[key])
+            elif key in CHOICES:  # valid half the time
+                values[key] = draw(st.sampled_from(CHOICES[key])
                                    | st.sampled_from(["bogus", ""]))
             elif key in _SIZE_KEYS:
                 bad = _BAD_SIZE_TOKENS + [_HUGE] * (key in _CAPPED_KEYS)
-                values[key] = draw(st.sampled_from(_SIZE_KEYS[key]) | st.sampled_from(bad))
+                values[key] = draw(RANGES[key].map(lambda v: ",".join(map(str, v))
+                                                   if isinstance(v, tuple) else str(v))
+                                   | st.sampled_from(bad))
             else:
                 values[key] = draw(st.sampled_from(_OTHER_KEYS[key]))
         if values.get("data.path", "").endswith(".csv"):
@@ -1796,9 +1702,8 @@ _FILE_VARIANTS = ["model.kind = mlp2\nmodel.hidden = 3", "profile.sampler_mode =
 
 class TestDataFileText:
     @given(data=st.data())
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                     HealthCheck.too_slow])
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                                       HealthCheck.too_slow])
     def test_any_csv_runs_or_fails_with_one_error_line(self, tmp_path, capsys, data):
         draw = data.draw
         # mostly well-formed, so that runs complete as well as fail
@@ -1894,43 +1799,29 @@ def hetsgd_ref():
         yield importlib.import_module("hetsgd_ref")
 
 
+# the fields a drawn case keeps as bundled: the reference has none of src's
+# checks on non-finite data, rates or clocks, or on sizes
+_REFERENCE_KEPT = ["data_source", "data_path", "data_format", "data_n", "data_separation",
+                   "data_sigma", "data_label_noise", "alpha", "lam", "tau_f", "base_lr",
+                   "val_fraction", "cost_iter_fast", "cost_iter_slow", "cost_agg"]
+
+
 @st.composite
 def reference_cases(draw):
-    """A bundled config's name and overrides, drawn over the domain both programs know.
+    """A bundled config's name and a config drawn about it, over the domain both programs know.
 
-    Both sides of the class-sum cut at 8 classes and of numpy's 128 are
-    drawn.  The cosine schedule is left out: under numpy 2 the reference
-    renders its lr as ``np.float64(...)``.
+    The reference screens no divergence, so the rates stay small, and
+    batches of 5 to 32 rows keep an epoch within 160 rounds.  The cosine
+    schedule is left out: under numpy 2 the reference renders its lr as
+    ``np.float64(...)``.
     """
     name = draw(st.sampled_from(["demo", "hard"]))
-    classes = draw(st.sampled_from([2, 3, 10, 130]))
-    overrides = dict(
-        model_kind=draw(st.sampled_from(["logistic_regression", "mlp2"])),
-        model_hidden=draw(st.sampled_from([3, 8])),
-        algorithm=draw(st.sampled_from(ALGORITHMS)),
-        sampler_mode=draw(st.sampled_from(SAMPLER_MODES)),
-        aggregation=draw(st.sampled_from(["balanced", "tau_weighted", "fednova"])),
-        fast_draw=draw(st.sampled_from(["fresh", "epoch"])),
-        cold_start=draw(st.sampled_from(["unseen-first", "uniform-first"])),
-        batch_size=draw(st.sampled_from([5, 7, 13, 32])),
-        p_s=draw(st.integers(1, 3)),
-        p_f=draw(st.integers(1, 4)),
-        seeds=tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))),
-        data_classes=classes,
-        data_input_dim=draw(st.sampled_from([1, 3, 16])),
-        weight_decay=draw(st.sampled_from([0.0, 0.01])),
-    )
-    if classes == 130:
-        overrides["data_n"] = draw(st.sampled_from([1400, 2000]))
-    if draw(st.booleans()):
-        milestones = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True))
-        overrides.update(schedule_kind="multistep", milestones=tuple(sorted(milestones)),
-                         decay=0.5)
-    if draw(st.booleans()):
-        overrides["epochs"] = 1
-    else:
-        overrides["rounds"] = draw(st.integers(2, 5))
-    return name, overrides
+    base = parse_config_file(bundled_config_path(name))
+    kept = {field: st.just(getattr(base, field)) for field in _REFERENCE_KEPT}
+    return name, draw(configs(**kept, schedule_kind=st.sampled_from(["constant", "multistep"]),
+                              decay=st.sampled_from([0.1, 0.5, 1.5]),
+                              weight_decay=st.sampled_from([0.0, 0.01]),
+                              batch_size=st.sampled_from([5, 7, 13, 32])))
 
 
 class TestFrozenReference:
@@ -1971,15 +1862,14 @@ class TestFrozenReference:
         got, want = self.outcomes(hetsgd_ref, "hard", overrides)
         assert got is not None and got == want
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(case=reference_cases())
     def test_drawn_configs_agree_with_the_reference(self, hetsgd_ref, case):
-        name, overrides = case
-        got, want = self.outcomes(hetsgd_ref, name, overrides)
+        name, cfg = case
+        got, want = self.outcomes(hetsgd_ref, name, vars(cfg))
         if got is None:
             assert want is None
             return
-        cfg = replace(parse_config_file(bundled_config_path(name)), **overrides)
         if (cfg.fast_draw, cfg.sampler_mode) == ("epoch", "unified") and (
                 cfg.algorithm != "biased_local"):
             # the reference rejects epoch draws under the configured unified

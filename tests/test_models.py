@@ -177,7 +177,7 @@ def class_major_logits(spec, params, x):
 
 class TestForward:
     @given(data=st.data())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_one_model_matches_its_row_of_a_stack(self, data):
         draw = data.draw
         kind = draw(st.sampled_from(["logistic_regression", "mlp2"]))
@@ -318,7 +318,7 @@ class TestAccuracyOracle:
             assert _hits(np.ascontiguousarray(logits.T), labels) == reference_hits(logits, labels)
 
     @given(data=st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_count_matches_argmax_on_drawn_rows(self, data):
         c = data.draw(st.integers(2, 20))
         n = data.draw(st.integers(0, 20))

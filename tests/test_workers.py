@@ -234,7 +234,7 @@ class TestLocalTrain:
 
 class TestTrainRound:
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_matches_per_worker_oracle(self, data):
         # assignments as short as one sample and up to three batches and a
         # bit: short batches, reshuffles, and steps where workers of one
@@ -315,7 +315,7 @@ class TestTrainRound:
                         [RngStream(0, 0), RngStream(0, 1)])
 
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_any_row_order_equals_the_tau_sorted_call(self, data):
         # rows in a drawn order, taus mixed and batches ragged, each row with
         # its own start, share, stream and map into one of two datasets
@@ -474,7 +474,7 @@ class TestTrainRound:
         assert_same_bits(starts, before)
 
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_round_screen_matches_the_per_step_rule(self, data):
         # rounds as in test_matches_per_worker_oracle, with no ragged step
         # and some start rows scaled toward overflow or made non-finite
@@ -639,7 +639,7 @@ class TestLrSchedules:
            base_lr=st.floats(1e-4, 10.0), decay=st.floats(0.01, 4.0),
            milestones=st.lists(st.integers(-5, 70), max_size=6, unique=True).map(sorted),
            rounds=st.integers(1, 64))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_matches_the_scalar_oracle(self, kind, base_lr, decay, milestones, rounds):
         lr = lr_schedule(kind, base_lr, tuple(milestones), decay, rounds)
         assert lr.tolist() == [reference_lr_at(kind, base_lr, milestones, decay, rounds, r)
